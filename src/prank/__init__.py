@@ -40,11 +40,11 @@ from .errors import (
     EmptyError,
     FormatError,
     LengthError,
+    NonFiniteError,
     PrankError,
     RankError,
     ShapeError,
     ShapeMismatch,
-    SingularError,
     WindowError,
 )
 from .filters import (
@@ -78,6 +78,7 @@ from .tsvd import (
     SVDFactorization,
     auto_window,
     dehankelize_ssa,
+    gram_tsvd,
     hankel_tsvd_series,
     hankelize,
     svd,

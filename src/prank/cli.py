@@ -22,7 +22,7 @@ from .dataset import (
     to_time,
     write_dataset,
 )
-from .errors import ConvergenceError, PrankError, SingularError
+from .errors import ConvergenceError, NonFiniteError, PrankError
 
 _USAGE_ERRORS = 2
 _NUMERIC_ERRORS = 1
@@ -253,7 +253,7 @@ def main(argv=None) -> int:
         return _USAGE_ERRORS
     try:
         return _COMMANDS[args.command](args)
-    except (ConvergenceError, SingularError) as exc:
+    except (ConvergenceError, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _NUMERIC_ERRORS
     except (PrankError, ValueError, IndexError) as exc:

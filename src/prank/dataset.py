@@ -212,6 +212,8 @@ def read_dataset(path) -> ResponseDataset:
     expected = offset + count * 8
     if len(blob) < expected:
         raise FormatError(f"truncated payload at byte {len(blob)}, expected {expected}")
+    if len(blob) > expected:
+        raise FormatError(f"{len(blob) - expected} trailing bytes after byte {expected}")
     values = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
     values = values.reshape(n_o, n_i, n_k, 2)
     data = values[..., 0] + 1j * values[..., 1]

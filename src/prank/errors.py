@@ -42,12 +42,12 @@ class WindowError(PrankError):
 
 
 class ConvergenceError(PrankError):
-    """The SVD backend failed to converge."""
+    """The SVD or eigenvalue backend failed to converge."""
+
+
+class NonFiniteError(PrankError, ValueError):
+    """NaN or infinite entries reached a factorization."""
 
 
 class EmptyError(PrankError):
     """Empty singular-value vector passed to rank selection."""
-
-
-class SingularError(PrankError):
-    """Dynamic stiffness matrix numerically singular at a frequency bin."""

@@ -3,7 +3,10 @@
 All filters return (filtered_dataset, FilterReport); shape, domain tag and
 axis metadata of the input are always preserved.  The mixed PRANK_HiP
 pipeline Hankel-filters only the retained PRF left singular vectors,
-cutting the Hankel SVD call count from n_o*n_i to the PRF rank.
+cutting the number of Hankel factorizations (``svd_calls`` in the reports)
+from n_o*n_i to the PRF rank.  Each Hankel factorization is one Gram
+eigendecomposition (``tsvd.gram_tsvd``), exact down to about 1.5e-8 of the
+Hankel matrix norm; the PRF and classic stages use dense SVDs.
 """
 
 from __future__ import annotations

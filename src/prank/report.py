@@ -14,12 +14,15 @@ from .selection import E15Model
 
 @dataclass
 class StageRecord:
-    """One filtering stage: shape seen by the SVD, its spectrum, chosen rank.
+    """One filtering stage: shape seen by the factorization, its spectrum, chosen rank.
 
-    For stages that run many SVDs (per-entry or per-column Hankel passes)
+    PRF and classic stages take their spectrum from a dense SVD.  Hankel
+    stages take it from the eigenvalues of the Gram matrix (``tsvd.gram_tsvd``):
+    values below about 1.5e-8 of the largest are rounding noise there.  For
+    stages that factor many matrices (per-entry or per-column Hankel passes)
     ``singular_values`` holds the first processed spectrum as a
     representative curve and ``extras`` carries the per-call ranks and the
-    SVD call count.
+    factorization count as ``svd_calls``.
     """
 
     name: str

@@ -1,5 +1,12 @@
 """Dense SVD with a deterministic sign convention, rank-r reconstruction,
-Hankel matrix construction and SSA (anti-diagonal averaging) inversion."""
+Hankel matrix construction and SSA (anti-diagonal averaging) inversion.
+
+Hankel filtering does not run a dense SVD: ``gram_tsvd`` takes the singular
+values and one side's singular vectors from a single eigendecomposition of
+the smaller Gram matrix and reconstructs by projection.  Squaring the matrix
+costs the components below about sqrt(eps) * sigma_1 (1.5e-8 relative to
+the matrix norm); everything above that matches the dense SVD.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +16,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ConvergenceError, RankError, WindowError
+from .errors import ConvergenceError, NonFiniteError, RankError, WindowError
 from .report import StageRecord
 from .selection import FixedRank, SelectionStrategy, evaluate
 
@@ -45,9 +52,7 @@ def svd(A: np.ndarray) -> SVDFactorization:
     and positive; the matching right vector gets the same rotation, leaving
     the product U diag(S) V^H unchanged.
     """
-    A = np.asarray(A)
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix entries must be finite")
+    A = _finite(A)
     try:
         U, S, Vh = np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -61,6 +66,13 @@ def svd(A: np.ndarray) -> SVDFactorization:
     U = U * rot
     V = V * rot
     return SVDFactorization(U, S, V)
+
+
+def _finite(A) -> np.ndarray:
+    A = np.asarray(A)
+    if not np.all(np.isfinite(A)):
+        raise NonFiniteError("matrix entries must be finite")
+    return A
 
 
 def truncate(f: SVDFactorization, r: int) -> np.ndarray:
@@ -130,6 +142,39 @@ def dehankelize_ssa(M: np.ndarray) -> np.ndarray:
     return anchor.real + real / counts
 
 
+def gram_tsvd(A: np.ndarray, selector: SelectionStrategy):
+    """Selector-truncated reconstruction of A from its smaller Gram matrix.
+
+    One ``eigh`` of G = A A^H (rows <= cols) or A^H A gives the singular
+    values S = sqrt(max(w, 0)) of A, nonincreasing, and the singular vectors
+    Q of that side.  The rank-r result is the projection
+    Q_r diag(c / s) Q_r^H A, or A Q_r diag(c / s) Q_r^H, where c are the
+    e15-cleaned values (c <= s) and c / s = 1 for every other selector;
+    c / s = 0 where s = 0.  The scale never exceeds 1, so small singular
+    values amplify nothing.  Singular values below about sqrt(eps) * S[0]
+    are rounding noise.
+
+    Returns (filtered, S, rank, model) with model the E15Model or None.
+    """
+    A = _finite(A)
+    Ah = A.conj().T
+    rows = A.shape[0] <= A.shape[1]
+    try:
+        w, Q = np.linalg.eigh(A @ Ah if rows else Ah @ A)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(str(exc)) from exc
+    S = np.sqrt(np.maximum(w[::-1], 0.0))
+    rank, model = evaluate(S, A.shape, selector)
+    Qr = Q[:, ::-1][:, :rank]
+    if model is None:
+        scale = np.ones(rank)
+    else:
+        scale = np.divide(model.cleaned_s, S[:rank], out=np.zeros(rank), where=S[:rank] > 0)
+    Qrh = Qr.conj().T
+    filtered = (Qr * scale) @ (Qrh @ A) if rows else ((A @ Qr) * scale) @ Qrh
+    return filtered, S, rank, model
+
+
 def hankel_tsvd_series(
     series: np.ndarray,
     window: Optional[int] = None,
@@ -138,8 +183,9 @@ def hankel_tsvd_series(
 ):
     """Hankelize, truncate by the selector, SSA back to a same-length series.
 
-    Returns (filtered_series, StageRecord).  e15 selectors use the cleaned
-    singular values in the reconstruction.
+    Returns (filtered_series, StageRecord).  The truncation runs through
+    ``gram_tsvd``; e15 selectors use the cleaned singular values in the
+    reconstruction.
     """
     series = np.asarray(series)
     if len(series) < 4:
@@ -148,17 +194,12 @@ def hankel_tsvd_series(
         selector = FixedRank(len(series))
     t0 = time.perf_counter()
     hm = hankelize(series, window)
-    f = svd(hm.matrix)
-    rank, model = evaluate(f.S, hm.matrix.shape, selector)
-    if model is not None:
-        filtered = truncate_cleaned(f, rank, model.cleaned_s)
-    else:
-        filtered = truncate(f, rank)
+    filtered, S, rank, model = gram_tsvd(hm.matrix, selector)
     out = dehankelize_ssa(filtered)
     record = StageRecord(
         name=stage_name,
         shape=hm.matrix.shape,
-        singular_values=f.S,
+        singular_values=S,
         rank=rank,
         model=model,
         seconds=time.perf_counter() - t0,

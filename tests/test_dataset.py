@@ -207,6 +207,15 @@ def test_truncated_payload_reports_offset(tmp_path):
         read_dataset(path)
 
 
+def test_trailing_bytes_rejected(tmp_path):
+    ds = make_ds(np.ones((1, 1, 4)))
+    path = tmp_path / "ds.prnk"
+    write_dataset(ds, path)
+    path.write_bytes(path.read_bytes() + b"\x00" * 3)
+    with pytest.raises(FormatError, match="3 trailing bytes"):
+        read_dataset(path)
+
+
 def test_unknown_domain_tag(tmp_path):
     ds = make_ds(np.ones((1, 1, 4)))
     path = tmp_path / "ds.prnk"

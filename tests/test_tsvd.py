@@ -3,17 +3,21 @@ import pytest
 
 from prank import (
     E15,
+    ConvergenceError,
     FixedRank,
+    NonFiniteError,
     RankError,
     WindowError,
     auto_window,
     dehankelize_ssa,
+    gram_tsvd,
     hankel_tsvd_series,
     hankelize,
     svd,
     truncate,
     truncate_cleaned,
 )
+from prank.selection import evaluate
 
 
 def random_complex(rng, shape):
@@ -259,3 +263,79 @@ def test_hankel_tsvd_series_e15_rejects_white_noise():
 def test_hankel_tsvd_series_too_short():
     with pytest.raises(WindowError):
         hankel_tsvd_series(np.ones(3), selector=FixedRank(1))
+
+
+# ------------------------------------------------------------- Gram kernel
+
+def dense_reference(series, window, selector):
+    """The Hankel filter on a dense SVD: (filtered series, S, rank)."""
+    H = hankelize(series, window).matrix
+    U, S, Vh = np.linalg.svd(H, full_matrices=False)
+    rank, model = evaluate(S, H.shape, selector)
+    s_used = model.cleaned_s if model is not None else S[:rank]
+    return dehankelize_ssa((U[:, :rank] * s_used) @ Vh[:rank]), S, rank
+
+
+def noisy_series(complex_data, seed):
+    rng = np.random.default_rng(seed)
+    out = damped_sinusoids(n=399, seed=seed) + 0.05 * rng.standard_normal(399)
+    if complex_data:
+        t = np.arange(399)
+        out = out + 1j * (np.exp(-0.003 * t) * np.sin(0.7 * t) + 0.05 * rng.standard_normal(399))
+    return out
+
+
+@pytest.mark.parametrize("complex_data", [False, True])
+@pytest.mark.parametrize("window", [150, 200, 250])  # L < K, L = K, L > K for n = 399
+@pytest.mark.parametrize("selector", [FixedRank(6), E15()])
+def test_gram_kernel_matches_dense_svd(complex_data, window, selector):
+    for seed in range(3):
+        series = noisy_series(complex_data, seed)
+        out, record = hankel_tsvd_series(series, window, selector)
+        ref, S, rank = dense_reference(series, window, selector)
+        assert record.rank == rank
+        assert (record.model is not None) == isinstance(selector, E15)
+        assert np.iscomplexobj(out) == complex_data
+        assert np.linalg.norm(out - ref) <= 1e-8 * np.linalg.norm(series)
+        # Gram eigenvalues carry an absolute error of about eps * S[0]^2, so
+        # values above 1e-4 * S[0] are off by at most ~1e-12 * S[0]
+        kept = S > 1e-4 * S[0]
+        assert np.all(np.abs(record.singular_values[kept] - S[kept]) <= 1e-10 * S[0])
+
+
+def test_gram_kernel_keeps_components_above_the_squaring_floor():
+    # a component 1e-6 below the dominant one sits well above sqrt(eps) = 1.5e-8
+    t = np.arange(400)
+    series = np.exp(-0.002 * t) * np.cos(0.3 * t) + 1e-6 * np.exp(-0.001 * t) * np.cos(1.3 * t)
+    out, record = hankel_tsvd_series(series, selector=FixedRank(4))
+    assert record.singular_values[3] > 1e-7 * record.singular_values[0]
+    assert np.linalg.norm(out - series) <= 1e-8 * np.linalg.norm(series)
+
+
+def test_gram_kernel_deterministic_and_zero_safe():
+    series = noisy_series(True, 4)
+    a, rec_a = hankel_tsvd_series(series, selector=E15())
+    b, rec_b = hankel_tsvd_series(series.copy(), selector=E15())
+    assert np.array_equal(a, b) and np.array_equal(rec_a.singular_values, rec_b.singular_values)
+    with np.errstate(all="raise"):
+        filtered, S, rank, model = gram_tsvd(np.zeros((5, 7)), E15())
+    assert rank == 0 and model is not None
+    assert np.array_equal(filtered, np.zeros((5, 7))) and np.array_equal(S, np.zeros(5))
+
+
+def test_gram_kernel_rejects_nonfinite():
+    series = noisy_series(False, 0)
+    series[17] = np.nan
+    with pytest.raises(NonFiniteError):
+        hankel_tsvd_series(series, selector=E15())
+    with pytest.raises(NonFiniteError):
+        gram_tsvd(np.array([[1.0, np.inf], [0.0, 1.0]]), FixedRank(1))
+
+
+def test_gram_kernel_maps_backend_failure(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(ConvergenceError, match="converge"):
+        gram_tsvd(np.eye(3), FixedRank(1))
