@@ -133,18 +133,26 @@ def to_time(ds: ResponseDataset) -> ResponseDataset:
         raise DomainError("dataset is already in the time domain")
     if ds.axis_start != 0.0:
         raise AxisError(f"time bridge requires axis_start = 0, got {ds.axis_start}")
-    n_k = ds.n_bins
-    n_samples = 2 * (n_k - 1)
-    spectrum = np.array(ds.data)
-    spectrum[..., 0] = spectrum[..., 0].real
-    spectrum[..., -1] = spectrum[..., -1].real
-    samples = np.fft.irfft(spectrum, n=n_samples, axis=-1)
+    n_samples = 2 * (ds.n_bins - 1)
+    samples = _irfft_real_edges(ds.data, n_samples)
     full_span = ds.axis_step * n_samples
     if _is_angular(ds.unit_label):
         dt = 2.0 * np.pi / full_span
     else:
         dt = 1.0 / full_span
-    return ResponseDataset(samples.astype(np.complex128), Domain.TIME, 0.0, dt, "s")
+    return ResponseDataset(samples, Domain.TIME, 0.0, dt, "s")
+
+
+def _irfft_real_edges(spectrum: np.ndarray, n_samples: int) -> np.ndarray:
+    """Length-``n_samples`` real signals (complex128) of one-sided spectra.
+
+    Transforms along the last axis after forcing the imaginary parts of the
+    DC and Nyquist bins to zero, which a real signal's spectrum has.
+    """
+    spectrum = np.array(spectrum)
+    spectrum[..., 0] = spectrum[..., 0].real
+    spectrum[..., -1] = spectrum[..., -1].real
+    return np.fft.irfft(spectrum, n=n_samples, axis=-1).astype(np.complex128)
 
 
 def to_frequency(ds: ResponseDataset, unit_label: str = "Hz") -> ResponseDataset:

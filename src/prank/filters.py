@@ -18,11 +18,20 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import Domain, FlatDataset, ResponseDataset, flatten, to_frequency, to_time, unflatten
-from .errors import DomainError, ShapeError
+from .dataset import (
+    Domain,
+    FlatDataset,
+    ResponseDataset,
+    _irfft_real_edges,
+    flatten,
+    to_frequency,
+    to_time,
+    unflatten,
+)
+from .errors import ConvergenceError, DomainError, ShapeError
 from .report import FilterReport, StageRecord
 from .selection import E15, SelectionStrategy, evaluate
-from .tsvd import hankel_tsvd_series, svd, truncate, truncate_cleaned
+from .tsvd import _finite, hankel_tsvd_series, svd, truncate, truncate_cleaned
 
 
 class Variant(Enum):
@@ -65,16 +74,7 @@ def _working(ds: ResponseDataset, domain: Optional[Domain]):
             return ds.with_data(spectrum)
 
         return work, restore
-    work = to_frequency(ds)
-
-    def restore(data):
-        spectrum = np.array(data)
-        spectrum[..., 0] = spectrum[..., 0].real
-        spectrum[..., -1] = spectrum[..., -1].real
-        samples = np.fft.irfft(spectrum, n=ds.n_bins, axis=-1)
-        return ds.with_data(samples.astype(np.complex128))
-
-    return work, restore
+    return to_frequency(ds), lambda data: ds.with_data(_irfft_real_edges(data, ds.n_bins))
 
 
 def _work_matrix(flat: FlatDataset) -> np.ndarray:
@@ -83,23 +83,32 @@ def _work_matrix(flat: FlatDataset) -> np.ndarray:
 
 
 def classic_tsvd(ds: ResponseDataset, selector: SelectionStrategy):
-    """Independent TSVD of the n_o x n_i slice at every spectral line."""
+    """Independent TSVD of the n_o x n_i slice at every spectral line.
+
+    One batched SVD factors all n_k slices, one ``evaluate`` call selects
+    every line's rank from the stacked spectra (for e15, one vectorised
+    noise fit per line, all in one pass), and one batched product rebuilds
+    the slices as (U * W) @ Vh, where row k of W holds line k's retained
+    singular values (e15-cleaned under e15) and zeros beyond its rank.
+    """
     if ds.domain is not Domain.FREQUENCY:
         raise DomainError("per-frequency-line filtering requires a frequency-domain dataset")
     n_o, n_i, n_k = ds.data.shape
     if n_o < 2 and n_i < 2:
         raise ShapeError("per-line filtering needs at least 2 outputs or 2 inputs")
     t0 = time.perf_counter()
-    slices = ds.data.transpose(2, 0, 1)
-    U, S, Vh = np.linalg.svd(slices, full_matrices=False)
-    out = np.empty_like(slices)
-    ranks = np.empty(n_k, dtype=int)
+    slices = _finite(ds.data).transpose(2, 0, 1)
+    try:
+        U, S, Vh = np.linalg.svd(slices, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(str(exc)) from exc
     shape = (n_o, n_i)
-    for k in range(n_k):
-        rank, model = evaluate(S[k], shape, selector)
-        ranks[k] = rank
-        s_used = model.cleaned_s if model is not None else S[k, :rank]
-        out[k] = (U[k][:, :rank] * s_used) @ Vh[k][:rank]
+    ranks, model = evaluate(S, shape, selector)
+    if model is not None:
+        W = model.cleaned_s
+    else:
+        W = np.where(np.arange(S.shape[1]) < ranks[:, None], S, 0.0)
+    out = (U * W[:, None, :]) @ Vh
     record = StageRecord(
         name="classic",
         shape=shape,
@@ -233,8 +242,7 @@ def prank_hip(ds: ResponseDataset, cfg: PrankConfig):
         ranks.append(rec.rank)
         if first is None:
             first = rec
-    Vr = f.V[:, :rank]
-    filtered_mat = (cleaned_U * s_used) @ (Vr.conj().T if np.iscomplexobj(Vr) else Vr.T)
+    filtered_mat = (cleaned_U * s_used) @ f.V[:, :rank].conj().T
     hankel_record = StageRecord(
         name="hankel_in_prf",
         shape=first.shape if first is not None else (0, 0),
@@ -259,13 +267,8 @@ def apply_filter(ds: ResponseDataset, cfg: PrankConfig):
     """Run the configured variant; frequency-only filters convert as needed."""
     if cfg.variant is Variant.CLASSIC:
         if ds.domain is Domain.TIME:
-            work = to_frequency(ds)
-            filtered, report = classic_tsvd(work, cfg.prf_selector)
-            spectrum = np.array(filtered.data)
-            spectrum[..., 0] = spectrum[..., 0].real
-            spectrum[..., -1] = spectrum[..., -1].real
-            samples = np.fft.irfft(spectrum, n=ds.n_bins, axis=-1)
-            return ds.with_data(samples.astype(np.complex128)), report
+            filtered, report = classic_tsvd(to_frequency(ds), cfg.prf_selector)
+            return ds.with_data(_irfft_real_edges(filtered.data, ds.n_bins)), report
         return classic_tsvd(ds, cfg.prf_selector)
     if cfg.variant is Variant.PRF:
         filtered, report, _ = prf_tsvd(ds, cfg.prf_selector, cfg.domain)

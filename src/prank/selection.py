@@ -4,6 +4,13 @@ The e15 path fits a Marchenko-Pastur quantile curve to the tail of the
 singular values, scores each mode's cleanliness against the fitted noise
 floor, thresholds at a user fraction mu and subtracts the fitted noise
 energy from the retained singular values.
+
+Every strategy runs on a stack of spectra, shape (n, p), taken from n
+matrices of one shape: ``evaluate`` accepts such a stack and selects all
+rows in one array pass (for e15: the least-squares fits of every corr
+candidate and row at once, then the best candidate per row).  A single
+spectrum is the one-row case of the same code; ``mp_fit``, ``e15``,
+``select_rank`` and ``evaluate`` on a 1-D vector return scalars.
 """
 
 from __future__ import annotations
@@ -24,6 +31,10 @@ _PANELS = 8192
 _CDF_TOL = 1e-6
 
 CORR_GRID = tuple(np.arange(1.0, 4.0 + 1e-9, 0.25))
+# Tail residuals closer than this fraction of the tail's energy are a tie.
+# A tail that every candidate fits exactly (a single kept value, say) leaves
+# only rounding between the residuals, which a scale of S can reorder.
+_TIE_TOL = 1e-12
 
 
 class ThresholdMode(Enum):
@@ -73,7 +84,13 @@ SelectionStrategy = Union[FixedRank, AbsoluteThreshold, RelativeThreshold, E15]
 
 @dataclass(frozen=True)
 class E15Model:
-    """Fitted noise model and the resulting selection/reconstruction data."""
+    """Fitted noise model and the resulting selection/reconstruction data.
+
+    For a single spectrum the fields are scalars and length-p vectors, and
+    ``cleaned_s`` has length ``rank``.  For a stack of n spectra every field
+    gains a leading axis of length n, and ``cleaned_s`` is (n, p) with zeros
+    beyond each row's rank.
+    """
 
     sigma_n: float
     corr: float
@@ -156,38 +173,80 @@ def mp_quantile_curve(shape: tuple, sigma: float, corr: float = 1.0) -> np.ndarr
     return sigma * _unit_curve(p, m, n_eff)
 
 
+@lru_cache(maxsize=128)
+def _corr_grid_curves(m: int, n: int) -> np.ndarray:
+    """Unit-sigma quantile curves for every corr in CORR_GRID, one per row."""
+    curves = np.stack([mp_quantile_curve((m, n), 1.0, corr) for corr in CORR_GRID])
+    curves.setflags(write=False)
+    return curves
+
+
+def _fit(S: np.ndarray, shape: tuple, tail_fraction: float) -> tuple:
+    """Noise fit of every row of S (n, p): arrays (sigma_n, corr, mp_curve).
+
+    Fits all corr candidates of all rows in one pass.  Excluded tail values
+    (exact zeros) enter the sums as zeros, so each row's sums run over its
+    kept indices alone.
+    """
+    p = S.shape[-1]
+    if p == 0:
+        raise EmptyError("empty singular-value vector")
+    start = min(int(p * (1.0 - tail_fraction)), p - 1)
+    units = _corr_grid_curves(*shape)
+    keep = S[:, start:] > 0.0
+    tail = np.where(keep, S[:, start:], 0.0)[:, None, :]
+    c = np.where(keep[:, None, :], units[:, start:], 0.0)
+    denom = np.sum(c * c, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sigma = np.sum(tail * c, axis=-1) / denom
+        resid = np.sum((tail - sigma[..., None] * c) ** 2, axis=-1)
+    resid[denom == 0.0] = np.inf
+    floor = resid.min(axis=-1, keepdims=True) + _TIE_TOL * np.sum(tail * tail, axis=-1)
+    best = np.argmax(resid <= floor, axis=-1)  # ties go to the smallest corr
+    rows = np.arange(len(S))
+    fitted = denom[rows, best] > 0.0
+    sigma = np.where(fitted, sigma[rows, best], 0.0)
+    corr = np.where(fitted, np.asarray(CORR_GRID)[best], 1.0)
+    return sigma, corr, sigma[:, None] * units[best]
+
+
 def mp_fit(S: np.ndarray, shape: tuple, tail_fraction: float = 0.5) -> tuple:
     """Estimate (sigma_n, corr) from the tail of a singular-value vector.
 
     Grid search over corr in {1.0, 1.25, ..., 4.0}; for each candidate the
     scale sigma follows from closed-form least squares of the tail (last
     ``tail_fraction`` of the indices, exact zeros excluded) against the
-    unit-sigma quantile curve.  Smallest-residual pair wins; ties resolve
-    to the smallest corr.  An all-zero tail yields (0.0, 1.0).
+    unit-sigma quantile curve.  Smallest-residual pair wins; ties, residuals
+    within 1e-12 of the tail's energy, resolve to the smallest corr.  An
+    all-zero tail yields (0.0, 1.0).
     """
-    S = np.asarray(S, dtype=float)
-    p = len(S)
-    if p == 0:
-        raise EmptyError("empty singular-value vector")
-    start = int(p * (1.0 - tail_fraction))
-    tail = np.arange(min(start, p - 1), p)
-    tail = tail[S[tail] > 0.0]
-    if tail.size == 0:
-        return 0.0, 1.0
-    best = None
-    for corr in CORR_GRID:
-        unit = mp_quantile_curve(shape, 1.0, corr)
-        c = unit[tail]
-        denom = float(np.sum(c * c))
-        if denom == 0.0:
-            continue
-        sigma = float(np.sum(S[tail] * c)) / denom
-        resid = float(np.sum((S[tail] - sigma * c) ** 2))
-        if best is None or resid < best[0]:
-            best = (resid, sigma, corr)
-    if best is None:
-        return 0.0, 1.0
-    return best[1], best[2]
+    sigma, corr, _ = _fit(np.asarray(S, dtype=float)[None, :], shape, tail_fraction)
+    return float(sigma[0]), float(corr[0])
+
+
+def _e15(S: np.ndarray, shape: tuple, mu: float, tail_fraction: float) -> E15Model:
+    """e15 on every row of S (n, p); the stacked E15Model."""
+    sigma_n, corr, curve = _fit(S, shape, tail_fraction)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cleanliness = np.where(S > 0.0, 1.0 - curve / np.where(S > 0.0, S, 1.0), 0.0)
+    cleanliness = np.clip(cleanliness, 0.0, 1.0)
+    above = cleanliness >= mu
+    rank = np.where(above.all(axis=-1), S.shape[-1], np.argmin(above, axis=-1))
+    kept = np.arange(S.shape[-1]) < rank[:, None]
+    cleaned = np.where(kept, np.sqrt(np.maximum(S**2 - curve**2, 0.0)), 0.0)
+    return E15Model(sigma_n, corr, curve, cleanliness, rank, cleaned)
+
+
+def _first_row(model: E15Model) -> E15Model:
+    rank = int(model.rank[0])
+    return E15Model(
+        float(model.sigma_n[0]),
+        float(model.corr[0]),
+        model.mp_curve[0],
+        model.cleanliness[0],
+        rank,
+        model.cleaned_s[0, :rank],
+    )
 
 
 def e15(S: np.ndarray, shape: tuple, mu: float = 0.10, tail_fraction: float = 0.5) -> E15Model:
@@ -199,16 +258,7 @@ def e15(S: np.ndarray, shape: tuple, mu: float = 0.10, tail_fraction: float = 0.
     root-difference cleaned: sqrt(max(S^2 - mp_curve^2, 0)).  Degenerate
     inputs produce rank 0 rather than an error.
     """
-    S = np.asarray(S, dtype=float)
-    sigma_n, corr = mp_fit(S, shape, tail_fraction)
-    curve = mp_quantile_curve(shape, sigma_n, corr)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cleanliness = np.where(S > 0.0, 1.0 - curve / np.where(S > 0.0, S, 1.0), 0.0)
-    cleanliness = np.clip(cleanliness, 0.0, 1.0)
-    above = cleanliness >= mu
-    rank = len(S) if above.all() else int(np.argmin(above))
-    cleaned = np.sqrt(np.maximum(S[:rank] ** 2 - curve[:rank] ** 2, 0.0))
-    return E15Model(sigma_n, corr, curve, cleanliness, rank, cleaned)
+    return _first_row(_e15(np.asarray(S, dtype=float)[None, :], shape, mu, tail_fraction))
 
 
 def select_rank(S: np.ndarray, shape: tuple, strategy: SelectionStrategy) -> int:
@@ -222,31 +272,48 @@ def select_rank(S: np.ndarray, shape: tuple, strategy: SelectionStrategy) -> int
 
 
 def evaluate(S: np.ndarray, shape: tuple, strategy: SelectionStrategy):
-    """Like select_rank but also returns the fitted E15Model (None otherwise)."""
+    """Like select_rank but also returns the fitted E15Model (None otherwise).
+
+    ``S`` is one singular-value vector of a ``shape`` matrix, or a stack
+    (n, p) of them from n matrices of that shape.  A stack returns an int
+    array of n ranks and, for e15, the stacked E15Model; row k of either
+    equals what ``evaluate(S[k], shape, strategy)`` returns.
+    """
     S = np.asarray(S, dtype=float)
-    if len(S) == 0:
+    if S.shape[-1] == 0:
         raise EmptyError("empty singular-value vector")
-    p = len(S)
+    ranks, model = _select(np.atleast_2d(S), shape, strategy)
+    if S.ndim > 1:
+        return ranks, model
+    return int(ranks[0]), None if model is None else _first_row(model)
+
+
+def _tail_sums(S: np.ndarray) -> np.ndarray:
+    """tails[:, r] = sum of S[:, r:], for r = 0 .. p."""
+    return np.concatenate([np.cumsum(S[:, ::-1], axis=-1)[:, ::-1], np.zeros((len(S), 1))], axis=-1)
+
+
+def _select(S: np.ndarray, shape: tuple, strategy: SelectionStrategy):
+    """Ranks (n,) and stacked model for the rows of S (n, p)."""
+    p = S.shape[-1]
     if isinstance(strategy, FixedRank):
         if strategy.r < 0:
             raise ValueError("rank must be nonnegative")
-        return min(strategy.r, p), None
+        return np.full(len(S), min(strategy.r, p)), None
     if isinstance(strategy, AbsoluteThreshold):
         if strategy.mode is ThresholdMode.PER_VALUE:
-            return int(np.sum(S > strategy.eps)), None
-        tails = np.concatenate([np.cumsum(S[::-1])[::-1], [0.0]])  # tails[r] = sum S[r:]
-        return int(np.argmax(tails <= strategy.eps)), None
+            return np.sum(S > strategy.eps, axis=-1), None
+        return np.argmax(_tail_sums(S) <= strategy.eps, axis=-1), None
     if isinstance(strategy, RelativeThreshold):
-        if strategy.mode is ThresholdMode.PER_VALUE:
-            if S[0] == 0.0:
-                return 0, None
-            return int(np.sum(S / S[0] > strategy.p)), None
-        total = float(np.sum(S))
-        if total == 0.0:
-            return 0, None
-        tails = np.concatenate([np.cumsum(S[::-1])[::-1], [0.0]]) / total
-        return int(np.argmax(tails <= strategy.p)), None
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if strategy.mode is ThresholdMode.PER_VALUE:
+                scale = S[:, 0]
+                ranks = np.sum(S / scale[:, None] > strategy.p, axis=-1)
+            else:
+                scale = np.sum(S, axis=-1)
+                ranks = np.argmax(_tail_sums(S) / scale[:, None] <= strategy.p, axis=-1)
+        return np.where(scale == 0.0, 0, ranks), None
     if isinstance(strategy, E15):
-        model = e15(S, shape, strategy.mu, strategy.tail_fraction)
+        model = _e15(S, shape, strategy.mu, strategy.tail_fraction)
         return model.rank, model
     raise TypeError(f"unknown selection strategy {strategy!r}")

@@ -57,7 +57,7 @@ def svd(A: np.ndarray) -> SVDFactorization:
         U, S, Vh = np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(str(exc)) from exc
-    V = Vh.conj().T if np.iscomplexobj(Vh) else Vh.T
+    V = Vh.conj().T
     idx = np.argmax(np.abs(U), axis=0)
     pivots = U[idx, np.arange(U.shape[1])]
     mags = np.abs(pivots)
@@ -81,8 +81,7 @@ def truncate(f: SVDFactorization, r: int) -> np.ndarray:
         raise RankError(f"rank {r} outside [0, {f.p}]")
     if r == 0:
         return np.zeros(f.shape, dtype=f.U.dtype)
-    Vr = f.V[:, :r]
-    return (f.U[:, :r] * f.S[:r]) @ (Vr.conj().T if np.iscomplexobj(Vr) else Vr.T)
+    return (f.U[:, :r] * f.S[:r]) @ f.V[:, :r].conj().T
 
 
 def truncate_cleaned(f: SVDFactorization, r: int, cleaned_s: np.ndarray) -> np.ndarray:
@@ -96,8 +95,7 @@ def truncate_cleaned(f: SVDFactorization, r: int, cleaned_s: np.ndarray) -> np.n
         raise ValueError("cleaned singular values must be nonnegative")
     if r == 0:
         return np.zeros(f.shape, dtype=f.U.dtype)
-    Vr = f.V[:, :r]
-    return (f.U[:, :r] * cleaned_s) @ (Vr.conj().T if np.iscomplexobj(Vr) else Vr.T)
+    return (f.U[:, :r] * cleaned_s) @ f.V[:, :r].conj().T
 
 
 def auto_window(n: int) -> int:

@@ -185,13 +185,24 @@ def test_missing_file_is_numeric_error(tmp_path):
     assert run(["filter", str(tmp_path / "nope.prnk"), "-o", str(tmp_path / "x.prnk")]) == 1
 
 
-def test_nonfinite_data_is_numeric_error(tmp_path, capsys):
+def nan_dataset(tmp_path):
     src = synth_small(tmp_path)
     data = np.array(read_dataset(src).data)
     data[1, 2, 7] = np.nan
     bad = tmp_path / "nan.prnk"
     write_dataset(read_dataset(src).with_data(data), bad)
+    return bad
+
+
+def test_nonfinite_data_is_numeric_error(tmp_path, capsys):
+    bad = nan_dataset(tmp_path)
     assert run(["filter", str(bad), "--variant", "hankel", "-o", str(tmp_path / "x.prnk")]) == 1
+    assert "finite" in capsys.readouterr().err
+
+
+def test_nonfinite_data_is_numeric_error_classic(tmp_path, capsys):
+    bad = nan_dataset(tmp_path)
+    assert run(["filter", str(bad), "--variant", "classic", "-o", str(tmp_path / "x.prnk")]) == 1
     assert "finite" in capsys.readouterr().err
 
 

@@ -3,10 +3,12 @@ import pytest
 
 from prank import (
     ChainSystem,
+    ConvergenceError,
     Domain,
     DomainError,
     FixedRank,
     NoiseModel,
+    NonFiniteError,
     OffsetSpec,
     PrankConfig,
     ResponseDataset,
@@ -98,6 +100,22 @@ def test_classic_requires_frequency_and_spatial_extent(clean_bench):
     single = ResponseDataset(np.ones((1, 1, 8)), Domain.FREQUENCY)
     with pytest.raises(ShapeError):
         classic_tsvd(single, FixedRank(1))
+
+
+def test_classic_nonfinite_data_raises():
+    data = np.ones((2, 2, 8), dtype=complex)
+    data[1, 0, 3] = np.nan
+    with pytest.raises(NonFiniteError):
+        classic_tsvd(ResponseDataset(data, Domain.FREQUENCY), FixedRank(1))
+
+
+def test_classic_maps_backend_failure(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(ConvergenceError, match="converge"):
+        classic_tsvd(ResponseDataset(np.ones((2, 2, 8)), Domain.FREQUENCY), FixedRank(1))
 
 
 def test_classic_rank_sweep_never_denoises():

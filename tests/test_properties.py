@@ -1,0 +1,151 @@
+"""Property tests of the stacked rank selection and the per-line filter."""
+
+import numpy as np
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from prank import (
+    E15,
+    AbsoluteThreshold,
+    Domain,
+    FixedRank,
+    RelativeThreshold,
+    ResponseDataset,
+    ThresholdMode,
+    classic_tsvd,
+    e15,
+    mp_fit,
+    mp_quantile_curve,
+)
+from prank.selection import CORR_GRID, evaluate
+
+# The first call for a new matrix shape integrates the MP law (tens of ms).
+SETTINGS = settings(deadline=None, max_examples=60, derandomize=True)
+
+modes = st.sampled_from(list(ThresholdMode))
+strategies = st.one_of(
+    st.builds(FixedRank, st.integers(0, 15)),
+    st.builds(AbsoluteThreshold, st.floats(0.0, 1e3), modes),
+    st.builds(RelativeThreshold, st.floats(0.001, 0.999), modes),
+    st.builds(E15, st.floats(0.01, 0.99), st.floats(0.05, 0.95)),
+)
+
+
+def spectrum(draw, p):
+    # nonzero values stay clear of underflow under the scales drawn below
+    return np.sort(draw(st.lists(st.floats(1e-6, 1e3), min_size=p, max_size=p)))[::-1]
+
+
+@st.composite
+def stacks(draw):
+    """(S, shape): random nonincreasing rows, some with zero tails, plus an
+    all-zero row and a flat row, which every strategy but e15 keeps whole."""
+    p = draw(st.integers(1, 12))
+    shape = (p, draw(st.integers(p, 3 * p)))
+    rows = [np.zeros(p), np.full(p, 1e3)]
+    for _ in range(draw(st.integers(1, 5))):
+        row = spectrum(draw, p)
+        row[p - draw(st.integers(0, p)):] = 0.0
+        rows.append(row)
+    order = draw(st.permutations(range(len(rows))))
+    return np.array(rows)[list(order)], shape
+
+
+@SETTINGS
+@given(stacks(), strategies)
+def test_stacked_selection_matches_each_row(stack, strategy):
+    S, shape = stack
+    ranks, model = evaluate(S, shape, strategy)
+    assert ranks.shape == (len(S),)
+    for k, row in enumerate(S):
+        rank, row_model = evaluate(row, shape, strategy)
+        assert ranks[k] == rank
+        assert (model is None) == (row_model is None)
+        if model is None:
+            continue
+        assert model.sigma_n[k] == row_model.sigma_n
+        assert model.corr[k] == row_model.corr
+        assert model.rank[k] == row_model.rank
+        assert np.array_equal(model.mp_curve[k], row_model.mp_curve)
+        assert np.array_equal(model.cleanliness[k], row_model.cleanliness)
+        assert np.array_equal(model.cleaned_s[k, :rank], row_model.cleaned_s)
+        assert not model.cleaned_s[k, rank:].any()
+
+
+def mp_fit_loop(S, shape, tail_fraction):
+    """Reference: one least-squares fit per corr candidate, in a loop; the
+    first fit within 1e-12 of the tail energy of the best one wins."""
+    p = len(S)
+    tail = np.arange(min(int(p * (1.0 - tail_fraction)), p - 1), p)
+    tail = tail[S[tail] > 0.0]
+    fits = []
+    for corr in CORR_GRID:
+        c = mp_quantile_curve(shape, 1.0, corr)[tail]
+        denom = float(np.sum(c * c))
+        if denom == 0.0:
+            continue
+        sigma = float(np.sum(S[tail] * c)) / denom
+        fits.append((float(np.sum((S[tail] - sigma * c) ** 2)), sigma, corr))
+    if not fits:
+        return 0.0, 1.0
+    floor = min(f[0] for f in fits) + 1e-12 * float(np.sum(S[tail] * S[tail]))
+    _, sigma, corr = next(f for f in fits if f[0] <= floor)
+    return sigma, corr
+
+
+@SETTINGS
+@given(st.data(), st.integers(1, 40), st.floats(0.05, 0.95))
+def test_mp_fit_matches_corr_loop(data, p, tail_fraction):
+    # positive values: the masked sums then add no zeros and match exactly
+    S = spectrum(data.draw, p)
+    shape = (p, data.draw(st.integers(p, 3 * p)))
+    assert mp_fit(S, shape, tail_fraction) == mp_fit_loop(S, shape, tail_fraction)
+
+
+@SETTINGS
+@given(stacks(), st.floats(1e-3, 1e3), st.floats(0.01, 0.99))
+# one kept tail value: every corr fits it exactly, so only rounding
+# separates the residuals
+@example((np.array([[35.0, 7.0, 7.0, 7.0, 7.0, 0.0, 0.0, 0.0]]), (8, 8)), 1e-3, 0.5)
+def test_e15_rank_invariant_under_positive_scale(stack, scale, mu):
+    S, shape = stack
+    for row in S:
+        model = e15(row, shape, mu)
+        # a cleanliness within rounding of mu may land on either side
+        assume(np.all(np.abs(model.cleanliness - mu) > 1e-9))
+        assert e15(scale * row, shape, mu).rank == model.rank
+
+
+def classic_loop(ds, selector):
+    """Reference: the per-line TSVD, one selection and product per line."""
+    slices = ds.data.transpose(2, 0, 1)
+    U, S, Vh = np.linalg.svd(slices, full_matrices=False)
+    out = np.empty_like(slices)
+    ranks = []
+    for k in range(len(slices)):
+        rank, model = evaluate(S[k], slices.shape[1:], selector)
+        s_used = model.cleaned_s if model is not None else S[k, :rank]
+        out[k] = (U[k][:, :rank] * s_used) @ Vh[k][:rank]
+        ranks.append(rank)
+    return out.transpose(1, 2, 0), np.array(ranks)
+
+
+@SETTINGS
+@given(
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(2, 24),
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.builds(FixedRank, st.integers(0, 5)), st.builds(E15, st.floats(0.01, 0.5))),
+)
+def test_classic_matches_per_line_loop(n_o, n_i, n_k, seed, selector):
+    assume(n_o >= 2 or n_i >= 2)
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((n_o, n_i, n_k)) + 1j * rng.standard_normal((n_o, n_i, n_k))
+    ds = ResponseDataset(data, Domain.FREQUENCY)
+    out, report = classic_tsvd(ds, selector)
+    expected, ranks = classic_loop(ds, selector)
+    extras = report.stage("classic").extras
+    assert (extras["rank_min"], extras["rank_max"]) == (ranks.min(), ranks.max())
+    assert extras["rank_mean"] == ranks.mean()
+    assert np.abs(out.data - expected).max() <= 1e-12 * np.abs(expected).max()
