@@ -176,9 +176,20 @@ def to_frequency(ds: ResponseDataset, unit_label: str = "Hz") -> ResponseDataset
     return ResponseDataset(spectrum, Domain.FREQUENCY, 0.0, df, unit_label)
 
 
-def write_dataset(ds: ResponseDataset, path) -> None:
-    """Write the little-endian binary container (atomic: temp file + rename)."""
+def _atomic_write(path, data) -> None:
+    """Write ``data`` (text as UTF-8, or bytes) to ``path`` through a temp
+    file beside it and a rename, so readers never see a partial file."""
     path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    if isinstance(data, str):
+        tmp.write_text(data, encoding="utf-8")
+    else:
+        tmp.write_bytes(data)
+    os.replace(tmp, path)
+
+
+def write_dataset(ds: ResponseDataset, path) -> None:
+    """Write the little-endian binary container (atomically, see ``_atomic_write``)."""
     label = ds.unit_label.encode("utf-8")
     header = MAGIC + struct.pack(
         "<IIIBddH",
@@ -190,15 +201,7 @@ def write_dataset(ds: ResponseDataset, path) -> None:
         ds.axis_step,
         len(label),
     )
-    payload = np.empty(ds.data.shape + (2,), dtype="<f8")
-    payload[..., 0] = ds.data.real
-    payload[..., 1] = ds.data.imag
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(label)
-        fh.write(payload.tobytes())
-    os.replace(tmp, path)
+    _atomic_write(path, header + label + ds.data.astype("<c16").tobytes())
 
 
 def read_dataset(path) -> ResponseDataset:
@@ -216,15 +219,17 @@ def read_dataset(path) -> ResponseDataset:
         raise FormatError(f"truncated unit label at byte {len(blob)}")
     label = blob[offset : offset + label_len].decode("utf-8")
     offset += label_len
-    count = n_o * n_i * n_k * 2
-    expected = offset + count * 8
+    count = n_o * n_i * n_k
+    expected = offset + count * 16
     if len(blob) < expected:
         raise FormatError(f"truncated payload at byte {len(blob)}, expected {expected}")
     if len(blob) > expected:
         raise FormatError(f"{len(blob) - expected} trailing bytes after byte {expected}")
-    values = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-    values = values.reshape(n_o, n_i, n_k, 2)
-    data = values[..., 0] + 1j * values[..., 1]
+    # one complex read keeps every bit (real + 1j * imag would turn an
+    # infinite imaginary part into a NaN real part); astype copies the
+    # payload out of the unaligned buffer
+    data = np.frombuffer(blob, dtype="<c16", count=count, offset=offset).astype(np.complex128)
+    data = data.reshape(n_o, n_i, n_k)
     try:
         domain = Domain(dom)
     except ValueError as exc:
@@ -236,16 +241,11 @@ def export_csv(ds: ResponseDataset, o: int, i: int, path) -> None:
     """Write one (o, i) entry as CSV: axis_value, real, imag, magnitude, phase."""
     if not (0 <= o < ds.n_outputs and 0 <= i < ds.n_inputs):
         raise IndexError(f"entry ({o}, {i}) outside {ds.n_outputs}x{ds.n_inputs} dataset")
-    y = ds.data[o, i]
-    axis = ds.axis
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("axis_value,real,imag,magnitude,phase\n")
-        for x, v in zip(axis, y):
-            fields = (float(x), float(v.real), float(v.imag), float(abs(v)), float(np.angle(v)))
-            fh.write(",".join(repr(f) for f in fields) + "\n")
-    os.replace(tmp, path)
+    lines = ["axis_value,real,imag,magnitude,phase\n"]
+    for x, v in zip(ds.axis, ds.data[o, i]):
+        fields = (float(x), float(v.real), float(v.imag), float(abs(v)), float(np.angle(v)))
+        lines.append(",".join(repr(f) for f in fields) + "\n")
+    _atomic_write(path, "".join(lines))
 
 
 def export_all_csv(ds: ResponseDataset, directory) -> list:

@@ -1,18 +1,27 @@
 """Per-frequency, PRF and Hankel truncation filters plus the PRANK pipelines.
 
 All filters return (filtered_dataset, FilterReport); shape, domain tag and
-axis metadata of the input are always preserved.  The mixed PRANK_HiP
-pipeline Hankel-filters only the retained PRF left singular vectors,
-cutting the number of Hankel factorizations (``svd_calls`` in the reports)
-from n_o*n_i to the PRF rank.  Each Hankel factorization is one Gram
-eigendecomposition (``tsvd.gram_tsvd``), exact down to about 1.5e-8 of the
-Hankel matrix norm; the PRF and classic stages use dense SVDs.
+axis metadata of the input are always preserved.  Every variant is a chain
+of stages (``_CHAINS``); all but classic are built from two:
+
+- the PRF stage (``_unfolded``): working domain, unfolding, one dense SVD,
+  rank selection, rank-r rebuild, restore;
+- the Hankel row stage (``_hankel_rows``): one Hankel TSVD per row, i.e.
+  per (o, i) series or per retained PRF left singular vector.
+
+PH and HP run the two in turn; PRANK_HiP runs the Hankel row stage on the
+PRF left vectors inside the PRF stage, cutting the number of Hankel
+factorizations (``svd_calls`` in the reports) from n_o*n_i to the PRF
+rank.  Each Hankel factorization is one Gram eigendecomposition
+(``tsvd.gram_tsvd``), exact down to about 1.5e-8 of the Hankel matrix
+norm; the PRF and classic stages use dense SVDs.  The PRF record's
+``seconds`` covers its SVD and rank selection only.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
 
@@ -20,7 +29,6 @@ import numpy as np
 
 from .dataset import (
     Domain,
-    FlatDataset,
     ResponseDataset,
     _irfft_real_edges,
     flatten,
@@ -31,7 +39,7 @@ from .dataset import (
 from .errors import ConvergenceError, DomainError, ShapeError
 from .report import FilterReport, StageRecord
 from .selection import E15, SelectionStrategy, evaluate
-from .tsvd import _finite, hankel_tsvd_series, svd, truncate, truncate_cleaned
+from .tsvd import _finite, hankel_tsvd_series, svd
 
 
 class Variant(Enum):
@@ -67,19 +75,8 @@ def _working(ds: ResponseDataset, domain: Optional[Domain]):
             return ds, lambda data: ds.with_data(np.asarray(data).real.astype(np.complex128))
         return ds, lambda data: ds.with_data(data)
     if ds.domain is Domain.FREQUENCY and domain is Domain.TIME:
-        work = to_time(ds)
-
-        def restore(data):
-            spectrum = np.fft.rfft(np.asarray(data).real, axis=-1)
-            return ds.with_data(spectrum)
-
-        return work, restore
+        return to_time(ds), lambda data: ds.with_data(np.fft.rfft(np.asarray(data).real, axis=-1))
     return to_frequency(ds), lambda data: ds.with_data(_irfft_real_edges(data, ds.n_bins))
-
-
-def _work_matrix(flat: FlatDataset) -> np.ndarray:
-    # exactly-real time data runs through the ~3x faster real SVD path
-    return flat.matrix.real if flat.domain is Domain.TIME else flat.matrix
 
 
 def classic_tsvd(ds: ResponseDataset, selector: SelectionStrategy):
@@ -126,12 +123,14 @@ def classic_tsvd(ds: ResponseDataset, selector: SelectionStrategy):
     return filtered, FilterReport([record], record.seconds)
 
 
-def prf_tsvd(ds: ResponseDataset, selector: SelectionStrategy, domain: Optional[Domain] = None):
-    """Single TSVD of the spectrally-unfolded dataset.
+def _unfolded(ds: ResponseDataset, selector: SelectionStrategy, domain: Optional[Domain], hankel=None):
+    """The PRF stage: one TSVD of the spectrally-unfolded dataset.
 
-    Returns (filtered, report, prfs) where prfs are the retained left
-    singular vectors scaled by their singular values, one column per
-    retained component.
+    Rebuilds (U_r * s) @ V_r^H with s the e15-cleaned values under e15 and
+    S[:r] otherwise.  ``hankel = (selector, window)`` runs the Hankel row
+    stage on the retained left vectors U_r before the rebuild (PRANK_HiP).
+    Returns (filtered, report, prfs), prfs = U_r * S[:r] before any Hankel
+    stage.
     """
     n_o, n_i = ds.n_outputs, ds.n_inputs
     if n_o * n_i < 2:
@@ -139,25 +138,55 @@ def prf_tsvd(ds: ResponseDataset, selector: SelectionStrategy, domain: Optional[
     t0 = time.perf_counter()
     work, restore = _working(ds, domain)
     flat = flatten(work)
-    mat = _work_matrix(flat)
+    # exactly-real time data runs through the ~3x faster real SVD path
+    mat = flat.matrix.real if flat.domain is Domain.TIME else flat.matrix
+    t_prf = time.perf_counter()
     f = svd(mat)
     rank, model = evaluate(f.S, mat.shape, selector)
-    prfs = f.U[:, :rank] * f.S[:rank]
-    if model is not None:
-        filtered_mat = truncate_cleaned(f, rank, model.cleaned_s)
-    else:
-        filtered_mat = truncate(f, rank)
-    data = unflatten(
-        FlatDataset(filtered_mat, n_o, n_i, flat.domain, flat.axis_start, flat.axis_step, flat.unit_label),
-        n_o,
-        n_i,
-    ).data
-    result = restore(data)
-    record = StageRecord("prf", mat.shape, f.S, rank, model, time.perf_counter() - t0)
-    report = FilterReport([record], record.seconds)
+    report = FilterReport([StageRecord("prf", mat.shape, f.S, rank, model, time.perf_counter() - t_prf)])
     if rank == 0:
         report.flags.append("prf_rank_zero")
+    U_r = f.U[:, :rank]
+    prfs = U_r * f.S[:rank]
+    if hankel is not None:
+        rows, record = _hankel_rows(U_r.T, *hankel, "hankel_in_prf")
+        U_r = rows.T
+        report.stages.append(record)
+    s_used = model.cleaned_s if model is not None else f.S[:rank]
+    filtered = (U_r * s_used) @ f.V[:, :rank].conj().T
+    result = restore(unflatten(replace(flat, matrix=filtered), n_o, n_i).data)
+    report.total_seconds = time.perf_counter() - t0
     return result, report, prfs
+
+
+def _hankel_rows(rows: np.ndarray, selector: SelectionStrategy, window: Optional[int], name: str):
+    """The Hankel row stage: one Hankel TSVD per row of ``rows`` (n, length).
+
+    Returns (filtered rows, StageRecord).  The record keeps the first row's
+    shape, spectrum and e15 model, the largest rank and every row's rank;
+    no rows (PRF rank 0) give an empty record.
+    """
+    t0 = time.perf_counter()
+    out = np.empty_like(rows)
+    records = []
+    for j, row in enumerate(rows):
+        out[j], rec = hankel_tsvd_series(row, window, selector)
+        records.append(rec)
+    ranks = [rec.rank for rec in records]
+    first = records[0] if records else StageRecord(name, (0, 0), np.zeros(0), 0)
+    seconds = time.perf_counter() - t0
+    extras = {"svd_calls": len(ranks), "ranks": ranks}
+    return out, replace(first, name=name, rank=max(ranks, default=0), seconds=seconds, extras=extras)
+
+
+def prf_tsvd(ds: ResponseDataset, selector: SelectionStrategy, domain: Optional[Domain] = None):
+    """Single TSVD of the spectrally-unfolded dataset.
+
+    Returns (filtered, report, prfs) where prfs are the retained left
+    singular vectors scaled by their singular values, one column per
+    retained component.
+    """
+    return _unfolded(ds, selector, domain)
 
 
 def hankel_filter_dataset(
@@ -172,42 +201,18 @@ def hankel_filter_dataset(
     t0 = time.perf_counter()
     work, restore = _working(ds, domain)
     arr = work.data.real if work.domain is Domain.TIME else work.data
-    out = np.empty_like(arr)
-    ranks = []
-    first = None
-    for o in range(ds.n_outputs):
-        for i in range(ds.n_inputs):
-            series, rec = hankel_tsvd_series(arr[o, i], window, selector)
-            out[o, i] = series
-            ranks.append(rec.rank)
-            if first is None:
-                first = rec
-    record = StageRecord(
-        name="hankel",
-        shape=first.shape,
-        singular_values=first.singular_values,
-        rank=max(ranks),
-        model=first.model,
-        seconds=time.perf_counter() - t0,
-        extras={"svd_calls": len(ranks), "ranks": ranks},
-    )
-    return restore(out), FilterReport([record], record.seconds)
+    out, record = _hankel_rows(arr.reshape(-1, arr.shape[-1]), selector, window, "hankel")
+    return restore(out.reshape(arr.shape)), FilterReport([record], time.perf_counter() - t0)
 
 
 def prank_ph(ds: ResponseDataset, cfg: PrankConfig):
     """PRF stage followed by per-entry Hankel filtering."""
-    t0 = time.perf_counter()
-    mid, rep1, _ = prf_tsvd(ds, cfg.prf_selector, cfg.domain)
-    out, rep2 = hankel_filter_dataset(mid, cfg.hankel_selector, cfg.hankel_window, cfg.domain)
-    return out, _merge(rep1, rep2, time.perf_counter() - t0)
+    return _chain(ds, cfg, _CHAINS[Variant.PRANK_PH])
 
 
 def prank_hp(ds: ResponseDataset, cfg: PrankConfig):
     """Per-entry Hankel filtering followed by the PRF stage."""
-    t0 = time.perf_counter()
-    mid, rep1 = hankel_filter_dataset(ds, cfg.hankel_selector, cfg.hankel_window, cfg.domain)
-    out, rep2, _ = prf_tsvd(mid, cfg.prf_selector, cfg.domain)
-    return out, _merge(rep1, rep2, time.perf_counter() - t0)
+    return _chain(ds, cfg, _CHAINS[Variant.PRANK_HP])
 
 
 def prank_hip(ds: ResponseDataset, cfg: PrankConfig):
@@ -217,72 +222,47 @@ def prank_hip(ds: ResponseDataset, cfg: PrankConfig):
     spatial entry; the PRF singular values (e15-cleaned when applicable)
     and right vectors are reused in the reconstruction.
     """
-    n_o, n_i = ds.n_outputs, ds.n_inputs
-    if n_o * n_i < 2:
-        raise ShapeError("unfolded filtering needs at least 2 spatial entries")
+    return _unfolded(ds, cfg.prf_selector, cfg.domain, (cfg.hankel_selector, cfg.hankel_window))[:2]
+
+
+def _classic(ds: ResponseDataset, cfg: PrankConfig):
+    work, restore = _working(ds, Domain.FREQUENCY)
+    filtered, report = classic_tsvd(work, cfg.prf_selector)
+    return restore(filtered.data), report
+
+
+def _prf(ds: ResponseDataset, cfg: PrankConfig):
+    return prf_tsvd(ds, cfg.prf_selector, cfg.domain)[:2]
+
+
+def _hankel(ds: ResponseDataset, cfg: PrankConfig):
+    return hankel_filter_dataset(ds, cfg.hankel_selector, cfg.hankel_window, cfg.domain)
+
+
+# every variant as its stages, run in order; each maps (ds, cfg) to (ds, report)
+_CHAINS = {
+    Variant.CLASSIC: (_classic,),
+    Variant.PRF: (_prf,),
+    Variant.HANKEL: (_hankel,),
+    Variant.PRANK_PH: (_prf, _hankel),
+    Variant.PRANK_HP: (_hankel, _prf),
+    Variant.PRANK_HIP: (prank_hip,),
+}
+
+
+def _chain(ds: ResponseDataset, cfg: PrankConfig, stages):
     t0 = time.perf_counter()
-    work, restore = _working(ds, cfg.domain)
-    flat = flatten(work)
-    mat = _work_matrix(flat)
-    t_prf = time.perf_counter()
-    f = svd(mat)
-    rank, model = evaluate(f.S, mat.shape, cfg.prf_selector)
-    s_used = model.cleaned_s if model is not None else f.S[:rank]
-    prf_record = StageRecord("prf", mat.shape, f.S, rank, model, time.perf_counter() - t_prf)
-    report = FilterReport([prf_record])
-    if rank == 0:
-        report.flags.append("prf_rank_zero")
-    t_h = time.perf_counter()
-    cleaned_U = np.zeros((mat.shape[0], rank), dtype=f.U.dtype)
-    ranks = []
-    first = None
-    for j in range(rank):
-        series, rec = hankel_tsvd_series(f.U[:, j], cfg.hankel_window, cfg.hankel_selector)
-        cleaned_U[:, j] = series
-        ranks.append(rec.rank)
-        if first is None:
-            first = rec
-    filtered_mat = (cleaned_U * s_used) @ f.V[:, :rank].conj().T
-    hankel_record = StageRecord(
-        name="hankel_in_prf",
-        shape=first.shape if first is not None else (0, 0),
-        singular_values=first.singular_values if first is not None else np.zeros(0),
-        rank=max(ranks) if ranks else 0,
-        model=first.model if first is not None else None,
-        seconds=time.perf_counter() - t_h,
-        extras={"svd_calls": rank, "ranks": ranks},
-    )
-    report.stages.append(hankel_record)
-    data = unflatten(
-        FlatDataset(filtered_mat, n_o, n_i, flat.domain, flat.axis_start, flat.axis_step, flat.unit_label),
-        n_o,
-        n_i,
-    ).data
-    result = restore(data)
+    report = FilterReport()
+    for stage in stages:
+        ds, stage_report = stage(ds, cfg)
+        report.stages += stage_report.stages
+        report.flags += stage_report.flags
     report.total_seconds = time.perf_counter() - t0
-    return result, report
+    return ds, report
 
 
 def apply_filter(ds: ResponseDataset, cfg: PrankConfig):
     """Run the configured variant; frequency-only filters convert as needed."""
-    if cfg.variant is Variant.CLASSIC:
-        if ds.domain is Domain.TIME:
-            filtered, report = classic_tsvd(to_frequency(ds), cfg.prf_selector)
-            return ds.with_data(_irfft_real_edges(filtered.data, ds.n_bins)), report
-        return classic_tsvd(ds, cfg.prf_selector)
-    if cfg.variant is Variant.PRF:
-        filtered, report, _ = prf_tsvd(ds, cfg.prf_selector, cfg.domain)
-        return filtered, report
-    if cfg.variant is Variant.HANKEL:
-        return hankel_filter_dataset(ds, cfg.hankel_selector, cfg.hankel_window, cfg.domain)
-    if cfg.variant is Variant.PRANK_PH:
-        return prank_ph(ds, cfg)
-    if cfg.variant is Variant.PRANK_HP:
-        return prank_hp(ds, cfg)
-    if cfg.variant is Variant.PRANK_HIP:
-        return prank_hip(ds, cfg)
-    raise ValueError(f"unknown variant {cfg.variant!r}")
-
-
-def _merge(rep1: FilterReport, rep2: FilterReport, total: float) -> FilterReport:
-    return FilterReport(rep1.stages + rep2.stages, total, rep1.flags + rep2.flags)
+    if not isinstance(cfg.variant, Variant):
+        raise ValueError(f"unknown variant {cfg.variant!r}")
+    return _chain(ds, cfg, _CHAINS[cfg.variant])

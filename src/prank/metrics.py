@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from pathlib import Path
+
 import numpy as np
 
-from .dataset import Domain, ResponseDataset
+from .dataset import Domain, ResponseDataset, _atomic_write
 from .errors import DomainError, ShapeMismatch
 
 
@@ -80,7 +79,6 @@ def zero_locations(ds: ResponseDataset, o: int, i: int, prominence: float = 0.9)
 
 def write_coherence_csv(report: CoherenceReport, path) -> None:
     """Flat CSV of the per-entry coherence matrix plus the overall mean."""
-    path = Path(path)
     lines = ["output,input,coherence"]
     n_o, n_i = report.per_entry.shape
     for o in range(n_o):
@@ -91,15 +89,8 @@ def write_coherence_csv(report: CoherenceReport, path) -> None:
 
 
 def write_cmif_csv(curves: np.ndarray, axis: np.ndarray, path) -> None:
-    path = Path(path)
     n_k, p = curves.shape
     lines = ["axis_value," + ",".join(f"sv{j}" for j in range(p))]
     for k in range(n_k):
         lines.append(f"{float(axis[k])!r}," + ",".join(repr(float(v)) for v in curves[k]))
     _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from .dataset import _atomic_write
 from .selection import E15Model
 
 
@@ -22,7 +22,10 @@ class StageRecord:
     stages that factor many matrices (per-entry or per-column Hankel passes)
     ``singular_values`` holds the first processed spectrum as a
     representative curve and ``extras`` carries the per-call ranks and the
-    factorization count as ``svd_calls``.
+    factorization count as ``svd_calls``.  ``seconds`` covers the stage's
+    own work: the SVD and rank selection of a PRF stage, every per-row
+    Hankel call of a Hankel stage; domain bridges and the PRF rebuild count
+    only toward ``FilterReport.total_seconds``.
     """
 
     name: str
@@ -101,9 +104,3 @@ def write_report(report: FilterReport, prefix) -> list:
         _atomic_write(csv_path, "\n".join(rows) + "\n")
         paths.append(csv_path)
     return paths
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)

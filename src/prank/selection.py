@@ -143,14 +143,9 @@ def _unit_curve(p: int, m: int, n_eff: int) -> np.ndarray:
     ks = np.arange(1, p + 1)
     valid = ks <= small
     q = (small - ks[valid] + 0.5) / small
-    lo = np.full(q.shape, lam_grid[0])
-    hi = np.full(q.shape, lam_grid[-1])
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        below = np.interp(mid, lam_grid, cdf_grid) < q
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    out[valid] = np.sqrt(big) * np.sqrt(0.5 * (lo + hi))
+    # cdf_grid rises strictly, so the piecewise-linear CDF inverts by
+    # interpolation with the axes swapped
+    out[valid] = np.sqrt(big) * np.sqrt(np.interp(q, cdf_grid, lam_grid))
     out.setflags(write=False)
     return out
 
@@ -161,9 +156,9 @@ def mp_quantile_curve(shape: tuple, sigma: float, corr: float = 1.0) -> np.ndarr
     ``shape`` is the (rows, cols) of the data matrix; ``sigma`` the per-entry
     standard deviation; ``corr`` >= 1 reduces the effective column count to
     round(cols/corr).  The k-th value is sigma*sqrt(M)*sqrt(lam_k) with
-    lam_k the (N - k + 1/2)/N quantile of the MP law, inverted by bisection
-    on the numerically integrated CDF.  Indices past the effective rank are
-    zero.  The result has length min(shape).
+    lam_k the (N - k + 1/2)/N quantile of the MP law, read off the inverse
+    of the numerically integrated, piecewise-linear CDF.  Indices past the
+    effective rank are zero.  The result has length min(shape).
     """
     m, n = shape
     p = min(m, n)

@@ -77,11 +77,7 @@ def _finite(A) -> np.ndarray:
 
 def truncate(f: SVDFactorization, r: int) -> np.ndarray:
     """Best rank-r reconstruction U_r diag(S_r) V_r^H; r = 0 gives zeros."""
-    if not 0 <= r <= f.p:
-        raise RankError(f"rank {r} outside [0, {f.p}]")
-    if r == 0:
-        return np.zeros(f.shape, dtype=f.U.dtype)
-    return (f.U[:, :r] * f.S[:r]) @ f.V[:, :r].conj().T
+    return truncate_cleaned(f, r, f.S[:r])
 
 
 def truncate_cleaned(f: SVDFactorization, r: int, cleaned_s: np.ndarray) -> np.ndarray:
@@ -177,7 +173,6 @@ def hankel_tsvd_series(
     series: np.ndarray,
     window: Optional[int] = None,
     selector: Union[SelectionStrategy, None] = None,
-    stage_name: str = "hankel",
 ):
     """Hankelize, truncate by the selector, SSA back to a same-length series.
 
@@ -195,7 +190,7 @@ def hankel_tsvd_series(
     filtered, S, rank, model = gram_tsvd(hm.matrix, selector)
     out = dehankelize_ssa(filtered)
     record = StageRecord(
-        name=stage_name,
+        name="hankel",
         shape=hm.matrix.shape,
         singular_values=S,
         rank=rank,

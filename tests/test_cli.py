@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import prank
 from prank import Domain, read_dataset, write_dataset
 from prank.cli import main
 
@@ -226,11 +229,15 @@ def test_config_file_defaults_with_flag_precedence(tmp_path):
 
 def test_console_entry_point_subprocess(tmp_path):
     out = tmp_path / "ds.prnk"
+    # the child imports prank from where this process did (an install or src/)
+    src = str(Path(prank.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "prank.cli", "synth", "--fmax", "1.0", "--df", "0.05",
          "-o", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert read_dataset(out).n_bins == 21

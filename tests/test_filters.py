@@ -285,6 +285,12 @@ def test_full_rank_idempotence_every_variant(clean_bench, variant):
     assert rel_err(out, clean_bench) <= 1e-10
 
 
+def test_apply_filter_rejects_unknown_variant(noisy_bench):
+    # the variant's value string is not a Variant
+    with pytest.raises(ValueError, match="unknown variant"):
+        apply_filter(noisy_bench, PrankConfig(variant="hip"))
+
+
 @pytest.mark.parametrize("variant", list(Variant))
 def test_filters_preserve_metadata(noisy_bench, variant):
     cfg = PrankConfig(variant=variant, prf_selector=FixedRank(4), hankel_selector=FixedRank(12))

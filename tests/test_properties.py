@@ -1,4 +1,5 @@
-"""Property tests of the stacked rank selection and the per-line filter."""
+"""Property tests of the rank selection, the filters and their chains, the
+Hankel round trip and the dataset file format."""
 
 import numpy as np
 from hypothesis import assume, example, given, settings
@@ -9,15 +10,22 @@ from prank import (
     AbsoluteThreshold,
     Domain,
     FixedRank,
+    PrankConfig,
     RelativeThreshold,
     ResponseDataset,
     ThresholdMode,
+    Variant,
+    apply_filter,
     classic_tsvd,
+    dehankelize_ssa,
     e15,
+    hankelize,
     mp_fit,
     mp_quantile_curve,
+    read_dataset,
+    write_dataset,
 )
-from prank.selection import CORR_GRID, evaluate
+from prank.selection import CORR_GRID, _unit_curve, _unit_quantiles, evaluate
 
 # The first call for a new matrix shape integrates the MP law (tens of ms).
 SETTINGS = settings(deadline=None, max_examples=60, derandomize=True)
@@ -149,3 +157,135 @@ def test_classic_matches_per_line_loop(n_o, n_i, n_k, seed, selector):
     assert (extras["rank_min"], extras["rank_max"]) == (ranks.min(), ranks.max())
     assert extras["rank_mean"] == ranks.mean()
     assert np.abs(out.data - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def bisection_curve(p, m, n_eff):
+    """Reference: the unit quantile curve with each quantile found by 60
+    bisection steps on the piecewise-linear CDF."""
+    lam_grid, cdf_grid, big, small = _unit_quantiles(m, n_eff)
+    out = np.zeros(p)
+    ks = np.arange(1, p + 1)
+    valid = ks <= small
+    q = (small - ks[valid] + 0.5) / small
+    lo = np.full(q.shape, lam_grid[0])
+    hi = np.full(q.shape, lam_grid[-1])
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = np.interp(mid, lam_grid, cdf_grid) < q
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    out[valid] = np.sqrt(big) * np.sqrt(0.5 * (lo + hi))
+    return out
+
+
+@SETTINGS
+@given(st.integers(1, 250), st.integers(1, 250), st.integers(0, 4))
+@example(4, 4, 0)
+@example(201, 16, 0)
+@example(201, 200, 0)
+def test_unit_curve_matches_bisection(m, n_eff, extra):
+    # extra > 0 asks for indices past the effective rank, which stay zero
+    p = min(m, n_eff) + extra
+    curve = _unit_curve(p, m, n_eff)
+    expected = bisection_curve(p, m, n_eff)
+    assert np.array_equal(curve > 0, expected > 0)
+    assert np.abs(curve - expected).max() <= 1e-13 * expected.max()
+
+
+# --------------------------------------------------------- Hankel and files
+
+@SETTINGS
+@given(st.integers(2, 60), st.data(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_dehankelize_inverts_hankelize(n, data, complex_series, seed):
+    rng = np.random.default_rng(seed)
+    series = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+    if complex_series:
+        series = series + 1j * rng.standard_normal(n)
+    window = data.draw(st.one_of(st.none(), st.integers(1, n)))
+    assert np.array_equal(dehankelize_ssa(hankelize(series, window).matrix), series)
+
+
+# every float64, signed zeros, infinities and NaNs included
+any_float = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@st.composite
+def file_datasets(draw):
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(2, 6)))
+    count = int(np.prod(shape))
+    domain = draw(st.sampled_from(list(Domain)))
+    data = np.zeros(shape, dtype=complex)
+    data.real = np.reshape(draw(st.lists(any_float, min_size=count, max_size=count)), shape)
+    if domain is Domain.FREQUENCY:
+        data.imag = np.reshape(draw(st.lists(any_float, min_size=count, max_size=count)), shape)
+    start = draw(st.floats(allow_nan=False, allow_infinity=False))
+    step = draw(st.floats(min_value=1e-300, allow_infinity=False))
+    label = draw(st.text(max_size=8))
+    return ResponseDataset(data, domain, start, step, label)
+
+
+@SETTINGS
+@given(file_datasets())
+def test_write_read_round_trip_is_bit_exact(tmp_path_factory, ds):
+    path = tmp_path_factory.mktemp("rt") / "ds.prnk"
+    write_dataset(ds, path)
+    back = read_dataset(path)
+    assert back.data.shape == ds.data.shape
+    assert back.data.tobytes() == ds.data.tobytes()
+    assert back.domain is ds.domain
+    assert (back.axis_start, back.axis_step, back.unit_label) == (ds.axis_start, ds.axis_step, ds.unit_label)
+
+
+# ---------------------------------------------------------- filter chains
+
+FULL = FixedRank(10**9)
+selectors = st.one_of(st.builds(FixedRank, st.integers(0, 6)), st.just(E15()))
+
+
+@st.composite
+def chain_cases(draw):
+    """(dataset, working domain) pairs over both input domains and every
+    working domain; frequency inputs start at 0 so the time bridge applies."""
+    n_o, n_i = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    assume(n_o * n_i >= 2)
+    n_k = 2 * draw(st.integers(3, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.standard_normal((n_o, n_i, n_k))
+    domain = draw(st.sampled_from(list(Domain)))
+    if domain is Domain.FREQUENCY:
+        data = data + 1j * rng.standard_normal((n_o, n_i, n_k))
+    working = draw(st.sampled_from([None, Domain.TIME, Domain.FREQUENCY]))
+    return ResponseDataset(data, domain, 0.0, 0.5), working
+
+
+def run_variant(ds, variant, working, prf, hankel):
+    cfg = PrankConfig(variant=variant, domain=working, prf_selector=prf, hankel_selector=hankel)
+    return apply_filter(ds, cfg)[0].data
+
+
+def assert_close(a, b):
+    assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
+
+
+@SETTINGS
+@given(chain_cases(), selectors)
+def test_hip_with_full_hankel_rank_is_prf(case, prf):
+    ds, working = case
+    assert_close(run_variant(ds, Variant.PRANK_HIP, working, prf, FULL),
+                 run_variant(ds, Variant.PRF, working, prf, FULL))
+
+
+@SETTINGS
+@given(chain_cases(), selectors)
+def test_ph_with_full_hankel_rank_is_prf(case, prf):
+    ds, working = case
+    assert_close(run_variant(ds, Variant.PRANK_PH, working, prf, FULL),
+                 run_variant(ds, Variant.PRF, working, prf, FULL))
+
+
+@SETTINGS
+@given(chain_cases(), selectors)
+def test_hp_with_full_prf_rank_is_hankel(case, hankel):
+    ds, working = case
+    assert_close(run_variant(ds, Variant.PRANK_HP, working, FULL, hankel),
+                 run_variant(ds, Variant.HANKEL, working, FULL, hankel))
