@@ -42,7 +42,6 @@ from .errors import (
     LengthError,
     NonFiniteError,
     PrankError,
-    RankError,
     ShapeError,
     ShapeMismatch,
     WindowError,
@@ -71,7 +70,6 @@ from .selection import (
     e15,
     mp_fit,
     mp_quantile_curve,
-    select_rank,
 )
 from .tsvd import (
     HankelMatrix,
@@ -82,8 +80,6 @@ from .tsvd import (
     hankel_tsvd_series,
     hankelize,
     svd,
-    truncate,
-    truncate_cleaned,
 )
 
 __version__ = "0.1.0"

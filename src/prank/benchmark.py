@@ -8,7 +8,6 @@ from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .dataset import Domain, ResponseDataset
 from .errors import AxisError, DomainError
@@ -208,9 +207,13 @@ def eigen(sys: ChainSystem) -> ModalModel:
 
     Shapes are mass-normalized; damping ratios come from projecting the
     viscous damping matrix onto each mode (zero for rigid-body modes).
+    M is diagonal, so with W = M^-1/2 the generalized problem K v = lam M v
+    is the symmetric one (W K W) y = lam y, and v = W y.
     """
-    M, D, K = sys.matrices()
-    vals, vecs = scipy.linalg.eigh(K, M)
+    _, D, K = sys.matrices()
+    w = 1.0 / np.sqrt(sys.masses)
+    vals, y = np.linalg.eigh(w[:, None] * K * w)
+    vecs = w[:, None] * y
     vals = np.clip(vals, 0.0, None)
     freqs = np.sqrt(vals)
     # deterministic shape signs: largest-magnitude entry positive

@@ -33,10 +33,6 @@ class FormatError(PrankError):
     """Malformed or truncated dataset file."""
 
 
-class RankError(PrankError):
-    """Requested truncation rank exceeds the available factorization."""
-
-
 class WindowError(PrankError):
     """Hankel window length outside the valid range."""
 

@@ -3,14 +3,15 @@
 The e15 path fits a Marchenko-Pastur quantile curve to the tail of the
 singular values, scores each mode's cleanliness against the fitted noise
 floor, thresholds at a user fraction mu and subtracts the fitted noise
-energy from the retained singular values.
+energy from the retained singular values.  The quantile curve inverts the
+closed-form MP distribution function, tabulated once per matrix shape.
 
 Every strategy runs on a stack of spectra, shape (n, p), taken from n
 matrices of one shape: ``evaluate`` accepts such a stack and selects all
 rows in one array pass (for e15: the least-squares fits of every corr
 candidate and row at once, then the best candidate per row).  A single
-spectrum is the one-row case of the same code; ``mp_fit``, ``e15``,
-``select_rank`` and ``evaluate`` on a 1-D vector return scalars.
+spectrum is the one-row case of the same code; ``mp_fit``, ``e15`` and
+``evaluate`` on a 1-D vector return scalars.
 """
 
 from __future__ import annotations
@@ -24,11 +25,8 @@ import numpy as np
 
 from .errors import EmptyError
 
-# Composite-Simpson resolution of the integrated MP distribution.  8192
-# panels keep |CDF(lam_plus) - 1| <= 1e-6 even for aspect ratios within
-# 1e-3 of square, the worst case for the edge singularities.
+# Intervals of the tabulated MP CDF, which np.interp inverts piecewise-linearly.
 _PANELS = 8192
-_CDF_TOL = 1e-6
 
 CORR_GRID = tuple(np.arange(1.0, 4.0 + 1e-9, 0.25))
 # Tail residuals closer than this fraction of the tail's energy are a tie.
@@ -104,32 +102,26 @@ class E15Model:
 def _unit_quantiles(m: int, n_eff: int):
     """Quantile grid of the MP singular-value law for a unit-variance matrix.
 
-    Returns (lam_grid, cdf_grid, M, N) with the CDF integrated by composite
-    Simpson on the substitution lam = lam- + (lam+ - lam-)*(1 - cos(pi s))/2,
-    which regularises the square-root edges (and the 1/sqrt(lam) singularity
-    of the square case).
+    Returns (lam_grid, cdf_grid, M, N) on lam = lam- + (lam+ - lam-)(1 - cos t)/2
+    for _PANELS + 1 equal steps of t in [0, pi], where beta = N/M and
+    lam+- = (1 +- sqrt(beta))^2.  In t the MP density becomes
+    dF/dt = 2 sin^2 t / (pi lam), whose integral is the closed form
+
+        F(t) = [sqrt(beta) sin t + beta t
+                - (1 - beta) atan2(sqrt(beta) sin t, 1 - sqrt(beta) cos t)] / (pi beta),
+
+    with F(0) = 0, F(pi) = 1 and F(t) = (t + sin t)/pi in the square case.
     """
     big = max(m, n_eff)
     small = min(m, n_eff)
     beta = small / big
-    lam_minus = (1.0 - np.sqrt(beta)) ** 2
-    lam_plus = (1.0 + np.sqrt(beta)) ** 2
-    s = np.linspace(0.0, 1.0, 2 * _PANELS + 1)
-    t = 0.5 * (1.0 - np.cos(np.pi * s))
-    lam = lam_minus + (lam_plus - lam_minus) * t
-    # density * dlam/ds; sqrt((lam+ - lam)(lam - lam-)) = (lam+ - lam-) sin(pi s)/2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = (lam_plus - lam_minus) ** 2 * np.pi * np.sin(np.pi * s) ** 2 / (8.0 * np.pi * beta * lam)
-    if lam[0] == 0.0:  # beta == 1: finite limit at s = 0
-        g[0] = (lam_plus - lam_minus) * np.pi * 4.0 / (8.0 * np.pi * beta)
-    h = s[1] - s[0]
-    seg = (g[0:-1:2] + 4.0 * g[1::2] + g[2::2]) * h / 3.0
-    cdf = np.concatenate([[0.0], np.cumsum(seg)])
-    total = cdf[-1]
-    if abs(total - 1.0) > _CDF_TOL:
-        raise ArithmeticError(f"MP CDF integration off by {abs(total - 1.0):.2e}")
-    lam_grid = lam[0::2]
-    cdf_grid = cdf / total
+    rb = np.sqrt(beta)
+    t = np.linspace(0.0, np.pi, _PANELS + 1)
+    lam_minus = (1.0 - rb) ** 2
+    lam_grid = lam_minus + ((1.0 + rb) ** 2 - lam_minus) * 0.5 * (1.0 - np.cos(t))
+    sin = np.sin(t)
+    atan = np.arctan2(rb * sin, 1.0 - rb * np.cos(t))
+    cdf_grid = (rb * sin + beta * t - (1.0 - beta) * atan) / (np.pi * beta)
     lam_grid.setflags(write=False)
     cdf_grid.setflags(write=False)
     return lam_grid, cdf_grid, big, small
@@ -156,9 +148,10 @@ def mp_quantile_curve(shape: tuple, sigma: float, corr: float = 1.0) -> np.ndarr
     ``shape`` is the (rows, cols) of the data matrix; ``sigma`` the per-entry
     standard deviation; ``corr`` >= 1 reduces the effective column count to
     round(cols/corr).  The k-th value is sigma*sqrt(M)*sqrt(lam_k) with
-    lam_k the (N - k + 1/2)/N quantile of the MP law, read off the inverse
-    of the numerically integrated, piecewise-linear CDF.  Indices past the
-    effective rank are zero.  The result has length min(shape).
+    lam_k the (N - k + 1/2)/N quantile of the MP law, read off the
+    piecewise-linear inverse of the closed-form CDF tabulated on _PANELS + 1
+    points.  Indices past the effective rank are zero.  The result has
+    length min(shape).
     """
     m, n = shape
     p = min(m, n)
@@ -256,18 +249,11 @@ def e15(S: np.ndarray, shape: tuple, mu: float = 0.10, tail_fraction: float = 0.
     return _first_row(_e15(np.asarray(S, dtype=float)[None, :], shape, mu, tail_fraction))
 
 
-def select_rank(S: np.ndarray, shape: tuple, strategy: SelectionStrategy) -> int:
-    """Truncation rank for a nonincreasing singular-value vector.
-
-    Selection is always a prefix: strict inequality against the threshold,
-    first crossing wins.
-    """
-    rank, _ = evaluate(S, shape, strategy)
-    return rank
-
-
 def evaluate(S: np.ndarray, shape: tuple, strategy: SelectionStrategy):
-    """Like select_rank but also returns the fitted E15Model (None otherwise).
+    """Truncation rank and fitted E15Model (None for the other strategies).
+
+    Selection is always a prefix of the nonincreasing singular values:
+    strict inequality against the threshold, first crossing wins.
 
     ``S`` is one singular-value vector of a ``shape`` matrix, or a stack
     (n, p) of them from n matrices of that shape.  A stack returns an int

@@ -1,5 +1,6 @@
-"""Dense SVD with a deterministic sign convention, rank-r reconstruction,
-Hankel matrix construction and SSA (anti-diagonal averaging) inversion.
+"""Dense SVD with a deterministic sign convention, Hankel matrix
+construction, selector-truncated Hankel reconstruction and SSA
+(anti-diagonal averaging) inversion.
 
 Hankel filtering does not run a dense SVD: ``gram_tsvd`` takes the singular
 values and one side's singular vectors from a single eigendecomposition of
@@ -16,7 +17,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ConvergenceError, NonFiniteError, RankError, WindowError
+from .errors import ConvergenceError, NonFiniteError, WindowError
 from .report import StageRecord
 from .selection import FixedRank, SelectionStrategy, evaluate
 
@@ -28,14 +29,6 @@ class SVDFactorization:
     U: np.ndarray
     S: np.ndarray
     V: np.ndarray
-
-    @property
-    def shape(self) -> tuple:
-        return (self.U.shape[0], self.V.shape[0])
-
-    @property
-    def p(self) -> int:
-        return len(self.S)
 
 
 @dataclass(frozen=True)
@@ -73,25 +66,6 @@ def _finite(A) -> np.ndarray:
     if not np.all(np.isfinite(A)):
         raise NonFiniteError("matrix entries must be finite")
     return A
-
-
-def truncate(f: SVDFactorization, r: int) -> np.ndarray:
-    """Best rank-r reconstruction U_r diag(S_r) V_r^H; r = 0 gives zeros."""
-    return truncate_cleaned(f, r, f.S[:r])
-
-
-def truncate_cleaned(f: SVDFactorization, r: int, cleaned_s: np.ndarray) -> np.ndarray:
-    """Rank-r reconstruction with replacement singular values (vectors kept)."""
-    if not 0 <= r <= f.p:
-        raise RankError(f"rank {r} outside [0, {f.p}]")
-    cleaned_s = np.asarray(cleaned_s, dtype=float)
-    if cleaned_s.shape != (r,):
-        raise RankError(f"cleaned singular values have length {len(cleaned_s)}, expected {r}")
-    if np.any(cleaned_s < 0):
-        raise ValueError("cleaned singular values must be nonnegative")
-    if r == 0:
-        return np.zeros(f.shape, dtype=f.U.dtype)
-    return (f.U[:, :r] * cleaned_s) @ f.V[:, :r].conj().T
 
 
 def auto_window(n: int) -> int:

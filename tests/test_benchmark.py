@@ -79,6 +79,23 @@ def test_eigen_shapes_mass_normalized():
     assert np.allclose(model.shapes.T @ M @ model.shapes, np.eye(4), atol=1e-12)
 
 
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_eigen_unequal_masses_solves_generalized_problem(boundary):
+    # unit masses make the M^-1/2 scaling the identity; these do not
+    masses = np.array([1.0, 2.5, 0.4, 3.0, 1.7])
+    links = 5 if boundary is Boundary.FIXED_FREE else 4
+    springs = np.array([2.0, 1.0, 3.0, 0.5, 1.5])[:links]
+    sys_ = ChainSystem(masses, 0.01 * springs, springs, boundary)
+    M, _, K = sys_.matrices()
+    model = eigen(sys_)
+    V, lam = model.shapes, model.frequencies ** 2
+    assert np.linalg.norm(K @ V - M @ V * lam) <= 1e-10 * np.linalg.norm(K)
+    assert np.abs(V.T @ M @ V - np.eye(5)).max() <= 1e-12
+    expected = np.sqrt(np.clip(np.sort(np.linalg.eigvals(np.linalg.solve(M, K)).real), 0.0, None))
+    # a rigid-body mode is zero up to rounding, about sqrt(eps)
+    assert np.allclose(model.frequencies, expected, rtol=1e-10, atol=1e-7)
+
+
 # ---------------------------------------------------------------- synthesis
 
 def test_direct_single_dof_static_compliance():

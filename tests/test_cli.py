@@ -227,17 +227,28 @@ def test_config_file_defaults_with_flag_precedence(tmp_path):
     assert "stage: hankel" in text and "stage: prf" not in text
 
 
+def child_env():
+    """Environment in which a child imports prank from where this process
+    did (an install or src/)."""
+    src = str(Path(prank.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_console_entry_point_subprocess(tmp_path):
     out = tmp_path / "ds.prnk"
-    # the child imports prank from where this process did (an install or src/)
-    src = str(Path(prank.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "prank.cli", "synth", "--fmax", "1.0", "--df", "0.05",
          "-o", str(out)],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert read_dataset(out).n_bins == 21
+
+
+def test_cli_import_does_not_load_scipy():
+    # numpy is the only runtime dependency
+    code = "import prank.cli, sys; assert 'scipy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr

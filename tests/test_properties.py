@@ -1,5 +1,6 @@
-"""Property tests of the rank selection, the filters and their chains, the
-Hankel round trip and the dataset file format."""
+"""Property tests of the rank selection and the MP law, the filters and
+their chains, the Hankel round trip and the dataset bridges and file
+format."""
 
 import numpy as np
 from hypothesis import assume, example, given, settings
@@ -19,15 +20,20 @@ from prank import (
     classic_tsvd,
     dehankelize_ssa,
     e15,
+    flatten,
     hankelize,
     mp_fit,
     mp_quantile_curve,
     read_dataset,
+    to_frequency,
+    to_time,
+    unflatten,
     write_dataset,
 )
 from prank.selection import CORR_GRID, _unit_curve, _unit_quantiles, evaluate
 
-# The first call for a new matrix shape integrates the MP law (tens of ms).
+# No deadline: an example's first e15 call for a new matrix shape tabulates
+# the MP law, and a shared machine's timing varies.
 SETTINGS = settings(deadline=None, max_examples=60, derandomize=True)
 
 modes = st.sampled_from(list(ThresholdMode))
@@ -192,6 +198,65 @@ def test_unit_curve_matches_bisection(m, n_eff, extra):
     assert np.abs(curve - expected).max() <= 1e-13 * expected.max()
 
 
+def simpson_quantiles(m, n_eff):
+    """Reference: (lam_grid, cdf_grid) with the MP density integrated by
+    composite Simpson over 8192 panels of lam = lam- + (lam+ - lam-)(1 - cos
+    pi s)/2 and the CDF normalised by its total."""
+    big, small = max(m, n_eff), min(m, n_eff)
+    beta = small / big
+    lam_minus = (1.0 - np.sqrt(beta)) ** 2
+    lam_plus = (1.0 + np.sqrt(beta)) ** 2
+    s = np.linspace(0.0, 1.0, 2 * 8192 + 1)
+    lam = lam_minus + (lam_plus - lam_minus) * 0.5 * (1.0 - np.cos(np.pi * s))
+    # density * dlam/ds
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = (lam_plus - lam_minus) ** 2 * np.pi * np.sin(np.pi * s) ** 2 / (8.0 * np.pi * beta * lam)
+    if lam[0] == 0.0:  # square case: finite limit at s = 0
+        g[0] = (lam_plus - lam_minus) * np.pi * 4.0 / (8.0 * np.pi * beta)
+    seg = (g[0:-1:2] + 4.0 * g[1::2] + g[2::2]) * (s[1] - s[0]) / 3.0
+    cdf = np.concatenate([[0.0], np.cumsum(seg)])
+    return lam[0::2], cdf / cdf[-1]
+
+
+@SETTINGS
+@given(st.integers(1, 250), st.integers(1, 250))
+@example(201, 16)
+@example(300, 1)
+def test_closed_form_cdf_matches_simpson(m, n_eff):
+    # near square, Simpson's own error at the 1/sqrt(lam) edge reaches 3e-9
+    assume(min(m, n_eff) <= 0.9 * max(m, n_eff))
+    lam_grid, cdf_grid, _, _ = _unit_quantiles(m, n_eff)
+    ref_lam, ref_cdf = simpson_quantiles(m, n_eff)
+    assert np.array_equal(lam_grid, ref_lam)
+    assert np.abs(cdf_grid - ref_cdf).max() <= 1e-12
+
+
+@SETTINGS
+@given(st.integers(1, 250), st.integers(1, 250))
+@example(4, 4)
+@example(201, 16)
+@example(201, 200)
+def test_unit_curve_matches_simpson(m, n_eff):
+    p = min(m, n_eff)
+    lam, cdf = simpson_quantiles(m, n_eff)
+    q = (p - np.arange(1, p + 1) + 0.5) / p
+    expected = np.sqrt(max(m, n_eff)) * np.sqrt(np.interp(q, cdf, lam))
+    assert np.abs(_unit_curve(p, m, n_eff) - expected).max() <= 1e-10 * expected.max()
+
+
+@SETTINGS
+@given(st.integers(1, 250), st.integers(1, 250))
+# the Hankel and unfolded shapes of the 30-DoF acceptance case
+@example(1024, 1023)
+@example(1024, 300)
+@example(20, 15360)
+def test_cdf_grid_rises_from_zero_to_one(m, n_eff):
+    _, cdf_grid, _, _ = _unit_quantiles(m, n_eff)
+    assert cdf_grid[0] == 0.0
+    assert abs(cdf_grid[-1] - 1.0) <= 1e-14
+    assert np.all(np.diff(cdf_grid) > 0.0)
+
+
 # --------------------------------------------------------- Hankel and files
 
 @SETTINGS
@@ -236,6 +301,30 @@ def test_write_read_round_trip_is_bit_exact(tmp_path_factory, ds):
     assert (back.axis_start, back.axis_step, back.unit_label) == (ds.axis_start, ds.axis_step, ds.unit_label)
 
 
+@SETTINGS
+@given(file_datasets())
+def test_unflatten_inverts_flatten_bit_exactly(ds):
+    back = unflatten(flatten(ds), ds.n_outputs, ds.n_inputs)
+    assert back.data.tobytes() == ds.data.tobytes()
+    assert back.domain is ds.domain
+    assert (back.axis_start, back.axis_step, back.unit_label) == (ds.axis_start, ds.axis_step, ds.unit_label)
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(2, 40), st.floats(1e-3, 1e3),
+       st.sampled_from(["Hz", "rad/s"]), st.integers(0, 2**32 - 1))
+def test_time_bridge_round_trip(n_o, n_i, n_k, step, unit, seed):
+    # a real signal's one-sided spectrum: real DC and Nyquist bins
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((n_o, n_i, n_k)) + 1j * rng.standard_normal((n_o, n_i, n_k))
+    data[..., [0, -1]] = data[..., [0, -1]].real
+    ds = ResponseDataset(data, Domain.FREQUENCY, 0.0, step, unit)
+    back = to_frequency(to_time(ds), unit)
+    assert back.domain is Domain.FREQUENCY and back.unit_label == unit
+    assert back.axis_start == 0.0 and abs(back.axis_step - step) <= 1e-14 * step
+    assert np.abs(back.data - ds.data).max() <= 1e-13 * np.abs(ds.data).max()
+
+
 # ---------------------------------------------------------- filter chains
 
 FULL = FixedRank(10**9)
@@ -243,9 +332,10 @@ selectors = st.one_of(st.builds(FixedRank, st.integers(0, 6)), st.just(E15()))
 
 
 @st.composite
-def chain_cases(draw):
+def chain_cases(draw, real_edges=False):
     """(dataset, working domain) pairs over both input domains and every
-    working domain; frequency inputs start at 0 so the time bridge applies."""
+    working domain; frequency inputs start at 0 so the time bridge applies,
+    and with ``real_edges`` have the real DC and Nyquist bins it keeps."""
     n_o, n_i = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     assume(n_o * n_i >= 2)
     n_k = 2 * draw(st.integers(3, 12))
@@ -254,6 +344,8 @@ def chain_cases(draw):
     domain = draw(st.sampled_from(list(Domain)))
     if domain is Domain.FREQUENCY:
         data = data + 1j * rng.standard_normal((n_o, n_i, n_k))
+        if real_edges:
+            data[..., [0, -1]] = data[..., [0, -1]].real
     working = draw(st.sampled_from([None, Domain.TIME, Domain.FREQUENCY]))
     return ResponseDataset(data, domain, 0.0, 0.5), working
 
@@ -289,3 +381,10 @@ def test_hp_with_full_prf_rank_is_hankel(case, hankel):
     ds, working = case
     assert_close(run_variant(ds, Variant.PRANK_HP, working, FULL, hankel),
                  run_variant(ds, Variant.HANKEL, working, FULL, hankel))
+
+
+@SETTINGS
+@given(chain_cases(real_edges=True), st.sampled_from(list(Variant)))
+def test_full_rank_filter_is_identity(case, variant):
+    ds, working = case
+    assert_close(run_variant(ds, variant, working, FULL, FULL), ds.data)

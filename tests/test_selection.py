@@ -11,8 +11,8 @@ from prank import (
     e15,
     mp_fit,
     mp_quantile_curve,
-    select_rank,
 )
+from prank.selection import evaluate
 
 SHAPE = (200, 200)
 
@@ -21,42 +21,42 @@ def complex_noise(rng, m, n, sigma=1.0):
     return sigma * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2)
 
 
-# ------------------------------------------------------------- select_rank
+# ------------------------------------------------------------- rank choice
 
 def test_relative_per_value_example():
     S = np.array([10.0, 5.0, 1.0, 0.1])
-    assert select_rank(S, (4, 4), RelativeThreshold(0.02)) == 3
+    assert evaluate(S, (4, 4), RelativeThreshold(0.02))[0] == 3
 
 
 def test_fixed_rank_clamps():
-    assert select_rank(np.array([10.0, 5.0, 1.0]), (3, 3), FixedRank(5)) == 3
-    assert select_rank(np.array([10.0, 5.0, 1.0]), (3, 3), FixedRank(0)) == 0
+    assert evaluate(np.array([10.0, 5.0, 1.0]), (3, 3), FixedRank(5))[0] == 3
+    assert evaluate(np.array([10.0, 5.0, 1.0]), (3, 3), FixedRank(0))[0] == 0
 
 
 def test_absolute_per_value_example():
     S = np.array([4.0, 3.0, 2.0, 1.0])
-    assert select_rank(S, (4, 4), AbsoluteThreshold(2.5)) == 2
+    assert evaluate(S, (4, 4), AbsoluteThreshold(2.5))[0] == 2
 
 
 def test_absolute_cumulative():
     S = np.array([4.0, 3.0, 2.0, 1.0])
     # tail sums: r=0 -> 10, r=1 -> 6, r=2 -> 3
-    assert select_rank(S, (4, 4), AbsoluteThreshold(3.5, ThresholdMode.CUMULATIVE)) == 2
-    assert select_rank(S, (4, 4), AbsoluteThreshold(10.0, ThresholdMode.CUMULATIVE)) == 0
-    assert select_rank(S, (4, 4), AbsoluteThreshold(0.5, ThresholdMode.CUMULATIVE)) == 4
+    assert evaluate(S, (4, 4), AbsoluteThreshold(3.5, ThresholdMode.CUMULATIVE))[0] == 2
+    assert evaluate(S, (4, 4), AbsoluteThreshold(10.0, ThresholdMode.CUMULATIVE))[0] == 0
+    assert evaluate(S, (4, 4), AbsoluteThreshold(0.5, ThresholdMode.CUMULATIVE))[0] == 4
 
 
 def test_relative_cumulative():
     S = np.array([4.0, 3.0, 2.0, 1.0])
     # tail fractions: 1.0, 0.6, 0.3, 0.1
-    assert select_rank(S, (4, 4), RelativeThreshold(0.3, ThresholdMode.CUMULATIVE)) == 2
-    assert select_rank(S, (4, 4), RelativeThreshold(0.05, ThresholdMode.CUMULATIVE)) == 4
+    assert evaluate(S, (4, 4), RelativeThreshold(0.3, ThresholdMode.CUMULATIVE))[0] == 2
+    assert evaluate(S, (4, 4), RelativeThreshold(0.05, ThresholdMode.CUMULATIVE))[0] == 4
 
 
 def test_zero_leading_singular_value():
     S = np.zeros(4)
-    assert select_rank(S, (4, 4), RelativeThreshold(0.5)) == 0
-    assert select_rank(S, (4, 4), RelativeThreshold(0.5, ThresholdMode.CUMULATIVE)) == 0
+    assert evaluate(S, (4, 4), RelativeThreshold(0.5))[0] == 0
+    assert evaluate(S, (4, 4), RelativeThreshold(0.5, ThresholdMode.CUMULATIVE))[0] == 0
 
 
 def test_selection_is_prefix():
@@ -67,7 +67,7 @@ def test_selection_is_prefix():
             AbsoluteThreshold(rng.uniform(0, 10)),
             RelativeThreshold(rng.uniform(0.01, 0.99)),
         ]:
-            r = select_rank(S, (12, 12), strategy)
+            r = evaluate(S, (12, 12), strategy)[0]
             if isinstance(strategy, AbsoluteThreshold):
                 sat = S > strategy.eps
             else:
@@ -78,7 +78,7 @@ def test_selection_is_prefix():
 
 def test_empty_vector_raises():
     with pytest.raises(EmptyError):
-        select_rank(np.zeros(0), (0, 0), FixedRank(1))
+        evaluate(np.zeros(0), (0, 0), FixedRank(1))
 
 
 def test_strategy_validation():

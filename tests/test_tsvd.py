@@ -6,7 +6,6 @@ from prank import (
     ConvergenceError,
     FixedRank,
     NonFiniteError,
-    RankError,
     WindowError,
     auto_window,
     dehankelize_ssa,
@@ -14,8 +13,6 @@ from prank import (
     hankel_tsvd_series,
     hankelize,
     svd,
-    truncate,
-    truncate_cleaned,
 )
 from prank.selection import evaluate
 
@@ -85,61 +82,35 @@ def test_svd_rejects_nonfinite():
         svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
-# ------------------------------------------------------------------- truncate
+# ----------------------------------------------------------- truncation
 
 def test_truncate_full_rank_reproduces():
     rng = np.random.default_rng(3)
     A = random_complex(rng, (7, 5))
-    f = svd(A)
-    assert np.linalg.norm(truncate(f, 5) - A) <= 1e-12 * np.linalg.norm(A)
+    for M in (A, A.T):  # either side's Gram matrix
+        filtered, _, rank, model = gram_tsvd(M, FixedRank(5))
+        assert rank == 5 and model is None
+        assert np.linalg.norm(filtered - M) <= 1e-12 * np.linalg.norm(M)
 
 
 def test_truncate_zero_rank():
-    f = svd(np.diag([3.0, 2.0, 1.0]))
-    assert np.array_equal(truncate(f, 0), np.zeros((3, 3)))
+    filtered, _, rank, _ = gram_tsvd(np.diag([3.0, 2.0, 1.0]), FixedRank(0))
+    assert rank == 0
+    assert np.array_equal(filtered, np.zeros((3, 3)))
 
 
 def test_truncate_rank_one_of_diagonal():
-    f = svd(np.diag([3.0, 2.0, 1.0]))
-    assert np.allclose(truncate(f, 1), np.diag([3.0, 0.0, 0.0]), atol=1e-12)
-
-
-def test_truncate_rank_error():
-    f = svd(np.eye(3))
-    with pytest.raises(RankError):
-        truncate(f, 4)
-    with pytest.raises(RankError):
-        truncate(f, -1)
-
-
-def test_truncate_invariant_under_phase_rotation():
-    rng = np.random.default_rng(4)
-    A = random_complex(rng, (6, 6))
-    f = svd(A)
-    r = 3
-    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=6))
-    rotated = (f.U * phases)[:, :r] @ np.diag(f.S[:r]) @ ((f.V * phases)[:, :r]).conj().T
-    assert np.allclose(rotated, truncate(f, r), atol=1e-12 * f.S[0])
+    filtered, S, _, _ = gram_tsvd(np.diag([3.0, 2.0, 1.0]), FixedRank(1))
+    assert np.allclose(S, [3.0, 2.0, 1.0], atol=1e-12)
+    assert np.allclose(filtered, np.diag([3.0, 0.0, 0.0]), atol=1e-12)
 
 
 def test_eckart_young_monotonicity():
     rng = np.random.default_rng(5)
     A = random_complex(rng, (8, 6))
     f = svd(A)
-    errors = [np.linalg.norm(A - truncate(f, r)) for r in range(7)]
+    errors = [np.linalg.norm(A - (f.U[:, :r] * f.S[:r]) @ f.V[:, :r].conj().T) for r in range(7)]
     assert all(errors[r] >= errors[r + 1] - 1e-12 for r in range(6))
-
-
-def test_truncate_cleaned():
-    f = svd(np.diag([3.0, 2.0, 1.0]))
-    assert np.allclose(truncate_cleaned(f, 2, f.S[:2]), truncate(f, 2), atol=1e-14)
-    assert np.array_equal(truncate_cleaned(f, 2, np.zeros(2)), np.zeros((3, 3)))
-    out = truncate_cleaned(f, 2, np.array([2.9, 1.8]))
-    assert np.allclose(out, np.diag([2.9, 1.8, 0.0]), atol=1e-12)
-    with pytest.raises(RankError):
-        truncate_cleaned(f, 2, np.ones(3))
-    with pytest.raises(ValueError):
-        truncate_cleaned(f, 2, np.array([1.0, -0.1]))
 
 
 # ------------------------------------------------------------------- hankel
