@@ -50,6 +50,8 @@ class ChainSystem:
         if np.any(m <= 0) or np.any(k <= 0) or np.any(d < 0):
             raise ValueError("need masses > 0, springs > 0, dampers >= 0")
         for name, arr in (("masses", m), ("dampers", d), ("springs", k)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

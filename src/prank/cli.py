@@ -262,9 +262,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _NUMERIC_ERRORS
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _NUMERIC_ERRORS
 
 
 if __name__ == "__main__":

@@ -34,10 +34,12 @@ def _is_angular(unit_label: str) -> bool:
 
 @dataclass(frozen=True)
 class ResponseDataset:
-    """Immutable (n_o, n_i, n_k) complex response dataset.
+    """Immutable (n_o, n_i, n_k) response dataset.
 
     Axis bin k maps to ``axis_start + k * axis_step`` in the unit given by
-    ``unit_label``.  Time-domain data must be exactly real.
+    ``unit_label``.  Frequency-domain data are stored as complex128,
+    time-domain data as float64: complex time input is accepted only when
+    its imaginary part is exactly zero, and is stored real.
     """
 
     data: np.ndarray
@@ -47,7 +49,7 @@ class ResponseDataset:
     unit_label: str = "Hz"
 
     def __post_init__(self):
-        data = np.ascontiguousarray(self.data, dtype=np.complex128)
+        data = np.asarray(self.data)
         if data.ndim != 3:
             raise DimensionMismatch(f"expected 3-D data, got ndim={data.ndim}")
         n_o, n_i, n_k = data.shape
@@ -55,8 +57,12 @@ class ResponseDataset:
             raise DimensionMismatch(f"invalid shape {data.shape}: need n_o,n_i >= 1 and n_k >= 2")
         if not self.axis_step > 0:
             raise AxisError(f"axis_step must be positive, got {self.axis_step}")
-        if self.domain is Domain.TIME and np.any(data.imag != 0.0):
-            raise DomainError("time-domain data must have exactly zero imaginary part")
+        if self.domain is Domain.TIME:
+            if np.iscomplexobj(data) and np.any(data.imag != 0.0):
+                raise DomainError("time-domain data must have exactly zero imaginary part")
+            data = np.ascontiguousarray(data.real, dtype=np.float64)
+        else:
+            data = np.ascontiguousarray(data, dtype=np.complex128)
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
 
@@ -76,15 +82,9 @@ class ResponseDataset:
     def axis(self) -> np.ndarray:
         return self.axis_start + self.axis_step * np.arange(self.n_bins)
 
-    def with_data(self, data: np.ndarray, domain: Domain | None = None) -> "ResponseDataset":
-        """Same axis metadata, new values (and optionally a new domain tag)."""
-        return ResponseDataset(
-            data,
-            self.domain if domain is None else domain,
-            self.axis_start,
-            self.axis_step,
-            self.unit_label,
-        )
+    def with_data(self, data: np.ndarray) -> "ResponseDataset":
+        """Same domain and axis metadata, new values."""
+        return ResponseDataset(data, self.domain, self.axis_start, self.axis_step, self.unit_label)
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ def to_time(ds: ResponseDataset) -> ResponseDataset:
 
 
 def _irfft_real_edges(spectrum: np.ndarray, n_samples: int) -> np.ndarray:
-    """Length-``n_samples`` real signals (complex128) of one-sided spectra.
+    """Length-``n_samples`` real signals (float64) of one-sided spectra.
 
     Transforms along the last axis after forcing the imaginary parts of the
     DC and Nyquist bins to zero, which a real signal's spectrum has.
@@ -152,7 +152,7 @@ def _irfft_real_edges(spectrum: np.ndarray, n_samples: int) -> np.ndarray:
     spectrum = np.array(spectrum)
     spectrum[..., 0] = spectrum[..., 0].real
     spectrum[..., -1] = spectrum[..., -1].real
-    return np.fft.irfft(spectrum, n=n_samples, axis=-1).astype(np.complex128)
+    return np.fft.irfft(spectrum, n=n_samples, axis=-1)
 
 
 def to_frequency(ds: ResponseDataset, unit_label: str = "Hz") -> ResponseDataset:
@@ -167,7 +167,7 @@ def to_frequency(ds: ResponseDataset, unit_label: str = "Hz") -> ResponseDataset
     n_samples = ds.n_bins
     if n_samples % 2 != 0:
         raise LengthError(f"time record length must be even, got {n_samples}")
-    spectrum = np.fft.rfft(ds.data.real, axis=-1)
+    spectrum = np.fft.rfft(ds.data, axis=-1)
     full_span = 1.0 / ds.axis_step
     if _is_angular(unit_label):
         df = 2.0 * np.pi * full_span / n_samples

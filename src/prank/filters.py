@@ -36,10 +36,10 @@ from .dataset import (
     to_time,
     unflatten,
 )
-from .errors import ConvergenceError, DomainError, ShapeError
+from .errors import DomainError, ShapeError
 from .report import FilterReport, StageRecord
 from .selection import E15, SelectionStrategy, evaluate
-from .tsvd import _finite, hankel_tsvd_series, svd
+from .tsvd import hankel_tsvd_series, svd
 
 
 class Variant(Enum):
@@ -67,15 +67,13 @@ def _working(ds: ResponseDataset, domain: Optional[Domain]):
 
     Returns (working_dataset, restore) where restore maps a filtered 3-D
     array in the working domain back to a dataset with the original domain
-    tag and axis metadata.  Time-domain arrays are realized (the imaginary
-    numerical dust of a real-valued reconstruction is dropped).
+    tag and axis metadata.  Time-domain datasets hold float64, so every
+    stage on them runs on real arrays and returns real arrays.
     """
     if domain is None or domain == ds.domain:
-        if ds.domain is Domain.TIME:
-            return ds, lambda data: ds.with_data(np.asarray(data).real.astype(np.complex128))
-        return ds, lambda data: ds.with_data(data)
+        return ds, ds.with_data
     if ds.domain is Domain.FREQUENCY and domain is Domain.TIME:
-        return to_time(ds), lambda data: ds.with_data(np.fft.rfft(np.asarray(data).real, axis=-1))
+        return to_time(ds), lambda data: ds.with_data(np.fft.rfft(data, axis=-1))
     return to_frequency(ds), lambda data: ds.with_data(_irfft_real_edges(data, ds.n_bins))
 
 
@@ -94,22 +92,18 @@ def classic_tsvd(ds: ResponseDataset, selector: SelectionStrategy):
     if n_o < 2 and n_i < 2:
         raise ShapeError("per-line filtering needs at least 2 outputs or 2 inputs")
     t0 = time.perf_counter()
-    slices = _finite(ds.data).transpose(2, 0, 1)
-    try:
-        U, S, Vh = np.linalg.svd(slices, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(str(exc)) from exc
+    f = svd(ds.data.transpose(2, 0, 1))
     shape = (n_o, n_i)
-    ranks, model = evaluate(S, shape, selector)
+    ranks, model = evaluate(f.S, shape, selector)
     if model is not None:
         W = model.cleaned_s
     else:
-        W = np.where(np.arange(S.shape[1]) < ranks[:, None], S, 0.0)
-    out = (U * W[:, None, :]) @ Vh
+        W = np.where(np.arange(f.S.shape[1]) < ranks[:, None], f.S, 0.0)
+    out = (f.U * W[:, None, :]) @ np.swapaxes(f.V, 1, 2).conj()
     record = StageRecord(
         name="classic",
         shape=shape,
-        singular_values=S.mean(axis=0),
+        singular_values=f.S.mean(axis=0),
         rank=int(ranks.max()),
         seconds=time.perf_counter() - t0,
         extras={
@@ -138,12 +132,11 @@ def _unfolded(ds: ResponseDataset, selector: SelectionStrategy, domain: Optional
     t0 = time.perf_counter()
     work, restore = _working(ds, domain)
     flat = flatten(work)
-    # exactly-real time data runs through the ~3x faster real SVD path
-    mat = flat.matrix.real if flat.domain is Domain.TIME else flat.matrix
+    shape = flat.matrix.shape
     t_prf = time.perf_counter()
-    f = svd(mat)
-    rank, model = evaluate(f.S, mat.shape, selector)
-    report = FilterReport([StageRecord("prf", mat.shape, f.S, rank, model, time.perf_counter() - t_prf)])
+    f = svd(flat.matrix)
+    rank, model = evaluate(f.S, shape, selector)
+    report = FilterReport([StageRecord("prf", shape, f.S, rank, model, time.perf_counter() - t_prf)])
     if rank == 0:
         report.flags.append("prf_rank_zero")
     U_r = f.U[:, :rank]
@@ -200,9 +193,8 @@ def hankel_filter_dataset(
         raise ShapeError("Hankel filtering needs at least 4 spectral lines")
     t0 = time.perf_counter()
     work, restore = _working(ds, domain)
-    arr = work.data.real if work.domain is Domain.TIME else work.data
-    out, record = _hankel_rows(arr.reshape(-1, arr.shape[-1]), selector, window, "hankel")
-    return restore(out.reshape(arr.shape)), FilterReport([record], time.perf_counter() - t0)
+    out, record = _hankel_rows(work.data.reshape(-1, work.n_bins), selector, window, "hankel")
+    return restore(out.reshape(work.data.shape)), FilterReport([record], time.perf_counter() - t0)
 
 
 def prank_ph(ds: ResponseDataset, cfg: PrankConfig):

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Domain, ResponseDataset, _atomic_write
-from .errors import DomainError, ShapeMismatch
+from .errors import DomainError, NonFiniteError, ShapeMismatch
+from .tsvd import svd
 
 
 @dataclass(frozen=True)
@@ -19,10 +20,7 @@ class CoherenceReport:
 
 def coh(x: complex, y: complex) -> float:
     """|x + y|^2 / (2(|x|^2 + |y|^2)) in [0, 1]; two zeros agree (1.0)."""
-    den = 2.0 * (abs(x) ** 2 + abs(y) ** 2)
-    if den == 0.0:
-        return 1.0
-    return abs(x + y) ** 2 / den
+    return float(_coh_field(x, y))
 
 
 def _coh_field(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -32,13 +30,18 @@ def _coh_field(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def consist(ref: ResponseDataset, other: ResponseDataset) -> CoherenceReport:
-    """Mean per-(o, i, k) coherence plus per-entry and per-bin marginals."""
+    """Mean per-(o, i, k) coherence plus per-entry and per-bin marginals.
+
+    NaN or infinite entries raise NonFiniteError.
+    """
     if ref.data.shape != other.data.shape:
         raise ShapeMismatch(f"shape {other.data.shape} != reference {ref.data.shape}")
     if ref.domain is not other.domain:
         raise ShapeMismatch("datasets live in different spectral domains")
     if ref.axis_start != other.axis_start or ref.axis_step != other.axis_step:
         raise ShapeMismatch("datasets have different spectral axes")
+    if not (np.all(np.isfinite(ref.data)) and np.all(np.isfinite(other.data))):
+        raise NonFiniteError("coherence needs finite data in both datasets")
     field = _coh_field(ref.data, other.data)
     return CoherenceReport(float(field.mean()), field.mean(axis=2), field.mean(axis=(0, 1)))
 
@@ -46,11 +49,12 @@ def consist(ref: ResponseDataset, other: ResponseDataset) -> CoherenceReport:
 def cmif(ds: ResponseDataset) -> np.ndarray:
     """Singular values of the n_o x n_i slice per frequency line.
 
-    Returns an (n_k, min(n_o, n_i)) array, nonincreasing along each row.
+    Returns an (n_k, min(n_o, n_i)) array, nonincreasing along each row,
+    from one stacked ``tsvd.svd``; NaN or infinite data raise NonFiniteError.
     """
     if ds.domain is not Domain.FREQUENCY:
         raise DomainError("CMIF is defined on frequency-domain data")
-    return np.linalg.svd(ds.data.transpose(2, 0, 1), compute_uv=False)
+    return svd(ds.data.transpose(2, 0, 1)).S
 
 
 def zero_locations(ds: ResponseDataset, o: int, i: int, prominence: float = 0.9) -> np.ndarray:

@@ -39,23 +39,24 @@ class HankelMatrix:
 
 
 def svd(A: np.ndarray) -> SVDFactorization:
-    """Economy SVD, deterministic up to the backend for a fixed input.
+    """Economy SVD of a matrix or of a stack (..., m, n), deterministic up to
+    the backend for a fixed input; each matrix of a stack factors as alone.
 
     Each left vector is phase-rotated so its largest-magnitude entry is real
     and positive; the matching right vector gets the same rotation, leaving
-    the product U diag(S) V^H unchanged.
+    the product U diag(S) V^H unchanged.  NaN or infinite entries raise
+    NonFiniteError, a backend failure ConvergenceError.
     """
     A = _finite(A)
     try:
         U, S, Vh = np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(str(exc)) from exc
-    V = Vh.conj().T
-    idx = np.argmax(np.abs(U), axis=0)
-    pivots = U[idx, np.arange(U.shape[1])]
-    mags = np.abs(pivots)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rot = np.where(mags > 0, np.conj(pivots) / np.where(mags > 0, mags, 1.0), 1.0)
+    V = np.swapaxes(Vh.conj(), -1, -2)
+    idx = np.argmax(np.abs(U), axis=-2)[..., None, :]
+    pivots = np.take_along_axis(U, idx, axis=-2)
+    # orthonormal columns: every pivot has magnitude >= 1/sqrt(m) > 0
+    rot = np.conj(pivots) / np.abs(pivots)
     U = U * rot
     V = V * rot
     return SVDFactorization(U, S, V)

@@ -52,6 +52,16 @@ def test_chain_validation():
         ChainSystem(np.array([1.0, -1.0]), np.ones(2), np.ones(2), Boundary.FIXED_FREE)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["masses", "dampers", "springs"])
+def test_chain_rejects_nonfinite_parameters(name, bad):
+    # NaN compares False against every bound, so it needs its own check
+    params = {"masses": np.ones(3), "dampers": np.ones(3), "springs": np.ones(3)}
+    params[name][1] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ChainSystem(**params)
+
+
 # -------------------------------------------------------------------- eigen
 
 def test_eigen_matches_analytic_chain_frequencies():

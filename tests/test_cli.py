@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -171,6 +172,19 @@ def test_convert_csv_export(tmp_path):
     assert len(list(csv_dir.glob("*.csv"))) == 16
 
 
+def test_convert_csv_export_of_time_dataset_is_unchanged(tmp_path):
+    # the hash pins the bytes written when time data were held as complex128
+    # (imag column 0.0, phase pi for negative values and -0.0)
+    values = np.array([0.0, -0.0, 1.5, -2.25, 1e-300, -3.0e10, 0.1, 7.0, -1e-7, 2.0**-1074, 123.456, -0.5])
+    src = tmp_path / "t.prnk"
+    write_dataset(prank.ResponseDataset(values.reshape(2, 1, 6), Domain.TIME, 0.0, 0.25, "s"), src)
+    assert run(["convert", str(src), "--csv-dir", str(tmp_path / "csv")]) == 0
+    digest = hashlib.sha256()
+    for path in sorted((tmp_path / "csv").glob("*.csv")):
+        digest.update(path.name.encode() + path.read_bytes())
+    assert digest.hexdigest() == "a3246a8a0d1666c0da5ad9fcbb53801a8c579be5ab6179c6b6f8013afbf9c590"
+
+
 def test_convert_needs_destination(tmp_path):
     src = synth_small(tmp_path)
     assert run(["convert", str(src)]) == 2
@@ -207,6 +221,29 @@ def test_nonfinite_data_is_numeric_error_classic(tmp_path, capsys):
     bad = nan_dataset(tmp_path)
     assert run(["filter", str(bad), "--variant", "classic", "-o", str(tmp_path / "x.prnk")]) == 1
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [[], ["--cmif"]])
+def test_metrics_nonfinite_test_file_is_numeric_error(tmp_path, capsys, extra):
+    src = synth_small(tmp_path)
+    bad = nan_dataset(tmp_path)
+    assert run(["metrics", "--ref", str(src), "--test", str(bad)] + extra) == 1
+    captured = capsys.readouterr()
+    assert "finite" in captured.err and "overall_coherence" not in captured.out
+
+
+@pytest.mark.parametrize("flag,value,method", [
+    ("--mass", "nan", "modal"),
+    ("--mass", "nan", "direct"),
+    ("--stiff", "inf", "direct"),
+    ("--damp", "nan", "modal"),
+])
+def test_synth_nonfinite_parameter_is_usage_error(tmp_path, capsys, flag, value, method):
+    out = tmp_path / "x.prnk"
+    args = ["synth", "--fmax", "2.0", "--df", "0.02", flag, value, "--method", method, "-o", str(out)]
+    assert run(args) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_usage_error_exit_code():

@@ -43,6 +43,48 @@ def test_time_domain_must_be_exactly_real():
     assert np.all(ds.data.imag == 0.0)
 
 
+def test_time_domain_data_is_stored_as_float64():
+    values = np.arange(8.0).reshape(1, 2, 4)
+    for given in (values, values.astype(complex), values.astype(np.float32), values.astype(int)):
+        ds = ResponseDataset(given, Domain.TIME)
+        assert ds.data.dtype == np.float64 and ds.data.flags.c_contiguous
+        assert np.array_equal(ds.data, values)
+    assert make_ds(np.ones((1, 1, 4))).data.dtype == np.complex128
+
+
+def test_time_domain_complex_with_zero_imaginary_part_is_stored_real():
+    data = np.array([[[1.0 + 0.0j, -2.5 - 0.0j, 0.0 + 0.0j, 3e-300 + 0.0j]]])
+    ds = ResponseDataset(data, Domain.TIME)
+    assert not np.iscomplexobj(ds.data)
+    assert np.array_equal(ds.data, data.real)
+    with pytest.raises(DomainError):
+        ResponseDataset(data + complex(0.0, np.nan), Domain.TIME)
+
+
+def test_time_domain_stays_float64_through_bridge_flatten_and_io(tmp_path):
+    rng = np.random.default_rng(8)
+    spec = rng.standard_normal((2, 3, 9)) + 1j * rng.standard_normal((2, 3, 9))
+    t = to_time(make_ds(spec))
+    assert t.data.dtype == np.float64
+    back = unflatten(flatten(t), 2, 3)
+    assert back.data.dtype == np.float64 and np.array_equal(back.data, t.data)
+    assert to_time(to_frequency(t)).data.dtype == np.float64
+    path = tmp_path / "t.prnk"
+    write_dataset(t, path)
+    read = read_dataset(path)
+    assert read.domain is Domain.TIME and read.data.dtype == np.float64
+    assert np.array_equal(read.data, t.data)
+
+
+def test_time_domain_file_keeps_the_complex_byte_layout(tmp_path):
+    # the .prnk payload is complex in both domains: time values go out as (value, +0.0)
+    values = np.array([[[1.5, -0.0, -2.0, 4e-310]]])
+    path = tmp_path / "t.prnk"
+    write_dataset(ResponseDataset(values, Domain.TIME), path)
+    payload = path.read_bytes()[-values.size * 16:]
+    assert payload == values.astype("<c16").tobytes()
+
+
 def test_data_is_immutable():
     ds = make_ds(np.ones((1, 1, 4)))
     with pytest.raises(ValueError):

@@ -285,6 +285,15 @@ def test_full_rank_idempotence_every_variant(clean_bench, variant):
     assert rel_err(out, clean_bench) <= 1e-10
 
 
+@pytest.mark.parametrize("domain", [Domain.TIME, Domain.FREQUENCY])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_time_domain_input_gives_float64_output(noisy_bench, variant, domain):
+    ds = to_time(noisy_bench)
+    cfg = PrankConfig(variant=variant, domain=domain, prf_selector=FixedRank(6), hankel_selector=FixedRank(8))
+    out, _ = apply_filter(ds, cfg)
+    assert out.domain is Domain.TIME and out.data.dtype == np.float64
+
+
 def test_apply_filter_rejects_unknown_variant(noisy_bench):
     # the variant's value string is not a Variant
     with pytest.raises(ValueError, match="unknown variant"):

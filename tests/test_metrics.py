@@ -5,6 +5,7 @@ from prank import (
     ChainSystem,
     Domain,
     DomainError,
+    NonFiniteError,
     ResponseDataset,
     ShapeMismatch,
     cmif,
@@ -82,6 +83,18 @@ def test_consist_continuity_under_shrinking_perturbation():
     assert last >= 1.0 - 1e-9
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_consist_rejects_nonfinite(bad):
+    # NaN fails _coh_field's den > 0 test, which would score it as a perfect match
+    ds = make_ds(np.ones((2, 2, 6)))
+    data = np.array(ds.data)
+    data[1, 0, 4] = bad
+    with pytest.raises(NonFiniteError):
+        consist(ds, ds.with_data(data))
+    with pytest.raises(NonFiniteError):
+        consist(ds.with_data(data), ds)
+
+
 def test_consist_shape_mismatch():
     a = make_ds(np.ones((2, 2, 4)))
     with pytest.raises(ShapeMismatch):
@@ -129,6 +142,13 @@ def test_cmif_columns_nonincreasing():
     ds = make_ds(rng.standard_normal((4, 4, 12)) + 1j * rng.standard_normal((4, 4, 12)))
     curves = cmif(ds)
     assert np.all(np.diff(curves, axis=1) <= 1e-12)
+
+
+def test_cmif_rejects_nonfinite():
+    data = np.ones((2, 3, 5), dtype=complex)
+    data[0, 2, 3] = np.nan
+    with pytest.raises(NonFiniteError):
+        cmif(make_ds(data))
 
 
 def test_cmif_rejects_time_domain():

@@ -82,6 +82,23 @@ def test_svd_rejects_nonfinite():
         svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("shape", [(5, 4, 3), (2, 3, 3, 6)])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_svd_stack_equals_each_matrix(shape, kind):
+    # one stacked call factors every matrix exactly as a call on it alone,
+    # sign convention included
+    rng = np.random.default_rng(4)
+    A = random_complex(rng, shape) if kind == "complex" else rng.standard_normal(shape)
+    f = svd(A)
+    p = min(shape[-2:])
+    assert f.U.shape == shape[:-1] + (p,) and f.V.shape == shape[:-2] + (shape[-1], p)
+    for k in np.ndindex(shape[:-2]):
+        g = svd(A[k])
+        assert np.array_equal(f.U[k], g.U)
+        assert np.array_equal(f.S[k], g.S)
+        assert np.array_equal(f.V[k], g.V)
+
+
 # ----------------------------------------------------------- truncation
 
 def test_truncate_full_rank_reproduces():
