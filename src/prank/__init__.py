@@ -21,7 +21,6 @@ from .benchmark import (
 )
 from .dataset import (
     Domain,
-    FlatDataset,
     ResponseDataset,
     export_all_csv,
     export_csv,
@@ -72,7 +71,6 @@ from .selection import (
     mp_quantile_curve,
 )
 from .tsvd import (
-    HankelMatrix,
     SVDFactorization,
     auto_window,
     dehankelize_ssa,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -39,7 +39,8 @@ class ResponseDataset:
     Axis bin k maps to ``axis_start + k * axis_step`` in the unit given by
     ``unit_label``.  Frequency-domain data are stored as complex128,
     time-domain data as float64: complex time input is accepted only when
-    its imaginary part is exactly zero, and is stored real.
+    its imaginary part is exactly zero, and is stored real.  The stored
+    array is read-only and never the caller's own, which stays writeable.
     """
 
     data: np.ndarray
@@ -63,6 +64,8 @@ class ResponseDataset:
             data = np.ascontiguousarray(data.real, dtype=np.float64)
         else:
             data = np.ascontiguousarray(data, dtype=np.complex128)
+        if np.may_share_memory(data, self.data):
+            data = data.copy()
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
 
@@ -87,38 +90,21 @@ class ResponseDataset:
         return ResponseDataset(data, self.domain, self.axis_start, self.axis_step, self.unit_label)
 
 
-@dataclass(frozen=True)
-class FlatDataset:
-    """Spectrally-unfolded 2-D view: n_k rows, one column per (o, i) entry.
-
-    Column j holds entry (o, i) with o = j % n_o and i = j // n_o, so the
-    output index varies fastest along the columns.
-    """
-
-    matrix: np.ndarray
-    n_outputs: int
-    n_inputs: int
-    domain: Domain
-    axis_start: float
-    axis_step: float
-    unit_label: str = field(default="Hz")
-
-
-def flatten(ds: ResponseDataset) -> FlatDataset:
-    """Unfold (n_o, n_i, n_k) data into an n_k x (n_o*n_i) matrix."""
+def flatten(ds: ResponseDataset) -> np.ndarray:
+    """Unfold (n_o, n_i, n_k) data into an n_k x (n_o*n_i) array whose
+    column j holds entry (o, i) = (j % n_o, j // n_o): output index fastest."""
     n_o, n_i, n_k = ds.data.shape
     # transpose to (k, i, o); C-order reshape gives column index j = i*n_o + o
-    matrix = ds.data.transpose(2, 1, 0).reshape(n_k, n_o * n_i)
-    return FlatDataset(matrix, n_o, n_i, ds.domain, ds.axis_start, ds.axis_step, ds.unit_label)
+    return ds.data.transpose(2, 1, 0).reshape(n_k, n_o * n_i)
 
 
-def unflatten(flat: FlatDataset, n_o: int, n_i: int) -> ResponseDataset:
-    """Rebuild the 3-D dataset from a flattened matrix; exact inverse of flatten."""
-    n_k, n_cols = flat.matrix.shape
+def unflatten(matrix: np.ndarray, n_o: int, n_i: int) -> np.ndarray:
+    """The (n_o, n_i, n_k) array of an n_k x (n_o*n_i) matrix, the exact
+    inverse of ``flatten``; other column counts raise DimensionMismatch."""
+    n_k, n_cols = matrix.shape
     if n_cols != n_o * n_i:
         raise DimensionMismatch(f"matrix has {n_cols} columns, expected n_o*n_i = {n_o * n_i}")
-    data = flat.matrix.reshape(n_k, n_i, n_o).transpose(2, 1, 0)
-    return ResponseDataset(data, flat.domain, flat.axis_start, flat.axis_step, flat.unit_label)
+    return matrix.reshape(n_k, n_i, n_o).transpose(2, 1, 0)
 
 
 def to_time(ds: ResponseDataset) -> ResponseDataset:
@@ -217,7 +203,10 @@ def read_dataset(path) -> ResponseDataset:
     offset = 8 + head_size
     if len(blob) < offset + label_len:
         raise FormatError(f"truncated unit label at byte {len(blob)}")
-    label = blob[offset : offset + label_len].decode("utf-8")
+    try:
+        label = blob[offset : offset + label_len].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"unit label is not UTF-8 at byte {offset + exc.start}") from exc
     offset += label_len
     count = n_o * n_i * n_k
     expected = offset + count * 16

@@ -131,12 +131,11 @@ def _unfolded(ds: ResponseDataset, selector: SelectionStrategy, domain: Optional
         raise ShapeError("unfolded filtering needs at least 2 spatial entries")
     t0 = time.perf_counter()
     work, restore = _working(ds, domain)
-    flat = flatten(work)
-    shape = flat.matrix.shape
+    matrix = flatten(work)
     t_prf = time.perf_counter()
-    f = svd(flat.matrix)
-    rank, model = evaluate(f.S, shape, selector)
-    report = FilterReport([StageRecord("prf", shape, f.S, rank, model, time.perf_counter() - t_prf)])
+    f = svd(matrix)
+    rank, model = evaluate(f.S, matrix.shape, selector)
+    report = FilterReport([StageRecord("prf", matrix.shape, f.S, rank, model, time.perf_counter() - t_prf)])
     if rank == 0:
         report.flags.append("prf_rank_zero")
     U_r = f.U[:, :rank]
@@ -147,7 +146,7 @@ def _unfolded(ds: ResponseDataset, selector: SelectionStrategy, domain: Optional
         report.stages.append(record)
     s_used = model.cleaned_s if model is not None else f.S[:rank]
     filtered = (U_r * s_used) @ f.V[:, :rank].conj().T
-    result = restore(unflatten(replace(flat, matrix=filtered), n_o, n_i).data)
+    result = restore(unflatten(filtered, n_o, n_i))
     report.total_seconds = time.perf_counter() - t0
     return result, report, prfs
 
@@ -157,16 +156,18 @@ def _hankel_rows(rows: np.ndarray, selector: SelectionStrategy, window: Optional
 
     Returns (filtered rows, StageRecord).  The record keeps the first row's
     shape, spectrum and e15 model, the largest rank and every row's rank;
-    no rows (PRF rank 0) give an empty record.
+    no rows (PRF rank 0) give an empty record.  Later rows' records are
+    dropped once their rank is read.
     """
     t0 = time.perf_counter()
     out = np.empty_like(rows)
-    records = []
+    first = StageRecord(name, (0, 0), np.zeros(0), 0)
+    ranks = []
     for j, row in enumerate(rows):
         out[j], rec = hankel_tsvd_series(row, window, selector)
-        records.append(rec)
-    ranks = [rec.rank for rec in records]
-    first = records[0] if records else StageRecord(name, (0, 0), np.zeros(0), 0)
+        ranks.append(rec.rank)
+        if j == 0:
+            first = rec
     seconds = time.perf_counter() - t0
     extras = {"svd_calls": len(ranks), "ranks": ranks}
     return out, replace(first, name=name, rank=max(ranks, default=0), seconds=seconds, extras=extras)

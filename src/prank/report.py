@@ -20,9 +20,10 @@ class StageRecord:
     stages take it from the eigenvalues of the Gram matrix (``tsvd.gram_tsvd``):
     values below about 1.5e-8 of the largest are rounding noise there.  For
     stages that factor many matrices (per-entry or per-column Hankel passes)
-    ``singular_values`` holds the first processed spectrum as a
-    representative curve and ``extras`` carries the per-call ranks and the
-    factorization count as ``svd_calls``.  ``seconds`` covers the stage's
+    ``singular_values`` and ``model`` come from the first call, as a
+    representative, and ``extras`` carries the per-call ranks and the
+    factorization count as ``svd_calls``.  ``model.tail_misfit`` is the
+    ``e15_tail_misfit`` of ``to_text``.  ``seconds`` covers the stage's
     own work: the SVD and rank selection of a PRF stage, every per-row
     Hankel call of a Hankel stage; domain bridges and the PRF rebuild count
     only toward ``FilterReport.total_seconds``.
@@ -62,26 +63,11 @@ class FilterReport:
             if rec.model is not None:
                 lines.append(f"  e15_sigma_n: {rec.model.sigma_n:.6e}")
                 lines.append(f"  e15_corr: {rec.model.corr}")
-                misfit = _tail_misfit(rec.singular_values, rec.model.mp_curve)
-                if misfit is not None:
-                    # residual error of the noise-floor fit over its tail;
-                    # large values mean the MP shape poorly matches this stage
-                    lines.append(f"  e15_tail_misfit: {misfit:.4f}")
+                if not np.isnan(rec.model.tail_misfit):
+                    lines.append(f"  e15_tail_misfit: {rec.model.tail_misfit:.4f}")
             for key, value in sorted(rec.extras.items()):
                 lines.append(f"  {key}: {value}")
         return "\n".join(lines) + "\n"
-
-
-def _tail_misfit(singular_values, mp_curve):
-    S = np.asarray(singular_values, dtype=float)
-    tail = np.arange(len(S) // 2, len(S))
-    tail = tail[S[tail] > 0]
-    if tail.size == 0:
-        return None
-    norm = float(np.linalg.norm(S[tail]))
-    if norm == 0.0:
-        return None
-    return float(np.linalg.norm(S[tail] - np.asarray(mp_curve)[tail]) / norm)
 
 
 def write_report(report: FilterReport, prefix) -> list:

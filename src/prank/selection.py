@@ -88,6 +88,9 @@ class E15Model:
     ``cleaned_s`` has length ``rank``.  For a stack of n spectra every field
     gains a leading axis of length n, and ``cleaned_s`` is (n, p) with zeros
     beyond each row's rank.
+
+    ``tail_misfit`` is ||S - mp_curve|| / ||S|| over the fitted tail (zeros
+    excluded), NaN for an all-zero tail; large means a poor MP fit.
     """
 
     sigma_n: float
@@ -96,11 +99,12 @@ class E15Model:
     cleanliness: np.ndarray
     rank: int
     cleaned_s: np.ndarray
+    tail_misfit: float
 
 
-@lru_cache(maxsize=128)
 def _unit_quantiles(m: int, n_eff: int):
-    """Quantile grid of the MP singular-value law for a unit-variance matrix.
+    """Quantile grid of the MP singular-value law for a unit-variance matrix,
+    uncached: ``_unit_curve``, its one caller, caches what it reads off.
 
     Returns (lam_grid, cdf_grid, M, N) on lam = lam- + (lam+ - lam-)(1 - cos t)/2
     for _PANELS + 1 equal steps of t in [0, pi], where beta = N/M and
@@ -170,7 +174,7 @@ def _corr_grid_curves(m: int, n: int) -> np.ndarray:
 
 
 def _fit(S: np.ndarray, shape: tuple, tail_fraction: float) -> tuple:
-    """Noise fit of every row of S (n, p): arrays (sigma_n, corr, mp_curve).
+    """Noise fit of every row of S (n, p): arrays (sigma_n, corr, mp_curve, tail_misfit).
 
     Fits all corr candidates of all rows in one pass.  Excluded tail values
     (exact zeros) enter the sums as zeros, so each row's sums run over its
@@ -195,7 +199,11 @@ def _fit(S: np.ndarray, shape: tuple, tail_fraction: float) -> tuple:
     fitted = denom[rows, best] > 0.0
     sigma = np.where(fitted, sigma[rows, best], 0.0)
     corr = np.where(fitted, np.asarray(CORR_GRID)[best], 1.0)
-    return sigma, corr, sigma[:, None] * units[best]
+    curve = sigma[:, None] * units[best]
+    resid = np.where(keep, S[:, start:] - curve[:, start:], 0.0)
+    with np.errstate(invalid="ignore"):
+        misfit = np.linalg.norm(resid, axis=-1) / np.linalg.norm(tail[:, 0], axis=-1)
+    return sigma, corr, curve, misfit
 
 
 def mp_fit(S: np.ndarray, shape: tuple, tail_fraction: float = 0.5) -> tuple:
@@ -208,13 +216,13 @@ def mp_fit(S: np.ndarray, shape: tuple, tail_fraction: float = 0.5) -> tuple:
     within 1e-12 of the tail's energy, resolve to the smallest corr.  An
     all-zero tail yields (0.0, 1.0).
     """
-    sigma, corr, _ = _fit(np.asarray(S, dtype=float)[None, :], shape, tail_fraction)
+    sigma, corr, _, _ = _fit(np.asarray(S, dtype=float)[None, :], shape, tail_fraction)
     return float(sigma[0]), float(corr[0])
 
 
 def _e15(S: np.ndarray, shape: tuple, mu: float, tail_fraction: float) -> E15Model:
     """e15 on every row of S (n, p); the stacked E15Model."""
-    sigma_n, corr, curve = _fit(S, shape, tail_fraction)
+    sigma_n, corr, curve, misfit = _fit(S, shape, tail_fraction)
     with np.errstate(divide="ignore", invalid="ignore"):
         cleanliness = np.where(S > 0.0, 1.0 - curve / np.where(S > 0.0, S, 1.0), 0.0)
     cleanliness = np.clip(cleanliness, 0.0, 1.0)
@@ -222,7 +230,7 @@ def _e15(S: np.ndarray, shape: tuple, mu: float, tail_fraction: float) -> E15Mod
     rank = np.where(above.all(axis=-1), S.shape[-1], np.argmin(above, axis=-1))
     kept = np.arange(S.shape[-1]) < rank[:, None]
     cleaned = np.where(kept, np.sqrt(np.maximum(S**2 - curve**2, 0.0)), 0.0)
-    return E15Model(sigma_n, corr, curve, cleanliness, rank, cleaned)
+    return E15Model(sigma_n, corr, curve, cleanliness, rank, cleaned, misfit)
 
 
 def _first_row(model: E15Model) -> E15Model:
@@ -234,6 +242,7 @@ def _first_row(model: E15Model) -> E15Model:
         model.cleanliness[0],
         rank,
         model.cleaned_s[0, :rank],
+        float(model.tail_misfit[0]),
     )
 
 

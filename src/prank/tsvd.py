@@ -31,13 +31,6 @@ class SVDFactorization:
     V: np.ndarray
 
 
-@dataclass(frozen=True)
-class HankelMatrix:
-    matrix: np.ndarray
-    series_len: int
-    window: int
-
-
 def svd(A: np.ndarray) -> SVDFactorization:
     """Economy SVD of a matrix or of a stack (..., m, n), deterministic up to
     the backend for a fixed input; each matrix of a stack factors as alone.
@@ -74,8 +67,9 @@ def auto_window(n: int) -> int:
     return n // 2 + 1
 
 
-def hankelize(series: np.ndarray, window: Optional[int] = None) -> HankelMatrix:
-    """L x (n - L + 1) matrix with matrix[a, b] = series[a + b]."""
+def hankelize(series: np.ndarray, window: Optional[int] = None) -> np.ndarray:
+    """The L x (n - L + 1) array H[a, b] = series[a + b], L = ``window`` or
+    ``auto_window(n)``; n and L are H.shape[0] + H.shape[1] - 1 and H.shape[0]."""
     series = np.asarray(series)
     n = len(series)
     if n < 2:
@@ -84,8 +78,7 @@ def hankelize(series: np.ndarray, window: Optional[int] = None) -> HankelMatrix:
     if not 1 <= L <= n:
         raise WindowError(f"window {L} outside [1, {n}]")
     K = n - L + 1
-    matrix = series[np.arange(L)[:, None] + np.arange(K)[None, :]]
-    return HankelMatrix(matrix, n, L)
+    return series[np.arange(L)[:, None] + np.arange(K)[None, :]]
 
 
 def dehankelize_ssa(M: np.ndarray) -> np.ndarray:
@@ -161,12 +154,12 @@ def hankel_tsvd_series(
     if selector is None:
         selector = FixedRank(len(series))
     t0 = time.perf_counter()
-    hm = hankelize(series, window)
-    filtered, S, rank, model = gram_tsvd(hm.matrix, selector)
+    H = hankelize(series, window)
+    filtered, S, rank, model = gram_tsvd(H, selector)
     out = dehankelize_ssa(filtered)
     record = StageRecord(
         name="hankel",
-        shape=hm.matrix.shape,
+        shape=H.shape,
         singular_values=S,
         rank=rank,
         model=model,

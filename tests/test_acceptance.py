@@ -263,7 +263,7 @@ def test_criterion_8_identities(tmp_path):
     checks.append(consist(ds, ds.with_data(-ds.data)).overall == 0.0)
     checks.append(coh(1.7 - 0.3j, 0.0) == 0.5)
     back = unflatten(flatten(ds), 3, 2)
-    checks.append(np.array_equal(back.data, ds.data))
+    checks.append(np.array_equal(back, ds.data))
     path = tmp_path / "ds.prnk"
     write_dataset(ds, path)
     checks.append(np.array_equal(read_dataset(path).data, ds.data))

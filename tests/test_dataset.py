@@ -67,7 +67,7 @@ def test_time_domain_stays_float64_through_bridge_flatten_and_io(tmp_path):
     t = to_time(make_ds(spec))
     assert t.data.dtype == np.float64
     back = unflatten(flatten(t), 2, 3)
-    assert back.data.dtype == np.float64 and np.array_equal(back.data, t.data)
+    assert back.dtype == np.float64 and np.array_equal(back, t.data)
     assert to_time(to_frequency(t)).data.dtype == np.float64
     path = tmp_path / "t.prnk"
     write_dataset(t, path)
@@ -91,14 +91,24 @@ def test_data_is_immutable():
         ds.data[0, 0, 0] = 2.0
 
 
+@pytest.mark.parametrize("domain, dtype", [(Domain.FREQUENCY, complex), (Domain.TIME, float)],
+                         ids=["frequency", "time"])
+def test_construction_leaves_the_callers_array_writeable(domain, dtype):
+    a = np.zeros((1, 1, 4), dtype)
+    ds = ResponseDataset(a, domain)
+    assert a.flags.writeable and not ds.data.flags.writeable
+    a[0, 0, 0] = 1.0
+    assert ds.data[0, 0, 0] == 0.0
+
+
 # ---------------------------------------------------------------- flattening
 
 def test_flatten_single_entry_is_identity_column():
     values = np.arange(6.0) + 1j
     ds = make_ds(values.reshape(1, 1, 6))
     flat = flatten(ds)
-    assert flat.matrix.shape == (6, 1)
-    assert np.array_equal(flat.matrix[:, 0], values)
+    assert flat.shape == (6, 1)
+    assert np.array_equal(flat[:, 0], values)
 
 
 def test_flatten_column_order_output_major():
@@ -106,8 +116,8 @@ def test_flatten_column_order_output_major():
     rng = np.random.default_rng(0)
     data = rng.standard_normal((4, 4, 7)) + 1j * rng.standard_normal((4, 4, 7))
     flat = flatten(make_ds(data))
-    assert np.array_equal(flat.matrix[:, 1], data[1, 0, :])
-    assert np.array_equal(flat.matrix[:, 4], data[0, 1, :])
+    assert np.array_equal(flat[:, 1], data[1, 0, :])
+    assert np.array_equal(flat[:, 4], data[0, 1, :])
 
 
 def test_flatten_index_map_by_hand():
@@ -118,7 +128,7 @@ def test_flatten_index_map_by_hand():
             for k in range(5):
                 data[o, i, k] = 100 * o + 10 * i + k
     flat = flatten(make_ds(data))
-    assert flat.matrix[4, 5] == 100 * 1 + 10 * 2 + 4
+    assert flat[4, 5] == 100 * 1 + 10 * 2 + 4
 
 
 def test_unflatten_round_trip_bit_exact():
@@ -126,9 +136,7 @@ def test_unflatten_round_trip_bit_exact():
     for n_o, n_i, n_k in [(1, 1, 2), (4, 4, 9), (3, 5, 4), (7, 2, 3)]:
         data = rng.standard_normal((n_o, n_i, n_k)) + 1j * rng.standard_normal((n_o, n_i, n_k))
         ds = make_ds(data, axis_start=0.5, axis_step=0.25)
-        back = unflatten(flatten(ds), n_o, n_i)
-        assert np.array_equal(back.data, ds.data)
-        assert back.axis_start == ds.axis_start and back.axis_step == ds.axis_step
+        assert np.array_equal(unflatten(flatten(ds), n_o, n_i), ds.data)
 
 
 def test_unflatten_dimension_mismatch():
@@ -239,13 +247,27 @@ def test_bad_magic_rejected(tmp_path):
         read_dataset(path)
 
 
-def test_truncated_payload_reports_offset(tmp_path):
+# the file is 8 magic + 31 header + 2 label ("Hz") + 4 * 16 payload bytes
+@pytest.mark.parametrize("part, cut", [("header", 20), ("unit label", 40), ("payload", 98)],
+                         ids=["header", "label", "payload"])
+def test_truncated_payload_reports_offset(tmp_path, part, cut):
     ds = make_ds(np.ones((1, 1, 4)))
     path = tmp_path / "ds.prnk"
     write_dataset(ds, path)
     blob = path.read_bytes()
-    path.write_bytes(blob[:-7])
-    with pytest.raises(FormatError, match=r"byte \d+"):
+    assert len(blob) == 105
+    path.write_bytes(blob[:cut])
+    with pytest.raises(FormatError, match=f"truncated {part} at byte {cut}"):
+        read_dataset(path)
+
+
+def test_malformed_unit_label_is_format_error(tmp_path):
+    path = tmp_path / "ds.prnk"
+    write_dataset(make_ds(np.ones((1, 1, 4))), path)
+    blob = bytearray(path.read_bytes())
+    blob[8 + 31 + 1] = 0xFF  # second byte of the label
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="unit label is not UTF-8 at byte 40"):
         read_dataset(path)
 
 

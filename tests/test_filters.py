@@ -192,7 +192,7 @@ def test_hankel_filter_recovers_single_mode_impulse_response():
     # oracle: one damped sinusoid spans a rank-2 Hankel matrix
     from prank import hankelize
 
-    S = np.linalg.svd(hankelize(irf.data[0, 0].real).matrix, compute_uv=False)
+    S = np.linalg.svd(hankelize(irf.data[0, 0].real), compute_uv=False)
     assert S[2] <= 1e-9 * S[0]
     out, _ = hankel_filter_dataset(irf, FixedRank(2), domain=Domain.TIME)
     assert rel_err(out, irf) <= 1e-8

@@ -267,7 +267,7 @@ def test_dehankelize_inverts_hankelize(n, data, complex_series, seed):
     if complex_series:
         series = series + 1j * rng.standard_normal(n)
     window = data.draw(st.one_of(st.none(), st.integers(1, n)))
-    assert np.array_equal(dehankelize_ssa(hankelize(series, window).matrix), series)
+    assert np.array_equal(dehankelize_ssa(hankelize(series, window)), series)
 
 
 # every float64, signed zeros, infinities and NaNs included
@@ -305,9 +305,8 @@ def test_write_read_round_trip_is_bit_exact(tmp_path_factory, ds):
 @given(file_datasets())
 def test_unflatten_inverts_flatten_bit_exactly(ds):
     back = unflatten(flatten(ds), ds.n_outputs, ds.n_inputs)
-    assert back.data.tobytes() == ds.data.tobytes()
-    assert back.domain is ds.domain
-    assert (back.axis_start, back.axis_step, back.unit_label) == (ds.axis_start, ds.axis_step, ds.unit_label)
+    assert back.dtype == ds.data.dtype
+    assert back.tobytes() == ds.data.tobytes()
 
 
 @SETTINGS

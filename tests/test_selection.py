@@ -5,8 +5,10 @@ from prank import (
     E15,
     AbsoluteThreshold,
     EmptyError,
+    FilterReport,
     FixedRank,
     RelativeThreshold,
+    StageRecord,
     ThresholdMode,
     e15,
     mp_fit,
@@ -88,6 +90,8 @@ def test_strategy_validation():
         AbsoluteThreshold(-1.0)
     with pytest.raises(ValueError):
         E15(0.0)
+    with pytest.raises(TypeError):
+        evaluate(np.ones(4), (4, 4), "e15")
 
 
 # ------------------------------------------------------- mp_quantile_curve
@@ -196,6 +200,22 @@ def test_e15_planted_signal_cleaned_values():
     assert model.cleaned_s[0] == pytest.approx(signal_s[0], rel=0.05)
 
 
+@pytest.mark.parametrize("tail_fraction", [0.5, 0.25])
+def test_e15_tail_misfit_covers_the_fitted_tail(tail_fraction):
+    rng = np.random.default_rng(14)
+    m, n = 201, 200
+    qu, _ = np.linalg.qr(complex_noise(rng, m, 3))
+    qv, _ = np.linalg.qr(complex_noise(rng, n, 3))
+    A = (qu * [300.0, 200.0, 100.0]) @ qv.conj().T + complex_noise(rng, m, n)
+    S = np.linalg.svd(A, compute_uv=False)
+    _, model = evaluate(S, (m, n), E15(0.10, tail_fraction))
+    tail = slice(int(n * (1.0 - tail_fraction)), None)
+    expected = np.linalg.norm(S[tail] - model.mp_curve[tail]) / np.linalg.norm(S[tail])
+    assert model.tail_misfit == pytest.approx(expected, rel=1e-12)
+    text = FilterReport([StageRecord("prf", (m, n), S, model.rank, model)]).to_text()
+    assert f"e15_tail_misfit: {expected:.4f}" in text
+
+
 def test_e15_homogeneity():
     rng = np.random.default_rng(12)
     S = np.linalg.svd(complex_noise(rng, 80, 80), compute_uv=False) + np.linspace(40, 0, 80)
@@ -221,3 +241,6 @@ def test_e15_degenerate_zero_input():
     model = e15(np.zeros(16), (16, 16), 0.10)
     assert model.rank == 0
     assert model.sigma_n == 0.0
+    assert np.isnan(model.tail_misfit)
+    record = StageRecord("prf", (16, 16), np.zeros(16), 0, model)
+    assert "e15_tail_misfit" not in FilterReport([record]).to_text()

@@ -133,27 +133,24 @@ def test_eckart_young_monotonicity():
 # ------------------------------------------------------------------- hankel
 
 def test_hankelize_definition():
-    hm = hankelize(np.array([1.0, 2.0, 3.0]), window=2)
-    assert np.array_equal(hm.matrix, [[1.0, 2.0], [2.0, 3.0]])
-    assert hm.series_len == 3 and hm.window == 2
+    H = hankelize(np.array([1.0, 2.0, 3.0]), window=2)
+    assert np.array_equal(H, [[1.0, 2.0], [2.0, 3.0]])
+    assert H.shape == (2, 2)  # window L = 2 rows, series length L + K - 1 = 3
 
 
 def test_hankelize_auto_window_near_square():
-    hm = hankelize(np.arange(10.0))
-    assert hm.window == auto_window(10) == 6
-    assert hm.matrix.shape == (6, 5)
+    H = hankelize(np.arange(10.0))
+    assert H.shape == (auto_window(10), 5) == (6, 5)
 
 
 def test_hankelize_constant_series_rank_one():
-    hm = hankelize(np.ones(20))
-    S = np.linalg.svd(hm.matrix, compute_uv=False)
+    S = np.linalg.svd(hankelize(np.ones(20)), compute_uv=False)
     assert S[1] <= 1e-12 * S[0]
 
 
 def test_hankelize_geometric_series_rank_one():
     t = np.arange(30)
-    hm = hankelize(0.9 ** t)
-    S = np.linalg.svd(hm.matrix, compute_uv=False)
+    S = np.linalg.svd(hankelize(0.9 ** t), compute_uv=False)
     assert S[1] <= 1e-12 * S[0]
 
 
@@ -170,7 +167,7 @@ def test_dehankelize_inverts_hankelize():
     rng = np.random.default_rng(6)
     for n, L in [(7, 3), (12, 6), (5, 5), (9, 1)]:
         s = random_complex(rng, n)
-        assert np.array_equal(dehankelize_ssa(hankelize(s, L).matrix), s)
+        assert np.array_equal(dehankelize_ssa(hankelize(s, L)), s)
 
 
 def test_dehankelize_averages_antidiagonals():
@@ -200,8 +197,7 @@ def test_hankel_rank_oracle_complex_exponentials():
         poles = np.exp((-rng.uniform(0.001, 0.02, q)) + 1j * rng.uniform(0.1, 3.0, q))
         amps = random_complex(rng, q)
         series = (amps[None, :] * poles[None, :] ** t[:, None]).sum(axis=1)
-        hm = hankelize(series)
-        S = np.linalg.svd(hm.matrix, compute_uv=False)
+        S = np.linalg.svd(hankelize(series), compute_uv=False)
         assert S[q] <= 1e-9 * S[0]
 
 
@@ -219,7 +215,7 @@ def damped_sinusoids(n=512, freqs=(0.12, 0.31), decays=(0.004, 0.007), seed=9):
 def test_hankel_tsvd_series_recovers_two_sinusoids():
     series = damped_sinusoids()
     # oracle: two real damped sinusoids generate a rank-4 Hankel matrix
-    S = np.linalg.svd(hankelize(series).matrix, compute_uv=False)
+    S = np.linalg.svd(hankelize(series), compute_uv=False)
     assert S[4] <= 1e-9 * S[0]
     out, record = hankel_tsvd_series(series, selector=FixedRank(4))
     assert len(out) == len(series)
@@ -233,7 +229,7 @@ def test_hankel_tsvd_series_full_rank_identity():
     series = rng.standard_normal(64)
     out, record = hankel_tsvd_series(series, selector=FixedRank(10 ** 9))
     assert np.linalg.norm(out - series) <= 1e-10 * np.linalg.norm(series)
-    assert record.rank == min(hankelize(series).matrix.shape)
+    assert record.rank == min(hankelize(series).shape)
 
 
 def test_hankel_tsvd_series_e15_rejects_white_noise():
@@ -257,7 +253,7 @@ def test_hankel_tsvd_series_too_short():
 
 def dense_reference(series, window, selector):
     """The Hankel filter on a dense SVD: (filtered series, S, rank)."""
-    H = hankelize(series, window).matrix
+    H = hankelize(series, window)
     U, S, Vh = np.linalg.svd(H, full_matrices=False)
     rank, model = evaluate(S, H.shape, selector)
     s_used = model.cleaned_s if model is not None else S[:rank]
