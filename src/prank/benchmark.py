@@ -11,6 +11,7 @@ import numpy as np
 
 from .dataset import Domain, ResponseDataset
 from .errors import AxisError, DomainError
+from .tsvd import _pivot_phase
 
 _RIGID_TOL = 1e-8
 
@@ -66,24 +67,16 @@ class ChainSystem:
         return len(self.masses)
 
     def matrices(self):
-        """(M, D, K) with M diagonal and D, K tridiagonal from the topology."""
+        """(diag(masses), B^T diag(dampers) B, B^T diag(springs) B), with B
+        the link-incidence matrix (a row per link, +-1 at the masses it
+        joins): I - I_{-1} fixed-free, the first n - 1 rows of I_{+1} - I
+        free-free."""
         n = self.n_dofs
-        M = np.diag(self.masses)
-        K = np.zeros((n, n))
-        D = np.zeros((n, n))
         if self.boundary is Boundary.FIXED_FREE:
-            K[0, 0] += self.springs[0]
-            D[0, 0] += self.dampers[0]
-            pairs = [(j - 1, j, j) for j in range(1, n)]
+            B = np.eye(n) - np.eye(n, k=-1)
         else:
-            pairs = [(j, j + 1, j) for j in range(n - 1)]
-        for a, b, link in pairs:
-            for mat, coef in ((K, self.springs[link]), (D, self.dampers[link])):
-                mat[a, a] += coef
-                mat[b, b] += coef
-                mat[a, b] -= coef
-                mat[b, a] -= coef
-        return M, D, K
+            B = (np.eye(n, k=1) - np.eye(n))[: n - 1]
+        return np.diag(self.masses), B.T @ (self.dampers[:, None] * B), B.T @ (self.springs[:, None] * B)
 
 
 @dataclass(frozen=True)
@@ -207,8 +200,9 @@ def synthesize_direct(sys: ChainSystem, axis: np.ndarray,
 def eigen(sys: ChainSystem) -> ModalModel:
     """Undamped modes of the chain with equivalent modal damping ratios.
 
-    Shapes are mass-normalized; damping ratios come from projecting the
-    viscous damping matrix onto each mode (zero for rigid-body modes).
+    Shapes are mass-normalized, each with its largest-magnitude entry
+    positive (``tsvd.svd``'s sign rule); damping ratios come from projecting
+    the viscous damping matrix onto each mode (zero for rigid-body modes).
     M is diagonal, so with W = M^-1/2 the generalized problem K v = lam M v
     is the symmetric one (W K W) y = lam y, and v = W y.
     """
@@ -216,13 +210,8 @@ def eigen(sys: ChainSystem) -> ModalModel:
     w = 1.0 / np.sqrt(sys.masses)
     vals, y = np.linalg.eigh(w[:, None] * K * w)
     vecs = w[:, None] * y
-    vals = np.clip(vals, 0.0, None)
-    freqs = np.sqrt(vals)
-    # deterministic shape signs: largest-magnitude entry positive
-    idx = np.argmax(np.abs(vecs), axis=0)
-    signs = np.sign(vecs[idx, np.arange(vecs.shape[1])])
-    signs[signs == 0] = 1.0
-    vecs = vecs * signs
+    vecs = vecs * _pivot_phase(vecs)
+    freqs = np.sqrt(np.clip(vals, 0.0, None))
     modal_damp = np.einsum("ij,ij->j", vecs, D @ vecs)
     flexible = freqs > _RIGID_TOL
     damping = np.zeros_like(freqs)

@@ -40,7 +40,7 @@ class ResponseDataset:
     ``unit_label``.  Frequency-domain data are stored as complex128,
     time-domain data as float64: complex time input is accepted only when
     its imaginary part is exactly zero, and is stored real.  The stored
-    array is read-only and never the caller's own, which stays writeable.
+    array is a read-only copy (one ``np.array``), never the caller's own.
     """
 
     data: np.ndarray
@@ -61,11 +61,9 @@ class ResponseDataset:
         if self.domain is Domain.TIME:
             if np.iscomplexobj(data) and np.any(data.imag != 0.0):
                 raise DomainError("time-domain data must have exactly zero imaginary part")
-            data = np.ascontiguousarray(data.real, dtype=np.float64)
+            data = np.array(data.real, dtype=np.float64, order="C")
         else:
-            data = np.ascontiguousarray(data, dtype=np.complex128)
-        if np.may_share_memory(data, self.data):
-            data = data.copy()
+            data = np.array(data, dtype=np.complex128, order="C")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
 

@@ -60,25 +60,25 @@ def cmif(ds: ResponseDataset) -> np.ndarray:
 def zero_locations(ds: ResponseDataset, o: int, i: int, prominence: float = 0.9) -> np.ndarray:
     """Axis values of prominent magnitude minima (anti-resonances) of entry (o, i).
 
-    A local minimum qualifies when it dips below 1 - prominence times the
-    lower of the highest magnitudes on its two sides, i.e. its relative
-    depth 1 - |Y_min|/|Y_side_max| exceeds ``prominence`` (a log-magnitude
-    drop of at least -log10(1 - prominence) decades).  The default 0.9
-    keeps only dips that fall below 10% of the surrounding maxima, which
-    rejects noise-floor wiggles; prominence = 1 can never be exceeded, so
-    it yields an empty list, as does any monotone curve.
+    A strict local minimum qualifies when it dips below 1 - prominence times
+    the lower of the highest magnitudes on its two sides (running maxima
+    from both ends, so the scan is linear), i.e. its relative depth
+    1 - |Y_min|/|Y_side_max| exceeds ``prominence``.  The default 0.9 keeps
+    only dips below 10% of the surrounding maxima, rejecting noise-floor
+    wiggles; prominence = 1 and monotone curves yield an empty array.
+    NaN or infinite magnitudes raise NonFiniteError.
     """
     if not (0 <= o < ds.n_outputs and 0 <= i < ds.n_inputs):
         raise IndexError(f"entry ({o}, {i}) outside {ds.n_outputs}x{ds.n_inputs} dataset")
     mag = np.abs(ds.data[o, i])
-    hits = []
-    for t in range(1, len(mag) - 1):
-        if not (mag[t] < mag[t - 1] and mag[t] < mag[t + 1]):
-            continue
-        side = min(mag[:t].max(), mag[t + 1 :].max())
-        if side > 0.0 and 1.0 - mag[t] / side > prominence:
-            hits.append(t)
-    return ds.axis[np.asarray(hits, dtype=int)] if hits else np.zeros(0)
+    if not np.all(np.isfinite(mag)):
+        raise NonFiniteError("anti-resonance search needs finite data")
+    before = np.maximum.accumulate(mag)  # before[t] = max(mag[:t + 1])
+    after = np.maximum.accumulate(mag[::-1])[::-1]  # after[t] = max(mag[t:])
+    t = 1 + np.flatnonzero((mag[1:-1] < mag[:-2]) & (mag[1:-1] < mag[2:]))
+    # a strict minimum lies below both side maxima, so side > 0
+    side = np.minimum(before[t - 1], after[t + 1])
+    return ds.axis[t[1.0 - mag[t] / side > prominence]]
 
 
 def write_coherence_csv(report: CoherenceReport, path) -> None:

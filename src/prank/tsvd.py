@@ -35,10 +35,10 @@ def svd(A: np.ndarray) -> SVDFactorization:
     """Economy SVD of a matrix or of a stack (..., m, n), deterministic up to
     the backend for a fixed input; each matrix of a stack factors as alone.
 
-    Each left vector is phase-rotated so its largest-magnitude entry is real
-    and positive; the matching right vector gets the same rotation, leaving
-    the product U diag(S) V^H unchanged.  NaN or infinite entries raise
-    NonFiniteError, a backend failure ConvergenceError.
+    ``_pivot_phase`` rotates each left vector so its largest-magnitude entry
+    is real and positive, and the matching right vector alike, so U diag(S)
+    V^H is unchanged.  NaN or infinite entries raise NonFiniteError, a
+    backend failure ConvergenceError.
     """
     A = _finite(A)
     try:
@@ -46,13 +46,17 @@ def svd(A: np.ndarray) -> SVDFactorization:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(str(exc)) from exc
     V = np.swapaxes(Vh.conj(), -1, -2)
+    rot = _pivot_phase(U)
+    return SVDFactorization(U * rot, S, V * rot)
+
+
+def _pivot_phase(U: np.ndarray) -> np.ndarray:
+    """Unit factors conj(p) / |p|, shape (..., 1, n), with p the
+    largest-magnitude entry of each (nonzero) column of U: multiplied in,
+    they make p real and positive.  For real U they are exactly +-1.0."""
     idx = np.argmax(np.abs(U), axis=-2)[..., None, :]
     pivots = np.take_along_axis(U, idx, axis=-2)
-    # orthonormal columns: every pivot has magnitude >= 1/sqrt(m) > 0
-    rot = np.conj(pivots) / np.abs(pivots)
-    U = U * rot
-    V = V * rot
-    return SVDFactorization(U, S, V)
+    return np.conj(pivots) / np.abs(pivots)
 
 
 def _finite(A) -> np.ndarray:

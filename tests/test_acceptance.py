@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines and timings.
+lines and timings.  Criteria 2, 7 and 9 carry the ``slow`` marker: they
+take most of the suite's time, and ``pytest -m "not slow"`` leaves them out.
 """
 
 import time
@@ -145,6 +146,7 @@ def test_criterion_1_exact_recovery_prf():
     assert elapsed < 5.0
 
 
+@pytest.mark.slow
 def test_criterion_2_hankel_ssa_oracle():
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
@@ -237,6 +239,7 @@ def test_criterion_6_hip_matches_ph(end_to_end_runs):
     assert max(gaps) <= 0.02
 
 
+@pytest.mark.slow
 def test_criterion_7_hip_efficiency(chain30_runs):
     runs = chain30_runs
     hip_report = runs["hip"][1]
@@ -281,6 +284,7 @@ def test_criterion_8_identities(tmp_path):
     assert all(checks)
 
 
+@pytest.mark.slow
 def test_criterion_9_frequency_range_effect(chain30_runs):
     runs = chain30_runs
     clean, noisy = runs["clean"], runs["noisy"]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from prank import (
+    AxisError,
     Boundary,
     ChainSystem,
     Domain,
@@ -10,6 +11,7 @@ from prank import (
     NoiseModel,
     OffsetSpec,
     Quantity,
+    ResponseDataset,
     add_noise,
     add_offsets,
     consist,
@@ -139,12 +141,32 @@ def test_direct_free_free_singular_bin_uses_pseudoinverse():
     assert np.all(np.isfinite(ds.data))
 
 
+@pytest.mark.parametrize("axis,message", [
+    ([0.5], "at least 2 points"),
+    ([1.0, 0.5, 0.0], "strictly increasing"),
+    ([0.0, 0.1, 0.3], "uniform"),
+])
+def test_direct_rejects_bad_grid(axis, message):
+    with pytest.raises(AxisError, match=message):
+        synthesize_direct(table_system(), np.array(axis))
+
+
+def test_direct_output_index_outside_chain():
+    with pytest.raises(IndexError):
+        synthesize_direct(table_system(), np.linspace(0.0, 1.0, 5), outputs=[5])
+
+
 def test_direct_finite_with_damping():
     ds = synthesize_direct(table_system(), np.arange(0.0, 2.0, 0.01))
     assert np.all(np.isfinite(ds.data))
 
 
 # ---------------------------------------------------------------- modal_frf
+
+def test_modal_model_rejects_decreasing_frequencies():
+    with pytest.raises(ValueError, match="nondecreasing"):
+        ModalModel(np.array([2.0, 1.0]), np.eye(2), np.zeros(2))
+
 
 def test_modal_matches_direct_synthesis():
     # uniform chain damping is exactly proportional, so mode superposition
@@ -192,8 +214,6 @@ def test_add_noise_zero_coefficients_identity():
 def test_add_noise_standard_deviation_at_unit_magnitude():
     # 10^4 unit-magnitude bins: sample std of the real perturbation within
     # 5% of a*1 + b = 0.063
-    from prank import ResponseDataset
-
     ds = ResponseDataset(np.ones((1, 1, 10_000), dtype=complex), Domain.FREQUENCY)
     out = add_noise(ds, NoiseModel(0.003, 0.06, 0.003, 0.05, seed=0))
     real_noise = (out.data - ds.data).real.ravel()
@@ -213,8 +233,6 @@ def test_add_noise_reproducible_and_seed_sensitive():
 
 
 def test_add_noise_rejects_time_domain():
-    from prank import ResponseDataset
-
     ds = ResponseDataset(np.ones((1, 1, 4)), Domain.TIME)
     with pytest.raises(DomainError):
         add_noise(ds, NoiseModel(0.0, 0.1, 0.0, 0.1))
@@ -272,3 +290,9 @@ def test_add_offsets_index_errors():
         add_offsets(ds, OffsetSpec([(7, 0.1)]))
     with pytest.raises(IndexError):
         add_offsets(ds, OffsetSpec([(1, 0.1), (1, 0.2)]))  # 2 values for 4 inputs
+
+
+def test_add_offsets_rejects_time_domain():
+    ds = ResponseDataset(np.ones((2, 2, 8)), Domain.TIME)
+    with pytest.raises(DomainError):
+        add_offsets(ds, OffsetSpec([(0, 0.1)]))

@@ -51,6 +51,23 @@ def test_synth_modal_matches_direct_off_resonance(tmp_path):
     assert np.quantile(rel, 0.99) <= 0.02
 
 
+def test_synth_modal_truncated_accelerance(tmp_path):
+    out = tmp_path / "acc.prnk"
+    assert run(["synth", "--fmax", "2.0", "--df", "0.02", "--method", "modal", "--modes", "2",
+                "--modal-damping", "0.01", "--quantity", "accelerance", "-o", str(out)]) == 0
+    ds = read_dataset(out)
+    assert ds.data.shape == (4, 4, 101)
+    assert np.all(ds.data[..., 0] == 0)  # accelerance of a fixed chain vanishes at w = 0
+
+
+def test_synth_direct_accelerance_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "acc.prnk"
+    assert run(["synth", "--fmax", "2.0", "--df", "0.02", "--quantity", "accelerance",
+                "-o", str(out)]) == 2
+    assert "--method modal" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ corrupt
 
 def test_corrupt_zero_noise_identity_bytes(tmp_path):
@@ -85,6 +102,18 @@ def test_corrupt_offsets_are_one_based_per_input(tmp_path):
 def test_corrupt_bad_offset_dof_is_usage_error(tmp_path):
     src = synth_small(tmp_path)
     assert run(["corrupt", str(src), "--offset", "9:0.1", "-o", str(tmp_path / "x.prnk")]) == 2
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--noise", "1,2,3"], "exactly four"),
+    (["--offset", "0:0.1"], "must be >= 1"),
+])
+def test_corrupt_malformed_flag_is_usage_error(tmp_path, capsys, flags, message):
+    src = synth_small(tmp_path)
+    out = tmp_path / "x.prnk"
+    assert run(["corrupt", str(src), *flags, "-o", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------- filter
@@ -147,6 +176,16 @@ def test_metrics_csv_outputs(tmp_path):
                 "--zeros", "2:1", "-o", str(prefix)]) == 0
     assert (tmp_path / "rep.coherence.csv").exists()
     assert (tmp_path / "rep.cmif.csv").exists()
+
+
+def test_metrics_cmif_without_output_prints_peak(tmp_path, capsys):
+    src = synth_small(tmp_path)
+    assert run(["metrics", "--ref", str(src), "--test", str(src), "--cmif"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "overall_coherence: 1.000000"
+    peak = float(lines[1].removeprefix("cmif_first_line_max: "))
+    assert peak == pytest.approx(prank.cmif(read_dataset(src))[:, 0].max(), rel=1e-6)
+    assert not list(tmp_path.glob("*.csv"))
 
 
 # ------------------------------------------------------------------ convert
@@ -262,6 +301,33 @@ def test_config_file_defaults_with_flag_precedence(tmp_path):
     text = (tmp_path / "filt.prnk.report.txt").read_text()
     # flag wins over the config file: a hankel-only run has no prf stage
     assert "stage: hankel" in text and "stage: prf" not in text
+
+
+def test_config_file_skips_blank_and_comment_lines(tmp_path):
+    src = synth_small(tmp_path)
+    cfg = tmp_path / "prank.cfg"
+    cfg.write_text("# hankel only\n\n   \nvariant = hankel\n  # hankel-rank=1\nhankel-rank=9999\n")
+    out = tmp_path / "filt.prnk"
+    assert run(["filter", str(src), "--config", str(cfg), "-o", str(out)]) == 0
+    text = (tmp_path / "filt.prnk.report.txt").read_text()
+    # a parsed comment would have set rank 1; the config's rank 9999 is full
+    assert "stage: hankel" in text and "stage: prf" not in text
+    assert "  rank: 100\n" in text
+
+
+def test_config_flag_without_path_is_usage_error(tmp_path):
+    src = synth_small(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(["filter", str(src), "-o", str(tmp_path / "x.prnk"), "--config"])
+    assert err.value.code == 2
+
+
+def test_missing_config_file_is_usage_error(tmp_path, capsys):
+    src = synth_small(tmp_path)
+    out = tmp_path / "x.prnk"
+    assert run(["filter", str(src), "--config", str(tmp_path / "nope.cfg"), "-o", str(out)]) == 2
+    assert "nope.cfg" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def child_env():

@@ -276,6 +276,7 @@ def test_hip_zero_prf_rank_gives_zero_dataset(clean_bench):
     assert np.all(out.data == 0)
     assert "prf_rank_zero" in report.flags
     assert report.stage("hankel_in_prf").extras["svd_calls"] == 0
+    assert "\nflags: prf_rank_zero\n" in report.to_text()
 
 
 @pytest.mark.parametrize("variant", list(Variant))

@@ -1,16 +1,20 @@
 """Property tests of the rank selection and the MP law, the filters and
-their chains, the Hankel round trip and the dataset bridges and file
-format."""
+their chains, the Hankel round trip, the dataset bridges and file format,
+and the chain matrices, mode-shape signs and anti-resonance scan."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from prank import (
     E15,
     AbsoluteThreshold,
+    Boundary,
+    ChainSystem,
     Domain,
     FixedRank,
+    NonFiniteError,
     PrankConfig,
     RelativeThreshold,
     ResponseDataset,
@@ -20,6 +24,7 @@ from prank import (
     classic_tsvd,
     dehankelize_ssa,
     e15,
+    eigen,
     flatten,
     hankelize,
     mp_fit,
@@ -29,6 +34,7 @@ from prank import (
     to_time,
     unflatten,
     write_dataset,
+    zero_locations,
 )
 from prank.selection import CORR_GRID, _unit_curve, _unit_quantiles, evaluate
 
@@ -387,3 +393,103 @@ def test_hp_with_full_prf_rank_is_hankel(case, hankel):
 def test_full_rank_filter_is_identity(case, variant):
     ds, working = case
     assert_close(run_variant(ds, variant, working, FULL, FULL), ds.data)
+
+
+# ------------------------------------------------- benchmark and metrics
+
+def chain_matrices_loop(sys_):
+    """Reference: (D, K) assembled link by link, each link adding its
+    coefficient to the two diagonal entries of the masses it joins and
+    subtracting it from the two off-diagonal ones."""
+    n = sys_.n_dofs
+    K = np.zeros((n, n))
+    D = np.zeros((n, n))
+    if sys_.boundary is Boundary.FIXED_FREE:
+        K[0, 0] += sys_.springs[0]
+        D[0, 0] += sys_.dampers[0]
+        pairs = [(j - 1, j, j) for j in range(1, n)]
+    else:
+        pairs = [(j, j + 1, j) for j in range(n - 1)]
+    for a, b, link in pairs:
+        for mat, coef in ((K, sys_.springs[link]), (D, sys_.dampers[link])):
+            mat[a, a] += coef
+            mat[b, b] += coef
+            mat[a, b] -= coef
+            mat[b, a] -= coef
+    return D, K
+
+
+@st.composite
+def chains(draw, max_dofs=40):
+    n = draw(st.integers(1, max_dofs))
+    boundary = draw(st.sampled_from(list(Boundary)))
+    links = n if boundary is Boundary.FIXED_FREE else n - 1
+    positive = st.floats(1e-3, 1e3)
+    masses = draw(st.lists(positive, min_size=n, max_size=n))
+    dampers = draw(st.lists(positive, min_size=links, max_size=links))
+    springs = draw(st.lists(positive, min_size=links, max_size=links))
+    return ChainSystem(np.array(masses), np.array(dampers), np.array(springs), boundary)
+
+
+@SETTINGS
+@given(chains())
+def test_chain_matrices_match_link_loop(sys_):
+    M, D, K = sys_.matrices()
+    D_ref, K_ref = chain_matrices_loop(sys_)
+    assert M.tobytes() == np.diag(sys_.masses).tobytes()
+    assert D.tobytes() == D_ref.tobytes()
+    assert K.tobytes() == K_ref.tobytes()
+
+
+@SETTINGS
+@given(chains(max_dofs=30))
+def test_eigen_shapes_have_positive_pivots(sys_):
+    shapes = eigen(sys_).shapes
+    pivots = shapes[np.argmax(np.abs(shapes), axis=0), np.arange(shapes.shape[1])]
+    assert np.all(pivots > 0.0)
+
+
+def zero_scan_loop(mag, prominence):
+    """Reference: every strict local minimum checked against the maxima
+    of the whole curve on its two sides, recomputed per bin."""
+    hits = []
+    for t in range(1, len(mag) - 1):
+        if not (mag[t] < mag[t - 1] and mag[t] < mag[t + 1]):
+            continue
+        side = min(mag[:t].max(), mag[t + 1 :].max())
+        if side > 0.0 and 1.0 - mag[t] / side > prominence:
+            hits.append(t)
+    return np.array(hits, dtype=float)
+
+
+@st.composite
+def magnitude_curves(draw):
+    """Nonnegative curves built from runs of repeated values, drawn partly
+    from a small set so that flat stretches and ties between minima and
+    maxima are common."""
+    value = st.one_of(st.sampled_from([0.0, 0.25, 1.0, 4.0]), st.floats(0.0, 1e3))
+    runs = draw(st.lists(st.tuples(value, st.integers(1, 4)), min_size=1, max_size=30))
+    mag = np.repeat([v for v, _ in runs], [k for _, k in runs])
+    assume(len(mag) >= 2)
+    return mag
+
+
+@SETTINGS
+@given(magnitude_curves(), st.floats(0.0, 1.0))
+@example(np.array([1.0, 0.0, 1.0, 0.5, 2.0]), 0.0)
+# the dip is deep against the right side only: the lower side decides
+@example(np.array([1.0, 0.5, 10.0]), 0.6)
+def test_zero_locations_match_per_bin_scan(mag, prominence):
+    # axis value = bin index, so the result lists the hit bins
+    ds = ResponseDataset(mag.reshape(1, 1, -1), Domain.FREQUENCY, 0.0, 1.0)
+    assert np.array_equal(zero_locations(ds, 0, 0, prominence), zero_scan_loop(mag, prominence))
+
+
+@SETTINGS
+@given(magnitude_curves(), st.data(), st.sampled_from([np.nan, np.inf, complex(0.0, -np.inf)]))
+def test_zero_locations_rejects_nonfinite(mag, data, bad):
+    values = mag.astype(complex)
+    values[data.draw(st.integers(0, len(values) - 1))] = bad
+    ds = ResponseDataset(values.reshape(1, 1, -1), Domain.FREQUENCY)
+    with pytest.raises(NonFiniteError):
+        zero_locations(ds, 0, 0)

@@ -81,6 +81,8 @@ def test_selection_is_prefix():
 def test_empty_vector_raises():
     with pytest.raises(EmptyError):
         evaluate(np.zeros(0), (0, 0), FixedRank(1))
+    with pytest.raises(EmptyError):
+        mp_fit([], (0, 0))
 
 
 def test_strategy_validation():
@@ -90,6 +92,10 @@ def test_strategy_validation():
         AbsoluteThreshold(-1.0)
     with pytest.raises(ValueError):
         E15(0.0)
+    with pytest.raises(ValueError, match="tail_fraction"):
+        E15(tail_fraction=1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        evaluate(np.ones(4), (4, 4), FixedRank(-1))
     with pytest.raises(TypeError):
         evaluate(np.ones(4), (4, 4), "e15")
 
@@ -244,3 +250,10 @@ def test_e15_degenerate_zero_input():
     assert np.isnan(model.tail_misfit)
     record = StageRecord("prf", (16, 16), np.zeros(16), 0, model)
     assert "e15_tail_misfit" not in FilterReport([record]).to_text()
+
+
+def test_report_stage_lookup_unknown_name():
+    report = FilterReport([StageRecord("prf", (4, 4), np.ones(4), 4)])
+    assert report.stage("prf").rank == 4
+    with pytest.raises(KeyError):
+        report.stage("nope")
