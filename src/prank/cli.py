@@ -244,14 +244,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        argv = _inject_config(argv)
-        args = parser.parse_args(argv)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_ERRORS
-    try:
+        args = build_parser().parse_args(_inject_config(argv))
         return _COMMANDS[args.command](args)
     except (ConvergenceError, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,8 +14,9 @@ PRF left vectors inside the PRF stage, cutting the number of Hankel
 factorizations (``svd_calls`` in the reports) from n_o*n_i to the PRF
 rank.  Each Hankel factorization is one Gram eigendecomposition
 (``tsvd.gram_tsvd``), exact down to about 1.5e-8 of the Hankel matrix
-norm; the PRF and classic stages use dense SVDs.  The PRF record's
-``seconds`` covers its SVD and rank selection only.
+norm; classic runs all its lines through one stacked ``gram_tsvd`` call,
+with that floor per line, and only the PRF stage uses a dense SVD.  The
+PRF record's ``seconds`` covers its SVD and rank selection only.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .dataset import (
 from .errors import DomainError, ShapeError
 from .report import FilterReport, StageRecord
 from .selection import E15, SelectionStrategy, evaluate
-from .tsvd import hankel_tsvd_series, svd
+from .tsvd import gram_tsvd, hankel_tsvd_series, svd
 
 
 class Variant(Enum):
@@ -80,11 +81,10 @@ def _working(ds: ResponseDataset, domain: Optional[Domain]):
 def classic_tsvd(ds: ResponseDataset, selector: SelectionStrategy):
     """Independent TSVD of the n_o x n_i slice at every spectral line.
 
-    One batched SVD factors all n_k slices, one ``evaluate`` call selects
-    every line's rank from the stacked spectra (for e15, one vectorised
-    noise fit per line, all in one pass), and one batched product rebuilds
-    the slices as (U * W) @ Vh, where row k of W holds line k's retained
-    singular values (e15-cleaned under e15) and zeros beyond its rank.
+    One stacked ``gram_tsvd`` call truncates all n_k slices: one stacked
+    Gram eigendecomposition, one ``evaluate`` over the stacked spectra (for
+    e15, one vectorised noise fit per line, all in one pass) and one batched
+    projection.  The record's spectrum is the mean over the lines.
     """
     if ds.domain is not Domain.FREQUENCY:
         raise DomainError("per-frequency-line filtering requires a frequency-domain dataset")
@@ -92,18 +92,11 @@ def classic_tsvd(ds: ResponseDataset, selector: SelectionStrategy):
     if n_o < 2 and n_i < 2:
         raise ShapeError("per-line filtering needs at least 2 outputs or 2 inputs")
     t0 = time.perf_counter()
-    f = svd(ds.data.transpose(2, 0, 1))
-    shape = (n_o, n_i)
-    ranks, model = evaluate(f.S, shape, selector)
-    if model is not None:
-        W = model.cleaned_s
-    else:
-        W = np.where(np.arange(f.S.shape[1]) < ranks[:, None], f.S, 0.0)
-    out = (f.U * W[:, None, :]) @ np.swapaxes(f.V, 1, 2).conj()
+    out, S, ranks, _ = gram_tsvd(ds.data.transpose(2, 0, 1), selector)
     record = StageRecord(
         name="classic",
-        shape=shape,
-        singular_values=f.S.mean(axis=0),
+        shape=(n_o, n_i),
+        singular_values=S.mean(axis=0),
         rank=int(ranks.max()),
         seconds=time.perf_counter() - t0,
         extras={

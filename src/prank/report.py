@@ -16,9 +16,10 @@ from .selection import E15Model
 class StageRecord:
     """One filtering stage: shape seen by the factorization, its spectrum, chosen rank.
 
-    PRF and classic stages take their spectrum from a dense SVD.  Hankel
-    stages take it from the eigenvalues of the Gram matrix (``tsvd.gram_tsvd``):
-    values below about 1.5e-8 of the largest are rounding noise there.  For
+    PRF stages take their spectrum from a dense SVD.  Hankel and classic
+    stages take it from the eigenvalues of each matrix's Gram matrix
+    (``tsvd.gram_tsvd``): values below about 1.5e-8 of that matrix's largest
+    are rounding noise there; classic records the mean over its lines.  For
     stages that factor many matrices (per-entry or per-column Hankel passes)
     ``singular_values`` and ``model`` come from the first call, as a
     representative, and ``extras`` carries the per-call ranks and the

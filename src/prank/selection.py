@@ -85,9 +85,9 @@ class E15Model:
     """Fitted noise model and the resulting selection/reconstruction data.
 
     For a single spectrum the fields are scalars and length-p vectors, and
-    ``cleaned_s`` has length ``rank``.  For a stack of n spectra every field
-    gains a leading axis of length n, and ``cleaned_s`` is (n, p) with zeros
-    beyond each row's rank.
+    ``cleaned_s`` has length ``rank``.  For a stack (..., p) of spectra every
+    field gains the stack's leading axes, and ``cleaned_s`` is (..., p) with
+    zeros beyond each spectrum's rank.
 
     ``tail_misfit`` is ||S - mp_curve|| / ||S|| over the fitted tail (zeros
     excluded), NaN for an all-zero tail; large means a poor MP fit.
@@ -265,17 +265,20 @@ def evaluate(S: np.ndarray, shape: tuple, strategy: SelectionStrategy):
     strict inequality against the threshold, first crossing wins.
 
     ``S`` is one singular-value vector of a ``shape`` matrix, or a stack
-    (n, p) of them from n matrices of that shape.  A stack returns an int
-    array of n ranks and, for e15, the stacked E15Model; row k of either
-    equals what ``evaluate(S[k], shape, strategy)`` returns.
+    (..., p) of them from matrices of that shape.  A stack returns an int
+    array of ranks, shape S.shape[:-1], and, for e15, the stacked E15Model;
+    entry k of either equals what ``evaluate(S[k], shape, strategy)`` returns.
     """
     S = np.asarray(S, dtype=float)
     if S.shape[-1] == 0:
         raise EmptyError("empty singular-value vector")
-    ranks, model = _select(np.atleast_2d(S), shape, strategy)
-    if S.ndim > 1:
-        return ranks, model
-    return int(ranks[0]), None if model is None else _first_row(model)
+    ranks, model = _select(S.reshape(-1, S.shape[-1]), shape, strategy)
+    if S.ndim == 1:
+        return int(ranks[0]), None if model is None else _first_row(model)
+    lead = S.shape[:-1]
+    if model is not None:
+        model = E15Model(*(np.reshape(x, lead + np.shape(x)[1:]) for x in vars(model).values()))
+    return ranks.reshape(lead), model
 
 
 def _tail_sums(S: np.ndarray) -> np.ndarray:

@@ -1,12 +1,13 @@
-"""Dense SVD with a deterministic sign convention, Hankel matrix
-construction, selector-truncated Hankel reconstruction and SSA
-(anti-diagonal averaging) inversion.
+"""Dense SVD with a deterministic sign convention, selector-truncated
+reconstruction, Hankel matrix construction and SSA (anti-diagonal
+averaging) inversion.
 
-Hankel filtering does not run a dense SVD: ``gram_tsvd`` takes the singular
-values and one side's singular vectors from a single eigendecomposition of
-the smaller Gram matrix and reconstructs by projection.  Squaring the matrix
-costs the components below about sqrt(eps) * sigma_1 (1.5e-8 relative to
-the matrix norm); everything above that matches the dense SVD.
+Truncation does not run a dense SVD: ``gram_tsvd`` takes the singular
+values and one side's singular vectors of a matrix, or of every matrix of a
+stack, from one eigendecomposition of the smaller Gram matrix and
+reconstructs by projection; the Hankel and the per-line classic filters run
+through it.  Squaring costs the components below about sqrt(eps) * sigma_1
+(1.5e-8 of each matrix's norm); everything above that matches the dense SVD.
 """
 
 from __future__ import annotations
@@ -109,34 +110,42 @@ def dehankelize_ssa(M: np.ndarray) -> np.ndarray:
 
 
 def gram_tsvd(A: np.ndarray, selector: SelectionStrategy):
-    """Selector-truncated reconstruction of A from its smaller Gram matrix.
+    """Selector-truncated reconstruction of a matrix, or of each matrix of a
+    stack (..., m, n), from its smaller Gram matrix.
 
-    One ``eigh`` of G = A A^H (rows <= cols) or A^H A gives the singular
-    values S = sqrt(max(w, 0)) of A, nonincreasing, and the singular vectors
-    Q of that side.  The rank-r result is the projection
-    Q_r diag(c / s) Q_r^H A, or A Q_r diag(c / s) Q_r^H, where c are the
-    e15-cleaned values (c <= s) and c / s = 1 for every other selector;
-    c / s = 0 where s = 0.  The scale never exceeds 1, so small singular
-    values amplify nothing.  Singular values below about sqrt(eps) * S[0]
-    are rounding noise.
+    One ``eigh`` of G = A A^H (m <= n) or A^H A, stacked for a stack, gives
+    the singular values S = sqrt(max(w, 0)) of each matrix, nonincreasing,
+    and the singular vectors Q of that side; one ``evaluate`` selects every
+    rank.  Each rank-r result is the projection Q_r diag(c / s) Q_r^H A, or
+    A Q_r diag(c / s) Q_r^H, where c are the e15-cleaned values (c <= s) and
+    c / s = 1 for every other selector; c / s = 0 where s = 0.  A stack
+    projects every matrix onto its first max(rank) vectors, with scale 0
+    beyond its own rank.  The scale never exceeds 1, so small singular
+    values amplify nothing.  Squaring costs the components below about
+    sqrt(eps) = 1.5e-8 of each matrix's norm: its singular values there are
+    rounding noise.
 
-    Returns (filtered, S, rank, model) with model the E15Model or None.
+    Returns (filtered, S, rank, model): rank an int and model the E15Model
+    or None; for a stack, ranks of shape A.shape[:-2] and the stacked model.
     """
     A = _finite(A)
-    Ah = A.conj().T
-    rows = A.shape[0] <= A.shape[1]
+    Ah = np.swapaxes(A.conj(), -1, -2)
+    rows = A.shape[-2] <= A.shape[-1]
     try:
         w, Q = np.linalg.eigh(A @ Ah if rows else Ah @ A)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(str(exc)) from exc
-    S = np.sqrt(np.maximum(w[::-1], 0.0))
-    rank, model = evaluate(S, A.shape, selector)
-    Qr = Q[:, ::-1][:, :rank]
+    S = np.sqrt(np.maximum(w[..., ::-1], 0.0))
+    rank, model = evaluate(S, A.shape[-2:], selector)
+    r = int(np.max(rank, initial=0))
+    s = S[..., :r]
     if model is None:
-        scale = np.ones(rank)
+        scale = (np.arange(r) < np.expand_dims(rank, -1)) * 1.0
     else:
-        scale = np.divide(model.cleaned_s, S[:rank], out=np.zeros(rank), where=S[:rank] > 0)
-    Qrh = Qr.conj().T
+        scale = np.divide(model.cleaned_s[..., :r], s, out=np.zeros(s.shape), where=s > 0)
+    scale = scale[..., None, :]
+    Qr = Q[..., ::-1][..., :r]
+    Qrh = np.swapaxes(Qr.conj(), -1, -2)
     filtered = (Qr * scale) @ (Qrh @ A) if rows else ((A @ Qr) * scale) @ Qrh
     return filtered, S, rank, model
 

@@ -322,11 +322,22 @@ def test_config_flag_without_path_is_usage_error(tmp_path):
     assert err.value.code == 2
 
 
-def test_missing_config_file_is_usage_error(tmp_path, capsys):
+def test_missing_config_file_is_numeric_error(tmp_path, capsys):
+    # a path that does not exist exits 1, like a missing input dataset
     src = synth_small(tmp_path)
     out = tmp_path / "x.prnk"
-    assert run(["filter", str(src), "--config", str(tmp_path / "nope.cfg"), "-o", str(out)]) == 2
+    assert run(["filter", str(src), "--config", str(tmp_path / "nope.cfg"), "-o", str(out)]) == 1
     assert "nope.cfg" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_undecodable_config_file_is_usage_error(tmp_path, capsys):
+    src = synth_small(tmp_path)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"\xff\xfe variant=prf")
+    out = tmp_path / "x.prnk"
+    assert run(["filter", str(src), "--config", str(cfg), "-o", str(out)]) == 2
+    assert "decode" in capsys.readouterr().err
     assert not out.exists()
 
 

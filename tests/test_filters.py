@@ -111,9 +111,9 @@ def test_classic_nonfinite_data_raises():
 
 def test_classic_maps_backend_failure(monkeypatch):
     def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "svd", fail)
+    monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(ConvergenceError, match="converge"):
         classic_tsvd(ResponseDataset(np.ones((2, 2, 8)), Domain.FREQUENCY), FixedRank(1))
 

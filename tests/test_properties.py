@@ -77,6 +77,12 @@ def test_stacked_selection_matches_each_row(stack, strategy):
     S, shape = stack
     ranks, model = evaluate(S, shape, strategy)
     assert ranks.shape == (len(S),)
+    # more leading axes fold away: a (2, n, p) stack gives each row's result
+    ranks2, model2 = evaluate(np.stack([S, S]), shape, strategy)
+    assert np.array_equal(ranks2, [ranks, ranks])
+    if model is not None:
+        for name, value in vars(model).items():
+            assert np.array_equal(getattr(model2, name), [value, value], equal_nan=True)
     for k, row in enumerate(S):
         rank, row_model = evaluate(row, shape, strategy)
         assert ranks[k] == rank

@@ -6,6 +6,7 @@ from prank import (
     ConvergenceError,
     FixedRank,
     NonFiniteError,
+    RelativeThreshold,
     WindowError,
     auto_window,
     dehankelize_ssa,
@@ -97,6 +98,43 @@ def test_svd_stack_equals_each_matrix(shape, kind):
         assert np.array_equal(f.U[k], g.U)
         assert np.array_equal(f.S[k], g.S)
         assert np.array_equal(f.V[k], g.V)
+
+
+def low_rank_stack(rng, shape, kind):
+    """Stack of rank-(k % 4) signals plus 0.01 noise; matrix 0 all zero."""
+    draw = (lambda shp: random_complex(rng, shp)) if kind == "complex" else rng.standard_normal
+    m, n = shape[-2:]
+    stack = np.zeros(shape, dtype=complex if kind == "complex" else float).reshape(-1, m, n)
+    for k in range(1, len(stack)):
+        q = k % 4
+        stack[k] = 10.0 * draw((m, q)) @ draw((q, n)) + 0.01 * draw((m, n))
+    return stack.reshape(shape)
+
+
+@pytest.mark.parametrize("shape", [(7, 12, 30), (2, 3, 30, 12)])  # m < n and m > n
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize(
+    "selector", [FixedRank(0), FixedRank(2), FixedRank(50), RelativeThreshold(0.05), E15()]
+)
+def test_gram_tsvd_stack_equals_each_matrix(shape, kind, selector):
+    # one stacked call truncates every matrix as a call on it alone, with
+    # each matrix's own rank although the stack projects onto max(rank)
+    rng = np.random.default_rng(11)
+    A = low_rank_stack(rng, shape, kind)
+    filtered, S, ranks, model = gram_tsvd(A, selector)
+    assert filtered.shape == shape and ranks.shape == shape[:-2] and S.shape == shape[:-2] + (12,)
+    assert np.iscomplexobj(filtered) == (kind == "complex")
+    assert (model is not None) == isinstance(selector, E15)
+    if isinstance(selector, (RelativeThreshold, E15)):
+        assert len(np.unique(ranks)) > 1
+    for k in np.ndindex(shape[:-2]):
+        f, s, rank, _ = gram_tsvd(A[k], selector)
+        assert ranks[k] == rank
+        assert np.linalg.norm(S[k] - s) <= 1e-12 * np.linalg.norm(s)
+        assert np.linalg.norm(filtered[k] - f) <= 1e-12 * np.linalg.norm(f)
+    A[(-1,) * (len(shape) - 2) + (3, 5)] = np.nan
+    with pytest.raises(NonFiniteError):
+        gram_tsvd(A, selector)
 
 
 # ----------------------------------------------------------- truncation
