@@ -15,7 +15,6 @@ import numpy as np
 
 from . import benchmark, filters, metrics, report, selection
 from .dataset import (
-    Domain,
     export_all_csv,
     read_dataset,
     to_frequency,
@@ -66,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("filter", help="run a truncation filter or PRANK pipeline")
     p.add_argument("input", type=Path)
     p.add_argument("--variant", choices=[v.value for v in filters.Variant], default="hip")
-    p.add_argument("--domain", choices=["time", "freq"], default="time")
+    p.add_argument("--domain", choices=["time"], default="time", help="ignored: stage domains are fixed")
     p.add_argument("--mu", type=float, default=0.10, help="e15 cleanliness threshold")
     p.add_argument("--tail-fraction", type=float, default=0.5,
                    help="fraction of the singular spectrum used by the noise fit")
@@ -183,7 +182,6 @@ def cmd_filter(args) -> int:
     window = None if args.window == "auto" else int(args.window)
     cfg = filters.PrankConfig(
         variant=filters.Variant(args.variant),
-        domain=Domain.TIME if args.domain == "time" else Domain.FREQUENCY,
         prf_selector=_selector(args.prf_rank, args.mu, args.tail_fraction),
         hankel_selector=_selector(args.hankel_rank, args.mu, args.tail_fraction),
         hankel_window=window,

@@ -2,21 +2,22 @@
 
 All filters return (filtered_dataset, FilterReport); shape, domain tag and
 axis metadata of the input are always preserved.  Every variant is a chain
-of stages (``_CHAINS``); all but classic are built from two:
+of stages (``_CHAINS``) and each stage has one domain: classic runs on
+spectral lines, the Hankel stages on the real time record (an impulse
+response is a sum of damped exponentials, so its Hankel matrix is low rank;
+an FRF's is not), and the PRF stage on whatever it is handed.  ``_chain``
+holds the single bridge (``_working``): the input goes to the chain's
+domain once, the result back once.  All but classic use two stages:
 
-- the PRF stage (``_unfolded``): working domain, unfolding, one dense SVD,
-  rank selection, rank-r rebuild, restore;
+- the PRF stage (``_unfolded``): unfolding, one dense SVD, rank selection,
+  rank-r rebuild;
 - the Hankel row stage (``_hankel_rows``): one Hankel TSVD per row, i.e.
   per (o, i) series or per retained PRF left singular vector.
 
 PH and HP run the two in turn; PRANK_HiP runs the Hankel row stage on the
 PRF left vectors inside the PRF stage, cutting the number of Hankel
 factorizations (``svd_calls`` in the reports) from n_o*n_i to the PRF
-rank.  Each Hankel factorization is one Gram eigendecomposition
-(``tsvd.gram_tsvd``), exact down to about 1.5e-8 of the Hankel matrix
-norm; classic runs all its lines through one stacked ``gram_tsvd`` call,
-with that floor per line, and only the PRF stage uses a dense SVD.  The
-PRF record's ``seconds`` covers its SVD and rank selection only.
+rank.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class Variant(Enum):
 
 @dataclass(frozen=True)
 class PrankConfig:
-    """Pipeline selection; defaults follow the mixed time-based design."""
+    """Pipeline selection; ``domain`` accepts only ``Domain.TIME``, as stage domains are fixed."""
 
     variant: Variant = Variant.PRANK_HIP
     domain: Domain = Domain.TIME
@@ -62,20 +63,21 @@ class PrankConfig:
     hankel_selector: SelectionStrategy = field(default_factory=E15)
     hankel_window: Optional[int] = None
 
+    def __post_init__(self):
+        if not isinstance(self.variant, Variant):
+            raise ValueError(f"unknown variant {self.variant!r}")
+        if self.domain is not Domain.TIME:
+            raise DomainError(f"unsupported working domain {self.domain!r}: stage domains are fixed")
 
-def _working(ds: ResponseDataset, domain: Optional[Domain]):
-    """Convert ``ds`` to the requested working domain.
 
-    Returns (working_dataset, restore) where restore maps a filtered 3-D
-    array in the working domain back to a dataset with the original domain
-    tag and axis metadata.  Time-domain datasets hold float64, so every
-    stage on them runs on real arrays and returns real arrays.
-    """
-    if domain is None or domain == ds.domain:
-        return ds, ds.with_data
-    if ds.domain is Domain.FREQUENCY and domain is Domain.TIME:
-        return to_time(ds), lambda data: ds.with_data(np.fft.rfft(data, axis=-1))
-    return to_frequency(ds), lambda data: ds.with_data(_irfft_real_edges(data, ds.n_bins))
+def _working(ds: ResponseDataset, domain: Domain):
+    """The one domain bridge, called by ``_chain`` only: ``ds`` in ``domain``,
+    and a restore that maps a dataset in ``domain`` back to the tag and axes of ``ds``."""
+    if domain is ds.domain:
+        return ds, lambda out: out
+    if domain is Domain.TIME:
+        return to_time(ds), lambda out: ds.with_data(np.fft.rfft(out.data, axis=-1))
+    return to_frequency(ds), lambda out: ds.with_data(_irfft_real_edges(out.data, ds.n_bins))
 
 
 def classic_tsvd(ds: ResponseDataset, selector: SelectionStrategy):
@@ -84,13 +86,14 @@ def classic_tsvd(ds: ResponseDataset, selector: SelectionStrategy):
     One stacked ``gram_tsvd`` call truncates all n_k slices: one stacked
     Gram eigendecomposition, one ``evaluate`` over the stacked spectra (for
     e15, one vectorised noise fit per line, all in one pass) and one batched
-    projection.  The record's spectrum is the mean over the lines.
+    projection.  The record's spectrum is the mean over the lines.  Under
+    e15 a line needs 2 outputs and 2 inputs: one value is its own noise tail.
     """
     if ds.domain is not Domain.FREQUENCY:
         raise DomainError("per-frequency-line filtering requires a frequency-domain dataset")
     n_o, n_i, n_k = ds.data.shape
-    if n_o < 2 and n_i < 2:
-        raise ShapeError("per-line filtering needs at least 2 outputs or 2 inputs")
+    if max(n_o, n_i) < 2 or (isinstance(selector, E15) and min(n_o, n_i) < 2):
+        raise ShapeError("per-line filtering needs 2 outputs or 2 inputs, and both under e15")
     t0 = time.perf_counter()
     out, S, ranks, _ = gram_tsvd(ds.data.transpose(2, 0, 1), selector)
     record = StageRecord(
@@ -110,7 +113,7 @@ def classic_tsvd(ds: ResponseDataset, selector: SelectionStrategy):
     return filtered, FilterReport([record], record.seconds)
 
 
-def _unfolded(ds: ResponseDataset, selector: SelectionStrategy, domain: Optional[Domain], hankel=None):
+def _unfolded(ds: ResponseDataset, selector: SelectionStrategy, hankel=None):
     """The PRF stage: one TSVD of the spectrally-unfolded dataset.
 
     Rebuilds (U_r * s) @ V_r^H with s the e15-cleaned values under e15 and
@@ -122,13 +125,11 @@ def _unfolded(ds: ResponseDataset, selector: SelectionStrategy, domain: Optional
     n_o, n_i = ds.n_outputs, ds.n_inputs
     if n_o * n_i < 2:
         raise ShapeError("unfolded filtering needs at least 2 spatial entries")
+    matrix = flatten(ds)
     t0 = time.perf_counter()
-    work, restore = _working(ds, domain)
-    matrix = flatten(work)
-    t_prf = time.perf_counter()
     f = svd(matrix)
     rank, model = evaluate(f.S, matrix.shape, selector)
-    report = FilterReport([StageRecord("prf", matrix.shape, f.S, rank, model, time.perf_counter() - t_prf)])
+    report = FilterReport([StageRecord("prf", matrix.shape, f.S, rank, model, time.perf_counter() - t0)])
     if rank == 0:
         report.flags.append("prf_rank_zero")
     U_r = f.U[:, :rank]
@@ -139,7 +140,7 @@ def _unfolded(ds: ResponseDataset, selector: SelectionStrategy, domain: Optional
         report.stages.append(record)
     s_used = model.cleaned_s if model is not None else f.S[:rank]
     filtered = (U_r * s_used) @ f.V[:, :rank].conj().T
-    result = restore(unflatten(filtered, n_o, n_i))
+    result = ds.with_data(unflatten(filtered, n_o, n_i))
     report.total_seconds = time.perf_counter() - t0
     return result, report, prfs
 
@@ -166,39 +167,34 @@ def _hankel_rows(rows: np.ndarray, selector: SelectionStrategy, window: Optional
     return out, replace(first, name=name, rank=max(ranks, default=0), seconds=seconds, extras=extras)
 
 
-def prf_tsvd(ds: ResponseDataset, selector: SelectionStrategy, domain: Optional[Domain] = None):
-    """Single TSVD of the spectrally-unfolded dataset.
+def prf_tsvd(ds: ResponseDataset, selector: SelectionStrategy):
+    """Single TSVD of the spectrally-unfolded dataset, in the domain of ``ds``.
 
     Returns (filtered, report, prfs) where prfs are the retained left
     singular vectors scaled by their singular values, one column per
     retained component.
     """
-    return _unfolded(ds, selector, domain)
+    return _unfolded(ds, selector)
 
 
-def hankel_filter_dataset(
-    ds: ResponseDataset,
-    selector: SelectionStrategy,
-    window: Optional[int] = None,
-    domain: Optional[Domain] = Domain.TIME,
-):
-    """Hankel-TSVD every (o, i) series independently; blind to the rest."""
+def hankel_filter_dataset(ds: ResponseDataset, selector: SelectionStrategy, window: Optional[int] = None):
+    """Hankel-TSVD every (o, i) time series independently; blind to the rest."""
+    if ds.domain is not Domain.TIME:
+        raise DomainError("Hankel filtering requires a time-domain dataset")
     if ds.n_bins < 4:
-        raise ShapeError("Hankel filtering needs at least 4 spectral lines")
-    t0 = time.perf_counter()
-    work, restore = _working(ds, domain)
-    out, record = _hankel_rows(work.data.reshape(-1, work.n_bins), selector, window, "hankel")
-    return restore(out.reshape(work.data.shape)), FilterReport([record], time.perf_counter() - t0)
+        raise ShapeError("Hankel filtering needs at least 4 samples")
+    out, record = _hankel_rows(ds.data.reshape(-1, ds.n_bins), selector, window, "hankel")
+    return ds.with_data(out.reshape(ds.data.shape)), FilterReport([record], record.seconds)
 
 
 def prank_ph(ds: ResponseDataset, cfg: PrankConfig):
     """PRF stage followed by per-entry Hankel filtering."""
-    return _chain(ds, cfg, _CHAINS[Variant.PRANK_PH])
+    return _chain(ds, cfg, Variant.PRANK_PH)
 
 
 def prank_hp(ds: ResponseDataset, cfg: PrankConfig):
     """Per-entry Hankel filtering followed by the PRF stage."""
-    return _chain(ds, cfg, _CHAINS[Variant.PRANK_HP])
+    return _chain(ds, cfg, Variant.PRANK_HP)
 
 
 def prank_hip(ds: ResponseDataset, cfg: PrankConfig):
@@ -208,47 +204,51 @@ def prank_hip(ds: ResponseDataset, cfg: PrankConfig):
     spatial entry; the PRF singular values (e15-cleaned when applicable)
     and right vectors are reused in the reconstruction.
     """
-    return _unfolded(ds, cfg.prf_selector, cfg.domain, (cfg.hankel_selector, cfg.hankel_window))[:2]
+    return _chain(ds, cfg, Variant.PRANK_HIP)
 
 
 def _classic(ds: ResponseDataset, cfg: PrankConfig):
-    work, restore = _working(ds, Domain.FREQUENCY)
-    filtered, report = classic_tsvd(work, cfg.prf_selector)
-    return restore(filtered.data), report
+    return classic_tsvd(ds, cfg.prf_selector)
 
 
 def _prf(ds: ResponseDataset, cfg: PrankConfig):
-    return prf_tsvd(ds, cfg.prf_selector, cfg.domain)[:2]
+    return _unfolded(ds, cfg.prf_selector)[:2]
 
 
 def _hankel(ds: ResponseDataset, cfg: PrankConfig):
-    return hankel_filter_dataset(ds, cfg.hankel_selector, cfg.hankel_window, cfg.domain)
+    return hankel_filter_dataset(ds, cfg.hankel_selector, cfg.hankel_window)
 
 
-# every variant as its stages, run in order; each maps (ds, cfg) to (ds, report)
+def _hip(ds: ResponseDataset, cfg: PrankConfig):
+    return _unfolded(ds, cfg.prf_selector, (cfg.hankel_selector, cfg.hankel_window))[:2]
+
+
+# every variant as its domain and its stages, run in order; each maps (ds, cfg) to (ds, report)
 _CHAINS = {
-    Variant.CLASSIC: (_classic,),
-    Variant.PRF: (_prf,),
-    Variant.HANKEL: (_hankel,),
-    Variant.PRANK_PH: (_prf, _hankel),
-    Variant.PRANK_HP: (_hankel, _prf),
-    Variant.PRANK_HIP: (prank_hip,),
+    Variant.CLASSIC: (Domain.FREQUENCY, (_classic,)),
+    Variant.PRF: (Domain.TIME, (_prf,)),
+    Variant.HANKEL: (Domain.TIME, (_hankel,)),
+    Variant.PRANK_PH: (Domain.TIME, (_prf, _hankel)),
+    Variant.PRANK_HP: (Domain.TIME, (_hankel, _prf)),
+    Variant.PRANK_HIP: (Domain.TIME, (_hip,)),
 }
 
 
-def _chain(ds: ResponseDataset, cfg: PrankConfig, stages):
+def _chain(ds: ResponseDataset, cfg: PrankConfig, variant: Variant):
+    """Bridge ``ds`` to the variant's domain, run its stages, bridge back."""
+    domain, stages = _CHAINS[variant]
     t0 = time.perf_counter()
+    work, restore = _working(ds, domain)
     report = FilterReport()
     for stage in stages:
-        ds, stage_report = stage(ds, cfg)
+        work, stage_report = stage(work, cfg)
         report.stages += stage_report.stages
         report.flags += stage_report.flags
+    result = restore(work)
     report.total_seconds = time.perf_counter() - t0
-    return ds, report
+    return result, report
 
 
 def apply_filter(ds: ResponseDataset, cfg: PrankConfig):
-    """Run the configured variant; frequency-only filters convert as needed."""
-    if not isinstance(cfg.variant, Variant):
-        raise ValueError(f"unknown variant {cfg.variant!r}")
-    return _chain(ds, cfg, _CHAINS[cfg.variant])
+    """Run the configured variant on a dataset in either domain (see ``_chain``)."""
+    return _chain(ds, cfg, cfg.variant)

@@ -16,18 +16,19 @@ from .selection import E15Model
 class StageRecord:
     """One filtering stage: shape seen by the factorization, its spectrum, chosen rank.
 
-    PRF stages take their spectrum from a dense SVD.  Hankel and classic
-    stages take it from the eigenvalues of each matrix's Gram matrix
-    (``tsvd.gram_tsvd``): values below about 1.5e-8 of that matrix's largest
-    are rounding noise there; classic records the mean over its lines.  For
-    stages that factor many matrices (per-entry or per-column Hankel passes)
-    ``singular_values`` and ``model`` come from the first call, as a
-    representative, and ``extras`` carries the per-call ranks and the
-    factorization count as ``svd_calls``.  ``model.tail_misfit`` is the
-    ``e15_tail_misfit`` of ``to_text``.  ``seconds`` covers the stage's
-    own work: the SVD and rank selection of a PRF stage, every per-row
-    Hankel call of a Hankel stage; domain bridges and the PRF rebuild count
-    only toward ``FilterReport.total_seconds``.
+    Each stage runs in one domain: classic on spectral lines, Hankel on time
+    samples, PRF on what it is handed.  PRF stages take their spectrum from
+    a dense SVD, Hankel and classic stages from the eigenvalues of each
+    matrix's Gram matrix (``tsvd.gram_tsvd``), where values below about
+    1.5e-8 of the largest are rounding noise; classic records the mean over
+    its lines.  Stages that factor many matrices (per-entry or per-column
+    Hankel passes) keep the first call's ``singular_values`` and ``model``;
+    ``extras`` carries the per-call ranks and the factorization count as
+    ``svd_calls``.  ``model.tail_misfit`` is the ``e15_tail_misfit`` of
+    ``to_text``.  ``seconds`` covers the SVD and rank selection of a PRF
+    stage, every per-row Hankel call of a Hankel stage; the chain's one
+    domain bridge (``filters._chain``) and the PRF rebuild count only toward
+    ``FilterReport.total_seconds``.
     """
 
     name: str

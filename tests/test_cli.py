@@ -132,12 +132,32 @@ def test_filter_defaults_write_output_and_report(tmp_path, capsys):
 
 
 def test_filter_full_rank_is_near_identity(tmp_path):
-    src = synth_small(tmp_path)
+    src = tmp_path / "irf.prnk"
+    assert run(["convert", str(synth_small(tmp_path)), "--to-time", "-o", str(src)]) == 0
     out = tmp_path / "filt.prnk"
-    assert run(["filter", str(src), "--variant", "ph", "--domain", "freq",
+    assert run(["filter", str(src), "--variant", "ph",
                 "--prf-rank", "999", "--hankel-rank", "99999", "-o", str(out)]) == 0
     a, b = read_dataset(src).data, read_dataset(out).data
     assert np.abs(a - b).max() <= 1e-10 * np.abs(a).max()
+
+
+def test_filter_frequency_working_domain_is_usage_error(tmp_path):
+    src = synth_small(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(["filter", str(src), "--domain", "freq", "-o", str(tmp_path / "x.prnk")])
+    assert err.value.code == 2
+
+
+def test_filter_classic_e15_on_single_input_is_usage_error(tmp_path, capsys):
+    # one input leaves one singular value per line, its own e15 noise tail
+    src = synth_small(tmp_path)
+    single = tmp_path / "single.prnk"
+    ds = read_dataset(src)
+    write_dataset(ds.with_data(ds.data[:, :1]), single)
+    out = tmp_path / "x.prnk"
+    assert run(["filter", str(single), "--variant", "classic", "-o", str(out)]) == 2
+    assert "e15" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_filter_hip_report_call_count_equals_prf_rank(tmp_path):

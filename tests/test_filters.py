@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from prank import (
+    E15,
     ChainSystem,
     ConvergenceError,
     Domain,
@@ -100,6 +101,11 @@ def test_classic_requires_frequency_and_spatial_extent(clean_bench):
     single = ResponseDataset(np.ones((1, 1, 8)), Domain.FREQUENCY)
     with pytest.raises(ShapeError):
         classic_tsvd(single, FixedRank(1))
+    # under e15 a one-value line spectrum is its own tail: every rank would be 0
+    one_input = clean_bench.with_data(clean_bench.data[:, :1])
+    with pytest.raises(ShapeError):
+        classic_tsvd(one_input, E15())
+    assert rel_err(classic_tsvd(one_input, FixedRank(1))[0], one_input) <= 1e-12
 
 
 def test_classic_nonfinite_data_raises():
@@ -141,7 +147,7 @@ def test_prf_full_rank_identity(clean_bench):
 
 
 def test_prf_time_domain_full_rank_round_trip(clean_bench):
-    out, _, _ = prf_tsvd(clean_bench, FULL, domain=Domain.TIME)
+    out, _ = apply_filter(clean_bench, PrankConfig(variant=Variant.PRF, prf_selector=FULL))
     assert rel_err(out, clean_bench) <= 1e-10
     assert out.domain is Domain.FREQUENCY
     assert out.axis_step == clean_bench.axis_step
@@ -178,8 +184,9 @@ def test_prf_rejects_single_entry():
 # ------------------------------------------------------------------- hankel
 
 def test_hankel_filter_full_rank_identity(clean_bench):
-    out, report = hankel_filter_dataset(clean_bench, FULL)
-    assert rel_err(out, clean_bench) <= 1e-10
+    irf = to_time(clean_bench)
+    out, report = hankel_filter_dataset(irf, FULL)
+    assert rel_err(out, irf) <= 1e-10
     assert report.stage("hankel").extras["svd_calls"] == 16
 
 
@@ -194,7 +201,7 @@ def test_hankel_filter_recovers_single_mode_impulse_response():
 
     S = np.linalg.svd(hankelize(irf.data[0, 0].real), compute_uv=False)
     assert S[2] <= 1e-9 * S[0]
-    out, _ = hankel_filter_dataset(irf, FixedRank(2), domain=Domain.TIME)
+    out, _ = hankel_filter_dataset(irf, FixedRank(2))
     assert rel_err(out, irf) <= 1e-8
 
 
@@ -202,7 +209,7 @@ def test_hankel_only_keeps_offset_zero_error(clean_bench, noisy_bench, zero_band
     # per-entry Hankel filtering is blind to the spatial outlier: the
     # anti-resonance stays away from its clean location
     lo, hi = zero_band
-    out, _ = hankel_filter_dataset(noisy_bench, FixedRank(12))
+    out, _ = apply_filter(noisy_bench, PrankConfig(variant=Variant.HANKEL, hankel_selector=FixedRank(12)))
     clean_zero = zero_bin(clean_bench, lo, hi)
     assert abs(zero_bin(out, lo, hi) - clean_zero) >= 2
     # while the random-noise cleaning still helps coherence
@@ -210,10 +217,13 @@ def test_hankel_only_keeps_offset_zero_error(clean_bench, noisy_bench, zero_band
     assert consist(clean_bench, out).overall > base
 
 
-def test_hankel_filter_needs_bins():
-    ds = ResponseDataset(np.ones((2, 2, 3)), Domain.FREQUENCY)
+def test_hankel_filter_needs_bins(clean_bench):
+    ds = ResponseDataset(np.ones((2, 2, 3)), Domain.TIME)
     with pytest.raises(ShapeError):
         hankel_filter_dataset(ds, FixedRank(1))
+    # an FRF's Hankel matrix is not low rank: spectra go through to_time first
+    with pytest.raises(DomainError):
+        hankel_filter_dataset(clean_bench, FULL)
 
 
 # ---------------------------------------------------------------- pipelines
@@ -286,11 +296,10 @@ def test_full_rank_idempotence_every_variant(clean_bench, variant):
     assert rel_err(out, clean_bench) <= 1e-10
 
 
-@pytest.mark.parametrize("domain", [Domain.TIME, Domain.FREQUENCY])
 @pytest.mark.parametrize("variant", list(Variant))
-def test_time_domain_input_gives_float64_output(noisy_bench, variant, domain):
+def test_time_domain_input_gives_float64_output(noisy_bench, variant):
     ds = to_time(noisy_bench)
-    cfg = PrankConfig(variant=variant, domain=domain, prf_selector=FixedRank(6), hankel_selector=FixedRank(8))
+    cfg = PrankConfig(variant=variant, prf_selector=FixedRank(6), hankel_selector=FixedRank(8))
     out, _ = apply_filter(ds, cfg)
     assert out.domain is Domain.TIME and out.data.dtype == np.float64
 
@@ -299,6 +308,12 @@ def test_apply_filter_rejects_unknown_variant(noisy_bench):
     # the variant's value string is not a Variant
     with pytest.raises(ValueError, match="unknown variant"):
         apply_filter(noisy_bench, PrankConfig(variant="hip"))
+
+
+def test_config_rejects_frequency_working_domain():
+    # stage domains are fixed; only the time value of the field remains
+    with pytest.raises(DomainError):
+        PrankConfig(domain=Domain.FREQUENCY)
 
 
 @pytest.mark.parametrize("variant", list(Variant))
