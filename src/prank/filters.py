@@ -9,8 +9,9 @@ an FRF's is not), and the PRF stage on whatever it is handed.  ``_chain``
 holds the single bridge (``_working``): the input goes to the chain's
 domain once, the result back once.  All but classic use two stages:
 
-- the PRF stage (``_unfolded``): unfolding, one dense SVD, rank selection,
-  rank-r rebuild;
+- the PRF stage (``_unfolded``): unfolding, one eigendecomposition of the
+  smaller Gram matrix (``tsvd._gram``, shared with ``gram_tsvd``), rank
+  selection, rank-r rebuild by projection;
 - the Hankel row stage (``_hankel_rows``): one Hankel TSVD per row, i.e.
   per (o, i) series or per retained PRF left singular vector.
 
@@ -40,8 +41,8 @@ from .dataset import (
 )
 from .errors import DomainError, ShapeError
 from .report import FilterReport, StageRecord
-from .selection import E15, SelectionStrategy, evaluate
-from .tsvd import gram_tsvd, hankel_tsvd_series, svd
+from .selection import E15, SelectionStrategy
+from .tsvd import _gram, _pivot_phase, gram_tsvd, hankel_tsvd_series
 
 
 class Variant(Enum):
@@ -86,8 +87,9 @@ def classic_tsvd(ds: ResponseDataset, selector: SelectionStrategy):
     One stacked ``gram_tsvd`` call truncates all n_k slices: one stacked
     Gram eigendecomposition, one ``evaluate`` over the stacked spectra (for
     e15, one vectorised noise fit per line, all in one pass) and one batched
-    projection.  The record's spectrum is the mean over the lines.  Under
-    e15 a line needs 2 outputs and 2 inputs: one value is its own noise tail.
+    projection.  The record's spectrum is the mean over the lines, and its
+    model the stacked e15 model of every line.  Under e15 a line needs 2
+    outputs and 2 inputs: one value is its own noise tail.
     """
     if ds.domain is not Domain.FREQUENCY:
         raise DomainError("per-frequency-line filtering requires a frequency-domain dataset")
@@ -95,12 +97,13 @@ def classic_tsvd(ds: ResponseDataset, selector: SelectionStrategy):
     if max(n_o, n_i) < 2 or (isinstance(selector, E15) and min(n_o, n_i) < 2):
         raise ShapeError("per-line filtering needs 2 outputs or 2 inputs, and both under e15")
     t0 = time.perf_counter()
-    out, S, ranks, _ = gram_tsvd(ds.data.transpose(2, 0, 1), selector)
+    out, S, ranks, model = gram_tsvd(ds.data.transpose(2, 0, 1), selector)
     record = StageRecord(
         name="classic",
         shape=(n_o, n_i),
         singular_values=S.mean(axis=0),
         rank=int(ranks.max()),
+        model=model,
         seconds=time.perf_counter() - t0,
         extras={
             "svd_calls": n_k,
@@ -114,32 +117,46 @@ def classic_tsvd(ds: ResponseDataset, selector: SelectionStrategy):
 
 
 def _unfolded(ds: ResponseDataset, selector: SelectionStrategy, hankel=None):
-    """The PRF stage: one TSVD of the spectrally-unfolded dataset.
+    """The PRF stage: one Gram TSVD (``tsvd._gram``) of the spectrally-unfolded
+    n_k x n_o*n_i matrix A.
 
-    Rebuilds (U_r * s) @ V_r^H with s the e15-cleaned values under e15 and
-    S[:r] otherwise.  ``hankel = (selector, window)`` runs the Hankel row
-    stage on the retained left vectors U_r before the rebuild (PRANK_HiP).
-    Returns (filtered, report, prfs), prfs = U_r * S[:r] before any Hankel
-    stage.
+    The Gram side gives V_r when A is tall and U_r when it is wide; the
+    prfs U_r S_r are A V_r or U_r S_r, with ``_pivot_phase``'s convention.
+    The rebuild is the projection A V_r diag(c / s) V_r^H, or
+    U_r diag(c / s) U_r^H A, with c the e15-cleaned values and c / s = 1 for
+    every other selector, so a full rank gives A back without dividing by s.
+    ``hankel = (selector, window)`` runs the Hankel row stage on the unit
+    left vectors U_r (the normalised columns of A V_r when tall, a zero
+    column where A v = 0) before the rebuild (PRANK_HiP).  Returns (filtered, report, prfs), prfs taken
+    before any Hankel stage.
     """
     n_o, n_i = ds.n_outputs, ds.n_inputs
     if n_o * n_i < 2:
         raise ShapeError("unfolded filtering needs at least 2 spatial entries")
     matrix = flatten(ds)
     t0 = time.perf_counter()
-    f = svd(matrix)
-    rank, model = evaluate(f.S, matrix.shape, selector)
-    report = FilterReport([StageRecord("prf", matrix.shape, f.S, rank, model, time.perf_counter() - t0)])
+    S, rank, model, Q, scale, left = _gram(matrix, selector)
+    report = FilterReport([StageRecord("prf", matrix.shape, S, rank, model, time.perf_counter() - t0)])
     if rank == 0:
         report.flags.append("prf_rank_zero")
-    U_r = f.U[:, :rank]
-    prfs = U_r * f.S[:rank]
+    s = S[:rank]
+    if left:  # Q = U_r
+        Q = Q * _pivot_phase(Q)
+        prfs = Q * s
+        lhs, rhs = Q, Q.conj().T @ matrix
+    else:  # Q = V_r, and A V_r = U_r diag(s)
+        prfs = matrix @ Q
+        rot = _pivot_phase(prfs)
+        prfs, Q = prfs * rot, Q * rot
+        lhs, rhs = prfs, Q.conj().T
     if hankel is not None:
-        rows, record = _hankel_rows(U_r.T, *hankel, "hankel_in_prf")
-        U_r = rows.T
+        # unit columns of A V_r: below the squaring floor s is rounding noise, not ||A v||
+        norm = 1.0 if left else np.linalg.norm(prfs, axis=0)
+        U = Q if left else np.divide(prfs, norm, out=np.zeros_like(prfs), where=norm > 0)
+        rows, record = _hankel_rows(U.T, *hankel, "hankel_in_prf")
+        lhs = rows.T * norm
         report.stages.append(record)
-    s_used = model.cleaned_s if model is not None else f.S[:rank]
-    filtered = (U_r * s_used) @ f.V[:, :rank].conj().T
+    filtered = (lhs * scale) @ rhs
     result = ds.with_data(unflatten(filtered, n_o, n_i))
     report.total_seconds = time.perf_counter() - t0
     return result, report, prfs

@@ -17,17 +17,18 @@ class StageRecord:
     """One filtering stage: shape seen by the factorization, its spectrum, chosen rank.
 
     Each stage runs in one domain: classic on spectral lines, Hankel on time
-    samples, PRF on what it is handed.  PRF stages take their spectrum from
-    a dense SVD, Hankel and classic stages from the eigenvalues of each
-    matrix's Gram matrix (``tsvd.gram_tsvd``), where values below about
-    1.5e-8 of the largest are rounding noise; classic records the mean over
-    its lines.  Stages that factor many matrices (per-entry or per-column
-    Hankel passes) keep the first call's ``singular_values`` and ``model``;
-    ``extras`` carries the per-call ranks and the factorization count as
-    ``svd_calls``.  ``model.tail_misfit`` is the ``e15_tail_misfit`` of
-    ``to_text``.  ``seconds`` covers the SVD and rank selection of a PRF
-    stage, every per-row Hankel call of a Hankel stage; the chain's one
-    domain bridge (``filters._chain``) and the PRF rebuild count only toward
+    samples, PRF on what it is handed.  Every stage takes its spectrum from
+    the eigenvalues of each matrix's smaller Gram matrix (``tsvd._gram``),
+    where values below about 1.5e-8 of the largest are rounding noise.
+    Classic records the mean spectrum over its lines and, under e15, the
+    stacked ``E15Model`` of all of them.  Stages that factor many matrices
+    one call at a time (per-entry or per-column Hankel passes) keep the
+    first call's ``singular_values`` and ``model``; ``extras`` carries the
+    per-call ranks and the factorization count as ``svd_calls``.
+    ``model.tail_misfit`` is the ``e15_tail_misfit`` of ``to_text``.
+    ``seconds`` covers the factorization and rank selection of a PRF stage,
+    every per-row Hankel call of a Hankel stage; the chain's one domain
+    bridge (``filters._chain``) and the PRF rebuild count only toward
     ``FilterReport.total_seconds``.
     """
 
@@ -63,17 +64,49 @@ class FilterReport:
             lines.append(f"  rank: {rec.rank}")
             lines.append(f"  seconds: {rec.seconds:.6f}")
             if rec.model is not None:
-                lines.append(f"  e15_sigma_n: {rec.model.sigma_n:.6e}")
-                lines.append(f"  e15_corr: {rec.model.corr}")
-                if not np.isnan(rec.model.tail_misfit):
-                    lines.append(f"  e15_tail_misfit: {rec.model.tail_misfit:.4f}")
+                lines += _model_lines(rec.model)
             for key, value in sorted(rec.extras.items()):
                 lines.append(f"  {key}: {value}")
         return "\n".join(lines) + "\n"
 
 
+_MODEL_FIELDS = (("sigma_n", "{:.6e}"), ("corr", "{}"), ("tail_misfit", "{:.4f}"))
+
+
+def _model_lines(model: E15Model) -> list:
+    """One line per e15 field; a stacked model gives min / median / max over
+    its lines.  NaN misfits (all-zero tails) are left out."""
+    lines = []
+    for name, fmt in _MODEL_FIELDS:
+        values = np.asarray(getattr(model, name), dtype=float)
+        stacked = values.ndim > 0
+        values = values[~np.isnan(values)]
+        if values.size == 0:
+            continue
+        if stacked:
+            # np.median would import numpy.ma, about 40 ms of every CLI run
+            v = np.sort(values)
+            stats = (v[0], (v[(len(v) - 1) // 2] + v[len(v) // 2]) / 2, v[-1])
+            text = " / ".join(fmt.format(x) for x in stats) + " (min / median / max over lines)"
+        else:
+            text = fmt.format(values.item())
+        lines.append(f"  e15_{name}: {text}")
+    return lines
+
+
+def _curves(rec: StageRecord) -> list:
+    """The CSV columns of a stage: its spectrum and, under e15, the MP curve and
+    cleanliness, each the mean over the lines when the model is stacked."""
+    columns = [rec.singular_values]
+    if rec.model is not None:
+        columns += [np.reshape(x, (-1, len(rec.singular_values))).mean(axis=0)
+                    for x in (rec.model.mp_curve, rec.model.cleanliness)]
+    return columns
+
+
 def write_report(report: FilterReport, prefix) -> list:
-    """Write ``<prefix>.report.txt`` plus one SV-curve CSV per stage."""
+    """Write ``<prefix>.report.txt`` plus one SV-curve CSV per stage; a
+    stacked (classic) stage writes the means over its lines."""
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     paths = []
@@ -83,12 +116,8 @@ def write_report(report: FilterReport, prefix) -> list:
     for idx, rec in enumerate(report.stages):
         csv_path = prefix.with_name(f"{prefix.name}.sv_{idx}_{rec.name}.csv")
         rows = ["index,singular_value" + (",mp_curve,cleanliness" if rec.model is not None else "")]
-        for k, s in enumerate(rec.singular_values):
-            if rec.model is not None:
-                rows.append(f"{k},{float(s)!r},{float(rec.model.mp_curve[k])!r},"
-                            f"{float(rec.model.cleanliness[k])!r}")
-            else:
-                rows.append(f"{k},{float(s)!r}")
+        for k, values in enumerate(zip(*_curves(rec))):
+            rows.append(",".join([str(k)] + [repr(float(x)) for x in values]))
         _atomic_write(csv_path, "\n".join(rows) + "\n")
         paths.append(csv_path)
     return paths

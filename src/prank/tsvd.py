@@ -2,12 +2,14 @@
 reconstruction, Hankel matrix construction and SSA (anti-diagonal
 averaging) inversion.
 
-Truncation does not run a dense SVD: ``gram_tsvd`` takes the singular
-values and one side's singular vectors of a matrix, or of every matrix of a
-stack, from one eigendecomposition of the smaller Gram matrix and
-reconstructs by projection; the Hankel and the per-line classic filters run
-through it.  Squaring costs the components below about sqrt(eps) * sigma_1
-(1.5e-8 of each matrix's norm); everything above that matches the dense SVD.
+Truncation does not run a dense SVD: ``_gram`` takes the singular values
+and one side's singular vectors of a matrix, or of every matrix of a stack,
+from one eigendecomposition of the smaller Gram matrix and selects the
+ranks.  ``gram_tsvd`` reconstructs from it by projection for the Hankel and
+the per-line classic filters; the PRF stage (``filters._unfolded``) builds
+its principal responses and its rebuild from it.  Squaring costs the
+components below about sqrt(eps) * sigma_1 (1.5e-8 of each matrix's norm);
+everything above that matches the dense SVD, which only ``svd`` runs.
 """
 
 from __future__ import annotations
@@ -53,11 +55,13 @@ def svd(A: np.ndarray) -> SVDFactorization:
 
 def _pivot_phase(U: np.ndarray) -> np.ndarray:
     """Unit factors conj(p) / |p|, shape (..., 1, n), with p the
-    largest-magnitude entry of each (nonzero) column of U: multiplied in,
-    they make p real and positive.  For real U they are exactly +-1.0."""
+    largest-magnitude entry of each column of U: multiplied in, they make p
+    real and positive.  For real U they are exactly +-1.0; a zero column
+    gets 1."""
     idx = np.argmax(np.abs(U), axis=-2)[..., None, :]
     pivots = np.take_along_axis(U, idx, axis=-2)
-    return np.conj(pivots) / np.abs(pivots)
+    mag = np.abs(pivots)
+    return np.divide(np.conj(pivots), mag, out=np.ones_like(pivots), where=mag > 0)
 
 
 def _finite(A) -> np.ndarray:
@@ -109,14 +113,44 @@ def dehankelize_ssa(M: np.ndarray) -> np.ndarray:
     return anchor.real + real / counts
 
 
+def _gram(A: np.ndarray, selector: SelectionStrategy):
+    """The one Gram path of ``gram_tsvd`` and the PRF stage.
+
+    One ``eigh`` of G = A A^H (m <= n) or A^H A, stacked for a stack (..., m,
+    n), gives the singular values S = sqrt(max(w, 0)) of each matrix,
+    nonincreasing, and the singular vectors of that side; one ``evaluate``
+    selects every rank.  The scale c / s of each of the first r = max(rank)
+    values is the e15-cleaned value over s (c <= s), 1 for every other
+    selector, and 0 beyond a matrix's own rank or where s = 0.  NaN or
+    infinite entries raise NonFiniteError, a backend failure
+    ConvergenceError.
+
+    Returns (S, rank, model, Q_r, scale, left): Q_r the first r vectors,
+    scale of shape (..., 1, r), and left True when Q_r are left vectors.
+    """
+    A = _finite(A)
+    Ah = np.swapaxes(A.conj(), -1, -2)
+    left = A.shape[-2] <= A.shape[-1]
+    try:
+        w, Q = np.linalg.eigh(A @ Ah if left else Ah @ A)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(str(exc)) from exc
+    S = np.sqrt(np.maximum(w[..., ::-1], 0.0))
+    rank, model = evaluate(S, A.shape[-2:], selector)
+    r = int(np.max(rank, initial=0))
+    s = S[..., :r]
+    if model is None:
+        scale = (np.arange(r) < np.expand_dims(rank, -1)) * 1.0
+    else:
+        scale = np.divide(model.cleaned_s[..., :r], s, out=np.zeros(s.shape), where=s > 0)
+    return S, rank, model, Q[..., ::-1][..., :r], scale[..., None, :], left
+
+
 def gram_tsvd(A: np.ndarray, selector: SelectionStrategy):
     """Selector-truncated reconstruction of a matrix, or of each matrix of a
-    stack (..., m, n), from its smaller Gram matrix.
+    stack (..., m, n), from its smaller Gram matrix (``_gram``).
 
-    One ``eigh`` of G = A A^H (m <= n) or A^H A, stacked for a stack, gives
-    the singular values S = sqrt(max(w, 0)) of each matrix, nonincreasing,
-    and the singular vectors Q of that side; one ``evaluate`` selects every
-    rank.  Each rank-r result is the projection Q_r diag(c / s) Q_r^H A, or
+    Each rank-r result is the projection Q_r diag(c / s) Q_r^H A, or
     A Q_r diag(c / s) Q_r^H, where c are the e15-cleaned values (c <= s) and
     c / s = 1 for every other selector; c / s = 0 where s = 0.  A stack
     projects every matrix onto its first max(rank) vectors, with scale 0
@@ -128,25 +162,10 @@ def gram_tsvd(A: np.ndarray, selector: SelectionStrategy):
     Returns (filtered, S, rank, model): rank an int and model the E15Model
     or None; for a stack, ranks of shape A.shape[:-2] and the stacked model.
     """
-    A = _finite(A)
-    Ah = np.swapaxes(A.conj(), -1, -2)
-    rows = A.shape[-2] <= A.shape[-1]
-    try:
-        w, Q = np.linalg.eigh(A @ Ah if rows else Ah @ A)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(str(exc)) from exc
-    S = np.sqrt(np.maximum(w[..., ::-1], 0.0))
-    rank, model = evaluate(S, A.shape[-2:], selector)
-    r = int(np.max(rank, initial=0))
-    s = S[..., :r]
-    if model is None:
-        scale = (np.arange(r) < np.expand_dims(rank, -1)) * 1.0
-    else:
-        scale = np.divide(model.cleaned_s[..., :r], s, out=np.zeros(s.shape), where=s > 0)
-    scale = scale[..., None, :]
-    Qr = Q[..., ::-1][..., :r]
+    A = np.asarray(A)
+    S, rank, model, Qr, scale, left = _gram(A, selector)
     Qrh = np.swapaxes(Qr.conj(), -1, -2)
-    filtered = (Qr * scale) @ (Qrh @ A) if rows else ((A @ Qr) * scale) @ Qrh
+    filtered = (Qr * scale) @ (Qrh @ A) if left else ((A @ Qr) * scale) @ Qrh
     return filtered, S, rank, model
 
 

@@ -282,6 +282,26 @@ def test_nonfinite_data_is_numeric_error_classic(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("variant", ["prf", "hip"])
+def test_nonfinite_data_is_numeric_error_prf(tmp_path, capsys, variant):
+    bad = nan_dataset(tmp_path)
+    assert run(["filter", str(bad), "--variant", variant, "-o", str(tmp_path / "x.prnk")]) == 1
+    assert "finite" in capsys.readouterr().err
+
+
+def test_prf_backend_failure_is_numeric_error(tmp_path, capsys, monkeypatch):
+    src = synth_small(tmp_path)
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    out = tmp_path / "x.prnk"
+    assert run(["filter", str(src), "--variant", "prf", "-o", str(out)]) == 1
+    assert "converge" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("extra", [[], ["--cmif"]])
 def test_metrics_nonfinite_test_file_is_numeric_error(tmp_path, capsys, extra):
     src = synth_small(tmp_path)

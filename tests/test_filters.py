@@ -3,6 +3,7 @@ import pytest
 
 from prank import (
     E15,
+    AbsoluteThreshold,
     ChainSystem,
     ConvergenceError,
     Domain,
@@ -27,8 +28,13 @@ from prank import (
     prank_ph,
     prf_tsvd,
     synthesize_direct,
+    flatten,
+    svd,
     to_time,
+    unflatten,
+    write_report,
 )
+from prank.selection import evaluate
 
 FULL = FixedRank(10**9)
 
@@ -124,6 +130,32 @@ def test_classic_maps_backend_failure(monkeypatch):
         classic_tsvd(ResponseDataset(np.ones((2, 2, 8)), Domain.FREQUENCY), FixedRank(1))
 
 
+def test_classic_e15_report_keeps_every_line(noisy_bench, tmp_path):
+    out, report = classic_tsvd(noisy_bench, E15())
+    rec = report.stage("classic")
+    model = rec.model
+    assert model.sigma_n.shape == (noisy_bench.n_bins,)
+    assert model.rank.max() == rec.rank and model.rank.min() == rec.extras["rank_min"]
+    assert model.rank.mean() == rec.extras["rank_mean"]
+    # the text gives min / median / max over the lines of each e15 field
+    text = report.to_text()
+    for name, values in (("sigma_n", model.sigma_n), ("corr", model.corr),
+                         ("tail_misfit", model.tail_misfit[~np.isnan(model.tail_misfit)])):
+        line = next(x for x in text.splitlines() if x.startswith(f"  e15_{name}: "))
+        stats = [float(x) for x in line.split(": ")[1].split(" (")[0].split(" / ")]
+        expected = [values.min(), np.median(values), values.max()]
+        assert stats == pytest.approx(expected, rel=1e-4, abs=1e-4)
+        assert line.endswith("(min / median / max over lines)")
+    # the CSV puts the line-mean MP curve and cleanliness next to the line-mean spectrum
+    csv = next(p for p in write_report(report, tmp_path / "classic") if p.suffix == ".csv")
+    rows = csv.read_text().splitlines()
+    assert rows[0] == "index,singular_value,mp_curve,cleanliness"
+    table = np.array([[float(x) for x in row.split(",")] for row in rows[1:]])
+    assert np.array_equal(table[:, 1], rec.singular_values)
+    assert np.array_equal(table[:, 2], model.mp_curve.mean(axis=0))
+    assert np.array_equal(table[:, 3], model.cleanliness.mean(axis=0))
+
+
 def test_classic_rank_sweep_never_denoises():
     # the per-line filter's negative result: every line carries rank-4
     # information, so no truncation level improves the coherence (measured
@@ -179,6 +211,109 @@ def test_prf_rejects_single_entry():
     ds = ResponseDataset(np.ones((1, 1, 8)), Domain.FREQUENCY)
     with pytest.raises(ShapeError):
         prf_tsvd(ds, FixedRank(1))
+
+
+def modal_dataset(n_o, n_i, n_k, complex_data, seed):
+    """Six damped modes with random shapes plus 5 % noise: the unfolded
+    matrix is tall when n_k > n_o * n_i and wide otherwise."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(n_k)
+    modes = np.stack([np.exp(-0.004 * (j + 1) * t) * np.sin((0.2 + 0.3 * j) * t) for j in range(6)])
+    shapes = rng.standard_normal((n_o * n_i, 6)) * np.linspace(3.0, 0.5, 6)
+    data = (shapes @ modes).reshape(n_o, n_i, n_k) + 0.05 * rng.standard_normal((n_o, n_i, n_k))
+    if complex_data:
+        data = data + 1j * (0.5 * np.roll(data, 7, axis=-1) + 0.05 * rng.standard_normal(data.shape))
+        return ResponseDataset(data, Domain.FREQUENCY)
+    return ResponseDataset(data, Domain.TIME)
+
+
+def dense_prf(ds, selector):
+    """The PRF stage on a dense SVD: (filtered data, S, rank, prfs)."""
+    A = flatten(ds)
+    f = svd(A)
+    rank, model = evaluate(f.S, A.shape, selector)
+    s_used = model.cleaned_s if model is not None else f.S[:rank]
+    filtered = (f.U[:, :rank] * s_used) @ f.V[:, :rank].conj().T
+    return unflatten(filtered, ds.n_outputs, ds.n_inputs), f.S, rank, f.U[:, :rank] * f.S[:rank]
+
+
+@pytest.mark.parametrize("complex_data", [False, True])
+@pytest.mark.parametrize("shape", [(8, 2, 400), (48, 2, 64)])  # 400 x 16 tall, 64 x 96 wide
+@pytest.mark.parametrize("selector", [FixedRank(6), E15()])
+def test_prf_gram_kernel_matches_dense_svd(complex_data, shape, selector):
+    for seed in range(3):
+        ds = modal_dataset(*shape, complex_data, seed)
+        out, report, prfs = prf_tsvd(ds, selector)
+        ref, S, rank, ref_prfs = dense_prf(ds, selector)
+        record = report.stage("prf")
+        assert record.rank == rank and prfs.shape == ref_prfs.shape
+        assert (record.model is not None) == isinstance(selector, E15)
+        assert np.iscomplexobj(out.data) == complex_data
+        norm = np.linalg.norm(ds.data)
+        assert np.linalg.norm(out.data - ref) <= 1e-8 * norm
+        # Gram eigenvalues carry an absolute error of about eps * S[0]^2
+        kept = S > 1e-4 * S[0]
+        assert np.all(np.abs(record.singular_values[kept] - S[kept]) <= 1e-10 * S[0])
+        assert np.linalg.norm(prfs - ref_prfs) <= 1e-8 * norm
+
+
+def test_prf_maps_backend_failure(monkeypatch, noisy_bench):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(ConvergenceError, match="converge"):
+        prf_tsvd(noisy_bench, FixedRank(4))
+
+
+def test_prf_nonfinite_data_raises():
+    data = np.ones((2, 2, 8))
+    data[1, 0, 3] = np.nan
+    for variant in (Variant.PRF, Variant.PRANK_HIP):
+        with pytest.raises(NonFiniteError):
+            apply_filter(ResponseDataset(data, Domain.TIME), PrankConfig(variant=variant))
+
+
+@pytest.mark.parametrize("shape", [(4, 2, 16), (4, 3, 6)])  # tall and wide unfoldings
+@pytest.mark.parametrize("selector", [FULL, FixedRank(2), E15()])
+def test_prf_zero_and_rank_deficient_input_stay_finite(shape, selector):
+    zero = ResponseDataset(np.zeros(shape), Domain.TIME)
+    rng = np.random.default_rng(0)
+    g, h = rng.standard_normal((shape[0], 2)), rng.standard_normal((shape[1], 2))
+    rank_two = zero.with_data(np.einsum("or,ir,rk->oik", g, h, rng.standard_normal((2, shape[2]))))
+    for ds in (zero, rank_two):
+        for variant in (Variant.PRF, Variant.PRANK_HIP, Variant.PRANK_PH, Variant.PRANK_HP):
+            cfg = PrankConfig(variant=variant, prf_selector=selector, hankel_selector=FULL)
+            with np.errstate(all="raise"):
+                out, _ = apply_filter(ds, cfg)
+            assert np.all(np.isfinite(out.data))
+            if ds is zero:
+                assert np.all(out.data == 0)
+            elif selector is FULL:
+                assert rel_err(out, ds) <= 1e-10
+
+
+def test_hip_hankel_rows_are_unit_vectors():
+    # a tall rank-2 unfolding: components 3 and 4 sit below the squaring
+    # floor, yet their left vectors reach the Hankel stage with unit norm,
+    # which an absolute threshold needs
+    rng = np.random.default_rng(0)
+    g, h, c = rng.standard_normal((4, 2)), rng.standard_normal((2, 2)), rng.standard_normal((2, 40))
+    ds = ResponseDataset(np.einsum("or,ir,rk->oik", g, h, c), Domain.TIME)
+    cfg = PrankConfig(variant=Variant.PRANK_HIP, prf_selector=FixedRank(4),
+                      hankel_selector=AbsoluteThreshold(1e-3))
+    out, report = apply_filter(ds, cfg)
+    assert report.stage("prf").singular_values[2] <= 1e-7 * report.stage("prf").singular_values[0]
+    assert min(report.stage("hankel_in_prf").extras["ranks"]) > 0
+    assert np.all(np.isfinite(out.data))
+
+
+def test_hp_after_rank_zero_hankel_stage_is_exactly_zero(noisy_bench):
+    # the Hankel stage leaves only zero columns: the PRF stage returns them
+    cfg = PrankConfig(variant=Variant.PRANK_HP, prf_selector=FULL, hankel_selector=FixedRank(0))
+    out, report = apply_filter(noisy_bench, cfg)
+    assert np.all(out.data == 0)
+    assert report.stage("prf").rank == 16
 
 
 # ------------------------------------------------------------------- hankel

@@ -349,21 +349,33 @@ selectors = st.one_of(st.builds(FixedRank, st.integers(0, 6)), st.just(E15()))
 
 
 @st.composite
-def chain_cases(draw, real_edges=False):
+def chain_cases(draw, real_edges=False, wide=False):
     """Datasets in both input domains; frequency inputs start at 0 so the
     time bridge applies, and with ``real_edges`` have the real DC and
-    Nyquist bins it keeps."""
-    n_o, n_i = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    assume(n_o * n_i >= 2)
-    n_k = 2 * draw(st.integers(3, 12))
+    Nyquist bins it keeps.  ``wide`` datasets have fewer time samples than
+    entries (n_k < n_o*n_i), so the PRF stage's Gram matrix is A A^H, not
+    A^H A, and its vectors are U, not V."""
+    if wide:
+        n_o, n_i = draw(st.integers(2, 4)), draw(st.integers(3, 4))
+        n_k = 2 * draw(st.integers(2, (n_o * n_i - 1) // 2))
+    else:
+        n_o, n_i = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        assume(n_o * n_i >= 2)
+        n_k = 2 * draw(st.integers(3, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    data = rng.standard_normal((n_o, n_i, n_k))
     domain = draw(st.sampled_from(list(Domain)))
+    if wide and domain is Domain.FREQUENCY:
+        n_k = n_k // 2 + 1  # bins of an n_k-sample record
+    data = rng.standard_normal((n_o, n_i, n_k))
     if domain is Domain.FREQUENCY:
         data = data + 1j * rng.standard_normal((n_o, n_i, n_k))
         if real_edges:
             data[..., [0, -1]] = data[..., [0, -1]].real
     return ResponseDataset(data, domain, 0.0, 0.5)
+
+
+# both sides of the PRF stage's Gram kernel: tall and wide unfoldings
+any_chain_cases = st.one_of(chain_cases(), chain_cases(wide=True))
 
 
 def run_variant(ds, variant, prf, hankel):
@@ -376,28 +388,29 @@ def assert_close(a, b):
 
 
 @SETTINGS
-@given(chain_cases(), selectors)
+@given(any_chain_cases, selectors)
 def test_hip_with_full_hankel_rank_is_prf(ds, prf):
     assert_close(run_variant(ds, Variant.PRANK_HIP, prf, FULL),
                  run_variant(ds, Variant.PRF, prf, FULL))
 
 
 @SETTINGS
-@given(chain_cases(), selectors)
+@given(any_chain_cases, selectors)
 def test_ph_with_full_hankel_rank_is_prf(ds, prf):
     assert_close(run_variant(ds, Variant.PRANK_PH, prf, FULL),
                  run_variant(ds, Variant.PRF, prf, FULL))
 
 
 @SETTINGS
-@given(chain_cases(), selectors)
+@given(any_chain_cases, selectors)
 def test_hp_with_full_prf_rank_is_hankel(ds, hankel):
     assert_close(run_variant(ds, Variant.PRANK_HP, FULL, hankel),
                  run_variant(ds, Variant.HANKEL, FULL, hankel))
 
 
 @SETTINGS
-@given(chain_cases(real_edges=True), st.sampled_from(list(Variant)))
+@given(st.one_of(chain_cases(real_edges=True), chain_cases(real_edges=True, wide=True)),
+       st.sampled_from(list(Variant)))
 def test_full_rank_filter_is_identity(ds, variant):
     assert_close(run_variant(ds, variant, FULL, FULL), ds.data)
 
