@@ -150,6 +150,8 @@ def cmd_synth(args) -> int:
             raise ValueError("direct synthesis produces receptance only; use --method modal")
         ds = benchmark.synthesize_direct(sys_, axis)
     else:
+        if args.modes is not None and args.modes < 1:
+            raise ValueError(f"--modes must be >= 1, got {args.modes}")
         model = benchmark.eigen(sys_)
         if args.modes is not None:
             model = benchmark.ModalModel(

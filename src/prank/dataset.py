@@ -56,8 +56,9 @@ class ResponseDataset:
         n_o, n_i, n_k = data.shape
         if n_o < 1 or n_i < 1 or n_k < 2:
             raise DimensionMismatch(f"invalid shape {data.shape}: need n_o,n_i >= 1 and n_k >= 2")
-        if not self.axis_step > 0:
-            raise AxisError(f"axis_step must be positive, got {self.axis_step}")
+        if not (np.isfinite(self.axis_start) and 0 < self.axis_step < np.inf):
+            raise AxisError(f"axis_start must be finite and axis_step positive and finite, "
+                            f"got {self.axis_start} and {self.axis_step}")
         if self.domain is Domain.TIME:
             if np.iscomplexobj(data) and np.any(data.imag != 0.0):
                 raise DomainError("time-domain data must have exactly zero imaginary part")

@@ -3,8 +3,8 @@
 The e15 path fits a Marchenko-Pastur quantile curve to the tail of the
 singular values, scores each mode's cleanliness against the fitted noise
 floor, thresholds at a user fraction mu and subtracts the fitted noise
-energy from the retained singular values.  The quantile curve inverts the
-closed-form MP distribution function, tabulated once per matrix shape.
+energy from the retained singular values.  The quantile curves come from
+Newton solves of the closed-form MP distribution function, once per shape.
 
 Every strategy runs on a stack of spectra, shape (n, p), taken from n
 matrices of one shape: ``evaluate`` accepts such a stack and selects all
@@ -23,10 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import EmptyError
-
-# Intervals of the tabulated MP CDF, which np.interp inverts piecewise-linearly.
-_PANELS = 8192
+from .errors import DimensionMismatch, EmptyError
 
 CORR_GRID = tuple(np.arange(1.0, 4.0 + 1e-9, 0.25))
 # Tail residuals closer than this fraction of the tail's energy are a tie.
@@ -102,48 +99,50 @@ class E15Model:
     tail_misfit: float
 
 
-def _unit_quantiles(m: int, n_eff: int):
-    """Quantile grid of the MP singular-value law for a unit-variance matrix,
-    uncached: ``_unit_curve``, its one caller, caches what it reads off.
+def _mp_cdf(t, beta):
+    """MP distribution function of a unit-variance matrix with beta = N/M <= 1.
 
-    Returns (lam_grid, cdf_grid, M, N) on lam = lam- + (lam+ - lam-)(1 - cos t)/2
-    for _PANELS + 1 equal steps of t in [0, pi], where beta = N/M and
-    lam+- = (1 +- sqrt(beta))^2.  In t the MP density becomes
-    dF/dt = 2 sin^2 t / (pi lam), whose integral is the closed form
+    On lam = (1 - sqrt(beta))^2 + 4 sqrt(beta) sin^2(t/2), t in [0, pi], the
+    MP density is dF/dt = 2 sin^2 t / (pi lam), which integrates to
 
         F(t) = [sqrt(beta) sin t + beta t
-                - (1 - beta) atan2(sqrt(beta) sin t, 1 - sqrt(beta) cos t)] / (pi beta),
-
-    with F(0) = 0, F(pi) = 1 and F(t) = (t + sin t)/pi in the square case.
+                - (1 - beta) atan2(sqrt(beta) sin t, 1 - sqrt(beta) cos t)] / (pi beta).
     """
-    big = max(m, n_eff)
-    small = min(m, n_eff)
-    beta = small / big
     rb = np.sqrt(beta)
-    t = np.linspace(0.0, np.pi, _PANELS + 1)
-    lam_minus = (1.0 - rb) ** 2
-    lam_grid = lam_minus + ((1.0 + rb) ** 2 - lam_minus) * 0.5 * (1.0 - np.cos(t))
     sin = np.sin(t)
     atan = np.arctan2(rb * sin, 1.0 - rb * np.cos(t))
-    cdf_grid = (rb * sin + beta * t - (1.0 - beta) * atan) / (np.pi * beta)
-    lam_grid.setflags(write=False)
-    cdf_grid.setflags(write=False)
-    return lam_grid, cdf_grid, big, small
+    return (rb * sin + beta * t - (1.0 - beta) * atan) / (np.pi * beta)
 
 
-@lru_cache(maxsize=256)
-def _unit_curve(p: int, m: int, n_eff: int) -> np.ndarray:
-    """Length-p unit-sigma quantile curve for an m x n_eff noise matrix."""
-    lam_grid, cdf_grid, big, small = _unit_quantiles(m, n_eff)
-    out = np.zeros(p)
-    ks = np.arange(1, p + 1)
-    valid = ks <= small
-    q = (small - ks[valid] + 0.5) / small
-    # cdf_grid rises strictly, so the piecewise-linear CDF inverts by
-    # interpolation with the axes swapped
-    out[valid] = np.sqrt(big) * np.sqrt(np.interp(q, cdf_grid, lam_grid))
-    out.setflags(write=False)
-    return out
+def _unit_curves(m: int, widths, p: int) -> np.ndarray:
+    """Length-p unit-sigma quantile curves of m x n_eff matrices, one row per
+    n_eff in ``widths``: index k <= N = min(m, n_eff) holds sqrt(M lam(t_k)),
+    M = max(m, n_eff), with F(t_k) = (N - k + 1/2)/N; later indices are zero.
+
+    All roots are solved at once (past N, for a stand-in q = 1/2).  Bisection
+    narrows each bracket below pi/p, near the smallest roots, where F can rise
+    like t^3 and Newton from afar creeps; five bracketed Newton steps follow.
+    """
+    big, small = np.maximum(m, widths)[:, None], np.minimum(m, widths)[:, None]
+    beta = small / big
+    rb = np.sqrt(beta)
+    q = (small - np.arange(1, p + 1) + 0.5) / small
+    valid = q > 0.0
+    q = np.where(valid, q, 0.5)
+
+    def lam(t):
+        return (1.0 - rb) ** 2 + 4.0 * rb * np.sin(0.5 * t) ** 2
+
+    lo, hi, t = np.zeros(q.shape), np.full(q.shape, np.pi), np.full(q.shape, 0.5 * np.pi)
+    bisections = max(6, int(p).bit_length())
+    for step in range(bisections + 5):
+        f = _mp_cdf(t, beta) - q
+        lo, hi = np.where(f < 0.0, t, lo), np.where(f < 0.0, hi, t)
+        if step < bisections:
+            t = 0.5 * (lo + hi)
+        else:
+            t = np.clip(t - f * np.pi * lam(t) / (2.0 * np.sin(t) ** 2), lo, hi)
+    return np.where(valid, np.sqrt(big * lam(t)), 0.0)
 
 
 def mp_quantile_curve(shape: tuple, sigma: float, corr: float = 1.0) -> np.ndarray:
@@ -152,25 +151,34 @@ def mp_quantile_curve(shape: tuple, sigma: float, corr: float = 1.0) -> np.ndarr
     ``shape`` is the (rows, cols) of the data matrix; ``sigma`` the per-entry
     standard deviation; ``corr`` >= 1 reduces the effective column count to
     round(cols/corr).  The k-th value is sigma*sqrt(M)*sqrt(lam_k) with
-    lam_k the (N - k + 1/2)/N quantile of the MP law, read off the
-    piecewise-linear inverse of the closed-form CDF tabulated on _PANELS + 1
-    points.  Indices past the effective rank are zero.  The result has
-    length min(shape).
+    lam_k the (N - k + 1/2)/N quantile of the MP law, solved from its
+    closed-form CDF to rounding.  Indices past the effective rank are zero.
+    The result has length min(shape).
     """
     m, n = shape
     p = min(m, n)
-    if sigma <= 0.0 or p == 0:
+    if sigma <= 0.0:
         return np.zeros(p)
-    n_eff = max(1, round(n / corr))
-    return sigma * _unit_curve(p, m, n_eff)
+    return sigma * _unit_curves(m, [max(1, round(n / corr))], p)[0]
 
 
 @lru_cache(maxsize=128)
 def _corr_grid_curves(m: int, n: int) -> np.ndarray:
     """Unit-sigma quantile curves for every corr in CORR_GRID, one per row."""
-    curves = np.stack([mp_quantile_curve((m, n), 1.0, corr) for corr in CORR_GRID])
+    curves = _unit_curves(m, [max(1, round(n / corr)) for corr in CORR_GRID], min(m, n))
     curves.setflags(write=False)
     return curves
+
+
+def _spectra(S, shape: tuple) -> np.ndarray:
+    """S as floats, each of its spectra checked to hold min(shape) values."""
+    S = np.asarray(S, dtype=float)
+    if S.shape[-1] == 0:
+        raise EmptyError("empty singular-value vector")
+    if S.shape[-1] != min(shape):
+        raise DimensionMismatch(
+            f"spectrum has {S.shape[-1]} values, a {tuple(shape)} matrix has {min(shape)}")
+    return S
 
 
 def _fit(S: np.ndarray, shape: tuple, tail_fraction: float) -> tuple:
@@ -181,8 +189,6 @@ def _fit(S: np.ndarray, shape: tuple, tail_fraction: float) -> tuple:
     kept indices alone.
     """
     p = S.shape[-1]
-    if p == 0:
-        raise EmptyError("empty singular-value vector")
     start = min(int(p * (1.0 - tail_fraction)), p - 1)
     units = _corr_grid_curves(*shape)
     keep = S[:, start:] > 0.0
@@ -216,7 +222,7 @@ def mp_fit(S: np.ndarray, shape: tuple, tail_fraction: float = 0.5) -> tuple:
     within 1e-12 of the tail's energy, resolve to the smallest corr.  An
     all-zero tail yields (0.0, 1.0).
     """
-    sigma, corr, _, _ = _fit(np.asarray(S, dtype=float)[None, :], shape, tail_fraction)
+    sigma, corr, _, _ = _fit(_spectra(S, shape)[None, :], shape, tail_fraction)
     return float(sigma[0]), float(corr[0])
 
 
@@ -234,16 +240,8 @@ def _e15(S: np.ndarray, shape: tuple, mu: float, tail_fraction: float) -> E15Mod
 
 
 def _first_row(model: E15Model) -> E15Model:
-    rank = int(model.rank[0])
-    return E15Model(
-        float(model.sigma_n[0]),
-        float(model.corr[0]),
-        model.mp_curve[0],
-        model.cleanliness[0],
-        rank,
-        model.cleaned_s[0, :rank],
-        float(model.tail_misfit[0]),
-    )
+    sigma_n, corr, curve, clean, rank, cleaned, misfit = (x[0] for x in vars(model).values())
+    return E15Model(float(sigma_n), float(corr), curve, clean, int(rank), cleaned[:rank], float(misfit))
 
 
 def e15(S: np.ndarray, shape: tuple, mu: float = 0.10, tail_fraction: float = 0.5) -> E15Model:
@@ -255,7 +253,7 @@ def e15(S: np.ndarray, shape: tuple, mu: float = 0.10, tail_fraction: float = 0.
     root-difference cleaned: sqrt(max(S^2 - mp_curve^2, 0)).  Degenerate
     inputs produce rank 0 rather than an error.
     """
-    return _first_row(_e15(np.asarray(S, dtype=float)[None, :], shape, mu, tail_fraction))
+    return _first_row(_e15(_spectra(S, shape)[None, :], shape, mu, tail_fraction))
 
 
 def evaluate(S: np.ndarray, shape: tuple, strategy: SelectionStrategy):
@@ -269,9 +267,7 @@ def evaluate(S: np.ndarray, shape: tuple, strategy: SelectionStrategy):
     array of ranks, shape S.shape[:-1], and, for e15, the stacked E15Model;
     entry k of either equals what ``evaluate(S[k], shape, strategy)`` returns.
     """
-    S = np.asarray(S, dtype=float)
-    if S.shape[-1] == 0:
-        raise EmptyError("empty singular-value vector")
+    S = _spectra(S, shape)
     ranks, model = _select(S.reshape(-1, S.shape[-1]), shape, strategy)
     if S.ndim == 1:
         return int(ranks[0]), None if model is None else _first_row(model)

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -58,6 +59,15 @@ def test_synth_modal_truncated_accelerance(tmp_path):
     ds = read_dataset(out)
     assert ds.data.shape == (4, 4, 101)
     assert np.all(ds.data[..., 0] == 0)  # accelerance of a fixed chain vanishes at w = 0
+
+
+@pytest.mark.parametrize("modes", ["0", "-1"])
+def test_synth_nonpositive_mode_count_is_usage_error(tmp_path, capsys, modes):
+    out = tmp_path / "modal.prnk"
+    assert run(["synth", "--fmax", "2.0", "--df", "0.02", "--method", "modal", "--modes", modes,
+                "-o", str(out)]) == 2
+    assert f"error: --modes must be >= 1, got {modes}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_synth_direct_accelerance_is_usage_error(tmp_path, capsys):
@@ -259,6 +269,17 @@ def test_bad_magic_is_format_error(tmp_path):
 
 def test_missing_file_is_numeric_error(tmp_path):
     assert run(["filter", str(tmp_path / "nope.prnk"), "-o", str(tmp_path / "x.prnk")]) == 1
+
+
+def test_nonfinite_axis_start_in_file_is_usage_error(tmp_path, capsys):
+    # a hand-written header: write_dataset cannot produce this file
+    header = struct.pack("<IIIBddH", 1, 1, 4, Domain.TIME.value, np.nan, 1.0, 2)
+    bad = tmp_path / "nan_axis.prnk"
+    bad.write_bytes(b"PRNKDS01" + header + b"Hz" + np.ones(4, dtype="<c16").tobytes())
+    out = tmp_path / "x.prnk"
+    assert run(["filter", str(bad), "--variant", "hankel", "-o", str(out)]) == 2
+    assert "error: axis_start must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def nan_dataset(tmp_path):

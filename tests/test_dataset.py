@@ -36,6 +36,18 @@ def test_construction_validates_shape_and_axis():
         make_ds(np.ones((1, 1, 4)), axis_step=-1.0)
 
 
+@pytest.mark.parametrize("axis", [
+    {"axis_start": np.nan},
+    {"axis_start": np.inf},
+    {"axis_start": -np.inf},
+    {"axis_step": np.inf},
+    {"axis_step": np.nan},
+])
+def test_construction_rejects_nonfinite_axis(axis):
+    with pytest.raises(AxisError, match="finite"):
+        make_ds(np.ones((1, 1, 4)), **axis)
+
+
 def test_time_domain_must_be_exactly_real():
     with pytest.raises(DomainError):
         make_ds(np.ones((1, 1, 4)) * (1 + 1e-300j), Domain.TIME)

@@ -37,10 +37,10 @@ from prank import (
     write_dataset,
     zero_locations,
 )
-from prank.selection import CORR_GRID, _unit_curve, _unit_quantiles, evaluate
+from prank.selection import CORR_GRID, _mp_cdf, _unit_curves, evaluate
 
-# No deadline: an example's first e15 call for a new matrix shape tabulates
-# the MP law, and a shared machine's timing varies.
+# No deadline: an example's first e15 call for a new matrix shape solves the
+# MP quantile curves, and a shared machine's timing varies.
 SETTINGS = settings(deadline=None, max_examples=60, derandomize=True)
 
 modes = st.sampled_from(list(ThresholdMode))
@@ -183,23 +183,39 @@ def test_classic_matches_per_line_loop(n_o, n_i, n_k, seed, selector):
     assert np.abs(out.data - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
+def unit_lam(t, beta):
+    """The MP law's lam at t: (1 - sqrt(beta))^2 + 4 sqrt(beta) sin^2(t/2)."""
+    rb = np.sqrt(beta)
+    return (1.0 - rb) ** 2 + 4.0 * rb * np.sin(0.5 * t) ** 2
+
+
 def bisection_curve(p, m, n_eff):
-    """Reference: the unit quantile curve with each quantile found by 60
-    bisection steps on the piecewise-linear CDF."""
-    lam_grid, cdf_grid, big, small = _unit_quantiles(m, n_eff)
-    out = np.zeros(p)
-    ks = np.arange(1, p + 1)
-    valid = ks <= small
-    q = (small - ks[valid] + 0.5) / small
-    lo = np.full(q.shape, lam_grid[0])
-    hi = np.full(q.shape, lam_grid[-1])
+    """Reference: the unit quantile curve with each root of the closed-form
+    CDF found by 60 bisection steps on [0, pi]."""
+    big, small = max(m, n_eff), min(m, n_eff)
+    beta = small / big
+    q = (small - np.arange(1, min(p, small) + 1) + 0.5) / small
+    lo, hi = np.zeros(q.shape), np.full(q.shape, np.pi)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        below = np.interp(mid, lam_grid, cdf_grid) < q
+        below = _mp_cdf(mid, beta) < q
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-    out[valid] = np.sqrt(big) * np.sqrt(0.5 * (lo + hi))
+    out = np.zeros(p)
+    out[: len(q)] = np.sqrt(big * unit_lam(0.5 * (lo + hi), beta))
     return out
+
+
+def curve_roots(curve, m, n_eff):
+    """(t_k, q_k, beta) behind the nonzero values of a unit curve: t_k read
+    back from lam = v^2 / M through the sin^2(t/2) form, which keeps small
+    t exact, and q_k = (N - k + 1/2)/N."""
+    big, small = max(m, n_eff), min(m, n_eff)
+    beta = small / big
+    rb = np.sqrt(beta)
+    v = curve[:small]
+    t = 2.0 * np.arcsin(np.sqrt(np.clip((v * v / big - (1.0 - rb) ** 2) / (4.0 * rb), 0.0, 1.0)))
+    return t, (small - np.arange(1, small + 1) + 0.5) / small, beta
 
 
 @SETTINGS
@@ -210,16 +226,42 @@ def bisection_curve(p, m, n_eff):
 def test_unit_curve_matches_bisection(m, n_eff, extra):
     # extra > 0 asks for indices past the effective rank, which stay zero
     p = min(m, n_eff) + extra
-    curve = _unit_curve(p, m, n_eff)
+    curve = _unit_curves(m, [n_eff], p)[0]
     expected = bisection_curve(p, m, n_eff)
     assert np.array_equal(curve > 0, expected > 0)
     assert np.abs(curve - expected).max() <= 1e-13 * expected.max()
 
 
-def simpson_quantiles(m, n_eff):
-    """Reference: (lam_grid, cdf_grid) with the MP density integrated by
+@SETTINGS
+@given(st.integers(1, 250), st.integers(1, 250), st.floats(1.0, 4.0))
+@example(201, 200, 1.0)
+@example(250, 249, 1.0)
+@example(40, 250, 1.1)
+@example(201, 16, 3.7)
+def test_unit_quantiles_solve_the_cdf(m, n, corr):
+    curve = mp_quantile_curve((m, n), 1.0, corr)
+    n_eff = max(1, round(n / corr))
+    small = min(m, n_eff)
+    t, q, beta = curve_roots(curve, m, n_eff)
+    assert np.all(curve[:small] > 0.0)
+    assert np.array_equal(curve[small:], np.zeros(len(curve) - small))
+    assert np.abs(_mp_cdf(t, beta) - q).max() <= 1e-13
+
+
+@pytest.mark.parametrize("shape", [(201, 200), (1024, 1023)])
+def test_smallest_quantiles_match_closed_form_bisection(shape):
+    # the tail e15 fits; a piecewise-linear table inverse was off by 1.65e-4
+    # and 6.5e-3 relative here
+    p = min(shape)
+    curve = mp_quantile_curve(shape, 1.0)[-20:]
+    expected = bisection_curve(p, *shape)[-20:]
+    assert np.all(np.abs(curve - expected) <= 1e-12 * expected)
+
+
+def simpson_cdf(m, n_eff):
+    """Reference: (t_grid, cdf_grid) with the MP density integrated by
     composite Simpson over 8192 panels of lam = lam- + (lam+ - lam-)(1 - cos
-    pi s)/2 and the CDF normalised by its total."""
+    pi s)/2, t = pi s, and the CDF normalised by its total."""
     big, small = max(m, n_eff), min(m, n_eff)
     beta = small / big
     lam_minus = (1.0 - np.sqrt(beta)) ** 2
@@ -233,7 +275,7 @@ def simpson_quantiles(m, n_eff):
         g[0] = (lam_plus - lam_minus) * np.pi * 4.0 / (8.0 * np.pi * beta)
     seg = (g[0:-1:2] + 4.0 * g[1::2] + g[2::2]) * (s[1] - s[0]) / 3.0
     cdf = np.concatenate([[0.0], np.cumsum(seg)])
-    return lam[0::2], cdf / cdf[-1]
+    return np.pi * s[0::2], cdf / cdf[-1]
 
 
 @SETTINGS
@@ -243,10 +285,21 @@ def simpson_quantiles(m, n_eff):
 def test_closed_form_cdf_matches_simpson(m, n_eff):
     # near square, Simpson's own error at the 1/sqrt(lam) edge reaches 3e-9
     assume(min(m, n_eff) <= 0.9 * max(m, n_eff))
-    lam_grid, cdf_grid, _, _ = _unit_quantiles(m, n_eff)
-    ref_lam, ref_cdf = simpson_quantiles(m, n_eff)
-    assert np.array_equal(lam_grid, ref_lam)
-    assert np.abs(cdf_grid - ref_cdf).max() <= 1e-12
+    t, ref_cdf = simpson_cdf(m, n_eff)
+    cdf = _mp_cdf(t, min(m, n_eff) / max(m, n_eff))
+    assert np.abs(cdf - ref_cdf).max() <= 1e-12
+
+
+def simpson_cdf_at(t, beta, panels=2048):
+    """Reference: F(t_k) as composite Simpson of dF/ds = 2 sin^2 s / (pi lam)
+    over [0, t_k], on nodes s = t_k u^2 for equal steps of u, which crowd
+    toward s = 0 where lam can fall to zero."""
+    u = np.linspace(0.0, 1.0, 2 * panels + 1)
+    s = t[:, None] * u * u
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = 2.0 * np.sin(s) ** 2 / (np.pi * unit_lam(s, beta)) * 2.0 * t[:, None] * u
+    g[:, 0] = 0.0  # ds/du vanishes at u = 0
+    return np.sum(g[:, 0:-1:2] + 4.0 * g[:, 1::2] + g[:, 2::2], axis=-1) * (u[1] - u[0]) / 3.0
 
 
 @SETTINGS
@@ -256,10 +309,8 @@ def test_closed_form_cdf_matches_simpson(m, n_eff):
 @example(201, 200)
 def test_unit_curve_matches_simpson(m, n_eff):
     p = min(m, n_eff)
-    lam, cdf = simpson_quantiles(m, n_eff)
-    q = (p - np.arange(1, p + 1) + 0.5) / p
-    expected = np.sqrt(max(m, n_eff)) * np.sqrt(np.interp(q, cdf, lam))
-    assert np.abs(_unit_curve(p, m, n_eff) - expected).max() <= 1e-10 * expected.max()
+    t, q, beta = curve_roots(_unit_curves(m, [n_eff], p)[0], m, n_eff)
+    assert np.abs(simpson_cdf_at(t, beta) - q).max() <= 1e-10 * q.max()
 
 
 @SETTINGS
@@ -269,7 +320,7 @@ def test_unit_curve_matches_simpson(m, n_eff):
 @example(1024, 300)
 @example(20, 15360)
 def test_cdf_grid_rises_from_zero_to_one(m, n_eff):
-    _, cdf_grid, _, _ = _unit_quantiles(m, n_eff)
+    cdf_grid = _mp_cdf(np.linspace(0.0, np.pi, 8193), min(m, n_eff) / max(m, n_eff))
     assert cdf_grid[0] == 0.0
     assert abs(cdf_grid[-1] - 1.0) <= 1e-14
     assert np.all(np.diff(cdf_grid) > 0.0)

@@ -4,6 +4,7 @@ import pytest
 from prank import (
     E15,
     AbsoluteThreshold,
+    DimensionMismatch,
     EmptyError,
     FilterReport,
     FixedRank,
@@ -83,6 +84,21 @@ def test_empty_vector_raises():
         evaluate(np.zeros(0), (0, 0), FixedRank(1))
     with pytest.raises(EmptyError):
         mp_fit([], (0, 0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda S, shape: evaluate(S, shape, FixedRank(9)),
+    lambda S, shape: evaluate(S, shape, E15()),
+    lambda S, shape: evaluate(np.stack([S, S]), shape, E15()),
+    lambda S, shape: e15(S, shape),
+    lambda S, shape: mp_fit(S, shape),
+], ids=["evaluate-fixed", "evaluate-e15", "evaluate-stack", "e15", "mp_fit"])
+@pytest.mark.parametrize("length", [3, 5])
+def test_spectrum_length_must_be_min_of_shape(call, length):
+    with pytest.raises(DimensionMismatch, match=f"{length} values, a \\(4, 4\\) matrix has 4"):
+        call(np.ones(length), (4, 4))
+    with pytest.raises(EmptyError):  # emptiness is reported first
+        call(np.ones(0), (4, 4))
 
 
 def test_strategy_validation():
