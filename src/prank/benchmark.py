@@ -48,8 +48,8 @@ class ChainSystem:
         if len(k) != links or len(d) != links:
             raise ValueError(f"{self.boundary.value} chain with {n} masses needs {links} links, "
                              f"got {len(k)} springs / {len(d)} dampers")
-        if np.any(m <= 0) or np.any(k <= 0) or np.any(d < 0):
-            raise ValueError("need masses > 0, springs > 0, dampers >= 0")
+        if n < 1 or np.any(m <= 0) or np.any(k <= 0) or np.any(d < 0):
+            raise ValueError("need one or more masses, masses > 0, springs > 0, dampers >= 0")
         for name, arr in (("masses", m), ("dampers", d), ("springs", k)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
@@ -161,10 +161,11 @@ def _select(indices: Optional[Sequence], n: int) -> np.ndarray:
 def synthesize_direct(sys: ChainSystem, axis: np.ndarray,
                       outputs: Optional[Sequence] = None,
                       inputs: Optional[Sequence] = None) -> ResponseDataset:
-    """Receptance by direct inversion of the dynamic stiffness per bin.
+    """Receptance by direct inversion of the dynamic stiffness A per bin.
 
-    Bins where the dynamic stiffness is numerically singular (free-free
-    chain at omega = 0) fall back to the pseudoinverse and raise a warning.
+    Bins that fail ``matrix_rank``'s test, s_min <= s_max * n * eps (a free-free
+    chain at omega = 0), take one batched pseudoinverse and a RuntimeWarning with
+    their count and first index; the rest one batched solve, each A factored alone.
     """
     axis, start, step = _axis_checked(axis)
     M, D, K = sys.matrices()
@@ -175,24 +176,15 @@ def synthesize_direct(sys: ChainSystem, axis: np.ndarray,
     A = (-axis[:, None, None] ** 2 * M
          + 1j * axis[:, None, None] * D
          + K)
-    bad_bins = []
-    try:
-        X = np.linalg.solve(A, np.broadcast_to(rhs, (len(axis),) + rhs.shape))
-        if not np.all(np.isfinite(X)):
-            raise np.linalg.LinAlgError("non-finite solution")
-    except np.linalg.LinAlgError:
-        X = np.empty((len(axis), n, len(in_idx)), dtype=complex)
-        for k in range(len(axis)):
-            try:
-                X[k] = np.linalg.solve(A[k], rhs)
-                if not np.all(np.isfinite(X[k])):
-                    raise np.linalg.LinAlgError
-            except np.linalg.LinAlgError:
-                X[k] = np.linalg.pinv(A[k]) @ rhs
-                bad_bins.append(k)
-    if bad_bins:
-        warnings.warn(f"singular dynamic stiffness at {len(bad_bins)} bin(s) "
-                      f"(first at index {bad_bins[0]}); pseudoinverse used", RuntimeWarning)
+    s = np.linalg.svd(A, compute_uv=False)
+    singular = s[:, -1] <= s[:, 0] * n * np.finfo(float).eps
+    X = np.empty((len(axis), n, len(in_idx)), dtype=complex)
+    X[~singular] = np.linalg.solve(A[~singular], np.broadcast_to(rhs, (np.sum(~singular),) + rhs.shape))
+    X[singular] = np.linalg.pinv(A[singular]) @ rhs
+    if singular.any():
+        bad = np.flatnonzero(singular)
+        warnings.warn(f"singular dynamic stiffness at {len(bad)} bin(s) "
+                      f"(first at index {bad[0]}); pseudoinverse used", RuntimeWarning)
     data = X[:, out_idx, :].transpose(1, 2, 0)
     return ResponseDataset(data, Domain.FREQUENCY, start, step, "rad/s")
 

@@ -103,8 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _inject_config(argv: list) -> list:
-    """Insert key=value pairs from a --config file as flags after the
-    subcommand, so explicit flags keep precedence (last one wins)."""
+    """Insert a --config file's key=value lines (a bare key: the flag --key) as
+    flags after the subcommand, so explicit flags keep precedence (last one wins)."""
     if "--config" not in argv:
         return argv
     at = argv.index("--config")
@@ -116,8 +116,8 @@ def _inject_config(argv: list) -> list:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, value = line.partition("=")
-        tokens += [f"--{key.strip()}", value.strip()]
+        key, sep, value = line.partition("=")
+        tokens += [f"--{key.strip()}", value.strip()] if sep else [f"--{key.strip()}"]
     return argv[:1] + tokens + argv[1:]
 
 
@@ -199,6 +199,12 @@ def cmd_filter(args) -> int:
 def cmd_metrics(args) -> int:
     ref = read_dataset(args.ref)
     test = read_dataset(args.test)
+    zeros = {}
+    if args.zeros is not None:  # before any output, so a bad entry or prominence writes nothing
+        o_raw, _, i_raw = args.zeros.partition(":")
+        o, i = int(o_raw) - 1, int(i_raw) - 1
+        zeros = {name: metrics.zero_locations(ds, o, i, args.zero_prominence)
+                 for name, ds in (("ref", ref), ("test", test))}
     rep = metrics.consist(ref, test)
     print(f"overall_coherence: {rep.overall:.6f}")
     if args.output is not None:
@@ -209,12 +215,8 @@ def cmd_metrics(args) -> int:
             metrics.write_cmif_csv(curves, test.axis, Path(str(args.output) + ".cmif.csv"))
         else:
             print(f"cmif_first_line_max: {curves[:, 0].max():.6e}")
-    if args.zeros is not None:
-        o_raw, _, i_raw = args.zeros.partition(":")
-        o, i = int(o_raw) - 1, int(i_raw) - 1
-        for name, ds in (("ref", ref), ("test", test)):
-            locs = metrics.zero_locations(ds, o, i, args.zero_prominence)
-            print(f"zeros_{name}: " + ",".join(f"{x:.6g}" for x in locs))
+    for name, locs in zeros.items():
+        print(f"zeros_{name}: " + ",".join(f"{x:.6g}" for x in locs))
     return 0
 
 

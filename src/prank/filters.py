@@ -89,13 +89,13 @@ def classic_tsvd(ds: ResponseDataset, selector: SelectionStrategy):
     e15, one vectorised noise fit per line, all in one pass) and one batched
     projection.  The record's spectrum is the mean over the lines, and its
     model the stacked e15 model of every line.  Under e15 a line needs 2
-    outputs and 2 inputs: one value is its own noise tail.
+    outputs and 2 inputs (``tsvd._gram``).
     """
     if ds.domain is not Domain.FREQUENCY:
         raise DomainError("per-frequency-line filtering requires a frequency-domain dataset")
     n_o, n_i, n_k = ds.data.shape
-    if max(n_o, n_i) < 2 or (isinstance(selector, E15) and min(n_o, n_i) < 2):
-        raise ShapeError("per-line filtering needs 2 outputs or 2 inputs, and both under e15")
+    if max(n_o, n_i) < 2:
+        raise ShapeError("per-line filtering needs 2 outputs or 2 inputs")
     t0 = time.perf_counter()
     out, S, ranks, model = gram_tsvd(ds.data.transpose(2, 0, 1), selector)
     record = StageRecord(

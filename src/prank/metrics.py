@@ -66,8 +66,11 @@ def zero_locations(ds: ResponseDataset, o: int, i: int, prominence: float = 0.9)
     1 - |Y_min|/|Y_side_max| exceeds ``prominence``.  The default 0.9 keeps
     only dips below 10% of the surrounding maxima, rejecting noise-floor
     wiggles; prominence = 1 and monotone curves yield an empty array.
-    NaN or infinite magnitudes raise NonFiniteError.
+    A prominence outside [0, 1] (or NaN) raises ValueError, NaN or infinite
+    magnitudes NonFiniteError.
     """
+    if not 0.0 <= prominence <= 1.0:
+        raise ValueError(f"prominence must lie in [0, 1], got {prominence}")
     if not (0 <= o < ds.n_outputs and 0 <= i < ds.n_inputs):
         raise IndexError(f"entry ({o}, {i}) outside {ds.n_outputs}x{ds.n_inputs} dataset")
     mag = np.abs(ds.data[o, i])

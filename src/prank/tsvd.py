@@ -20,9 +20,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ConvergenceError, NonFiniteError, WindowError
+from .errors import ConvergenceError, NonFiniteError, ShapeError, WindowError
 from .report import StageRecord
-from .selection import FixedRank, SelectionStrategy, evaluate
+from .selection import E15, FixedRank, SelectionStrategy, evaluate
 
 
 @dataclass(frozen=True)
@@ -129,6 +129,8 @@ def _gram(A: np.ndarray, selector: SelectionStrategy):
     scale of shape (..., 1, r), and left True when Q_r are left vectors.
     """
     A = _finite(A)
+    if isinstance(selector, E15) and min(A.shape[-2:]) < 2:
+        raise ShapeError(f"e15 on a {A.shape[-2]} x {A.shape[-1]} matrix: one value is its own noise tail")
     Ah = np.swapaxes(A.conj(), -1, -2)
     left = A.shape[-2] <= A.shape[-1]
     try:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,8 @@ def test_chain_validation():
         ChainSystem(np.ones(3), np.ones(3), np.ones(3), Boundary.FREE_FREE)
     with pytest.raises(ValueError):
         ChainSystem(np.array([1.0, -1.0]), np.ones(2), np.ones(2), Boundary.FIXED_FREE)
+    with pytest.raises(ValueError, match="one or more masses"):
+        ChainSystem(np.zeros(0), np.zeros(0), np.zeros(0), Boundary.FIXED_FREE)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -139,6 +143,65 @@ def test_direct_free_free_singular_bin_uses_pseudoinverse():
     with pytest.warns(RuntimeWarning, match="pseudoinverse"):
         ds = synthesize_direct(sys_, np.array([0.0, 0.5, 1.0]))
     assert np.all(np.isfinite(ds.data))
+
+
+def per_bin_reference(sys_, axis, outputs, inputs, pinv_bins=()):
+    """One np.linalg.solve per bin of the dynamic stiffness built as
+    synthesize_direct builds it, and a pseudoinverse at ``pinv_bins``."""
+    M, D, K = sys_.matrices()
+    rhs = np.eye(sys_.n_dofs)[:, inputs]
+    out = []
+    for k, w in enumerate(axis):
+        A = -w ** 2 * M + 1j * w * D + K
+        X = np.linalg.pinv(A) @ rhs if k in pinv_bins else np.linalg.solve(A, rhs)
+        out.append(X[outputs])
+    return np.stack(out, axis=-1)
+
+
+def random_chain(boundary, seed=3, n=6):
+    rng = np.random.default_rng(seed)
+    links = n if boundary is Boundary.FIXED_FREE else n - 1
+    return ChainSystem(rng.uniform(0.5, 2.0, n), rng.uniform(0.001, 0.01, links),
+                       rng.uniform(0.5, 2.0, links), boundary)
+
+
+def test_direct_non_uniform_free_free_zero_bin_is_pseudoinverse():
+    # LU meets no exactly zero pivot here, so a solve would return ~1e15
+    sys_ = ChainSystem(np.array([1.0, 2.0, 1.5, 1.0]), np.full(3, 0.002),
+                       np.array([1.3, 0.7, 2.1]), Boundary.FREE_FREE)
+    with pytest.warns(RuntimeWarning, match=r"1 bin\(s\) \(first at index 0\)") as caught:
+        ds = synthesize_direct(sys_, np.linspace(0.0, 4.0, 201))
+    assert len(caught) == 1
+    K = sys_.matrices()[2]
+    # bin 0's dynamic stiffness is K, held as complex like every bin
+    assert np.array_equal(ds.data[..., 0], np.linalg.pinv(K.astype(complex)) @ np.eye(4))
+    assert np.abs(ds.data).max() < 1e3
+
+
+@pytest.mark.parametrize("make", [
+    lambda b: ChainSystem.uniform(6, boundary=b),
+    random_chain,
+], ids=["uniform", "random"])
+@pytest.mark.parametrize("boundary", list(Boundary))
+@pytest.mark.parametrize("outputs,inputs", [(None, None), ([0, 3, 5], [2]), ([4], [1, 0])])
+def test_direct_equals_per_bin_solve(make, boundary, outputs, inputs):
+    # every regular bin as its own solve, bit for bit; a free-free chain is
+    # singular at omega = 0 only, and that bin is its own pseudoinverse
+    sys_ = make(boundary)
+    axis = np.linspace(0.0, 3.0, 151)
+    free = boundary is Boundary.FREE_FREE
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ds = synthesize_direct(sys_, axis, outputs, inputs)
+    assert len(caught) == free
+    if free:
+        assert caught[0].category is RuntimeWarning
+        assert "1 bin(s) (first at index 0)" in str(caught[0].message)
+    dofs = np.arange(6)
+    out_idx = dofs if outputs is None else outputs
+    in_idx = dofs if inputs is None else inputs
+    expected = per_bin_reference(sys_, axis, out_idx, in_idx, pinv_bins=(0,) if free else ())
+    assert np.array_equal(ds.data, expected)
 
 
 @pytest.mark.parametrize("axis,message", [

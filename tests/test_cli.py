@@ -170,6 +170,18 @@ def test_filter_classic_e15_on_single_input_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("variant", ["hankel", "hip"])
+def test_filter_e15_on_window_one_is_usage_error(tmp_path, capsys, variant):
+    # a window of 1 gives 1 x n Hankel matrices: one singular value is its own e15 tail
+    src = synth_small(tmp_path)
+    noisy = tmp_path / "noisy.prnk"
+    assert run(["corrupt", str(src), "--noise", "0.003,0.06,0.003,0.05", "-o", str(noisy)]) == 0
+    out = tmp_path / "x.prnk"
+    assert run(["filter", str(noisy), "--variant", variant, "--window", "1", "-o", str(out)]) == 2
+    assert "e15" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_filter_hip_report_call_count_equals_prf_rank(tmp_path):
     src = synth_small(tmp_path)
     noisy = tmp_path / "noisy.prnk"
@@ -216,6 +228,16 @@ def test_metrics_cmif_without_output_prints_peak(tmp_path, capsys):
     peak = float(lines[1].removeprefix("cmif_first_line_max: "))
     assert peak == pytest.approx(prank.cmif(read_dataset(src))[:, 0].max(), rel=1e-6)
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("prominence", ["1.5", "-1", "nan"])
+def test_metrics_prominence_outside_unit_interval_is_usage_error(tmp_path, capsys, prominence):
+    src = synth_small(tmp_path)
+    prefix = tmp_path / "rep"
+    assert run(["metrics", "--ref", str(src), "--test", str(src), "--zeros", "2:1",
+                "--zero-prominence", prominence, "-o", str(prefix)]) == 2
+    assert "prominence" in capsys.readouterr().err
+    assert not list(tmp_path.glob("rep*"))
 
 
 # ------------------------------------------------------------------ convert
@@ -374,6 +396,15 @@ def test_config_file_skips_blank_and_comment_lines(tmp_path):
     # a parsed comment would have set rank 1; the config's rank 9999 is full
     assert "stage: hankel" in text and "stage: prf" not in text
     assert "  rank: 100\n" in text
+
+
+def test_config_bare_key_sets_flag(tmp_path, capsys):
+    # a line holding only a key is the bare flag --key
+    src = synth_small(tmp_path)
+    cfg = tmp_path / "metrics.cfg"
+    cfg.write_text("cmif\n")
+    assert run(["metrics", "--ref", str(src), "--test", str(src), "--config", str(cfg)]) == 0
+    assert "cmif_first_line_max: " in capsys.readouterr().out
 
 
 def test_config_flag_without_path_is_usage_error(tmp_path):

@@ -193,6 +193,13 @@ def test_zero_locations_index_error():
         zero_locations(ds, 5, 0)
 
 
+@pytest.mark.parametrize("prominence", [1.5, -1.0, np.nan])
+def test_zero_locations_rejects_prominence_outside_unit_interval(prominence):
+    ds = synthesize_direct(ChainSystem.uniform(4), np.arange(0.0, 2.0, 1e-3))
+    with pytest.raises(ValueError, match="prominence"):
+        zero_locations(ds, 1, 0, prominence)
+
+
 # ---------------------------------------------------------------- exporters
 
 def test_coherence_csv(tmp_path):

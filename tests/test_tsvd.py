@@ -7,6 +7,7 @@ from prank import (
     FixedRank,
     NonFiniteError,
     RelativeThreshold,
+    ShapeError,
     WindowError,
     auto_window,
     dehankelize_ssa,
@@ -285,6 +286,18 @@ def test_hankel_tsvd_series_e15_rejects_white_noise():
 def test_hankel_tsvd_series_too_short():
     with pytest.raises(WindowError):
         hankel_tsvd_series(np.ones(3), selector=FixedRank(1))
+
+
+def test_hankel_tsvd_series_one_row_or_column_is_shape_error_under_e15():
+    # a window of 1 or n gives a 1 x n or n x 1 Hankel matrix, whose one
+    # singular value is its own e15 noise tail
+    x = noisy_series(False, 0)
+    for window in (1, len(x)):
+        with pytest.raises(ShapeError, match="e15"):
+            hankel_tsvd_series(x, window, E15())
+        out, record = hankel_tsvd_series(x, window, FixedRank(1))
+        assert record.rank == 1
+        assert np.linalg.norm(out - x) <= 1e-10 * np.linalg.norm(x)
 
 
 # ------------------------------------------------------------- Gram kernel
