@@ -12,8 +12,8 @@ domain once, the result back once.  All but classic use two stages:
 - the PRF stage (``_unfolded``): unfolding, one eigendecomposition of the
   smaller Gram matrix (``tsvd._gram``, shared with ``gram_tsvd``), rank
   selection, rank-r rebuild by projection;
-- the Hankel row stage (``_hankel_rows``): one Hankel TSVD per row, i.e.
-  per (o, i) series or per retained PRF left singular vector.
+- the Hankel row stage (``tsvd.hankel_tsvd_series``): one Hankel TSVD per
+  row, i.e. per (o, i) series or per retained PRF left singular vector.
 
 PH and HP run the two in turn; PRANK_HiP runs the Hankel row stage on the
 PRF left vectors inside the PRF stage, cutting the number of Hankel
@@ -24,7 +24,7 @@ rank.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -39,7 +39,7 @@ from .dataset import (
     to_time,
     unflatten,
 )
-from .errors import DomainError, ShapeError
+from .errors import AxisError, DomainError, ShapeError
 from .report import FilterReport, StageRecord
 from .selection import E15, SelectionStrategy
 from .tsvd import _gram, _pivot_phase, gram_tsvd, hankel_tsvd_series
@@ -87,31 +87,17 @@ def classic_tsvd(ds: ResponseDataset, selector: SelectionStrategy):
     One stacked ``gram_tsvd`` call truncates all n_k slices: one stacked
     Gram eigendecomposition, one ``evaluate`` over the stacked spectra (for
     e15, one vectorised noise fit per line, all in one pass) and one batched
-    projection.  The record's spectrum is the mean over the lines, and its
-    model the stacked e15 model of every line.  Under e15 a line needs 2
-    outputs and 2 inputs (``tsvd._gram``).
+    projection.  Each line is one call of the record (``StageRecord.of_calls``).
+    Under e15 a line needs 2 outputs and 2 inputs (``tsvd._gram``).
     """
     if ds.domain is not Domain.FREQUENCY:
         raise DomainError("per-frequency-line filtering requires a frequency-domain dataset")
-    n_o, n_i, n_k = ds.data.shape
+    n_o, n_i = ds.n_outputs, ds.n_inputs
     if max(n_o, n_i) < 2:
         raise ShapeError("per-line filtering needs 2 outputs or 2 inputs")
     t0 = time.perf_counter()
     out, S, ranks, model = gram_tsvd(ds.data.transpose(2, 0, 1), selector)
-    record = StageRecord(
-        name="classic",
-        shape=(n_o, n_i),
-        singular_values=S.mean(axis=0),
-        rank=int(ranks.max()),
-        model=model,
-        seconds=time.perf_counter() - t0,
-        extras={
-            "svd_calls": n_k,
-            "rank_min": int(ranks.min()),
-            "rank_max": int(ranks.max()),
-            "rank_mean": float(ranks.mean()),
-        },
-    )
+    record = StageRecord.of_calls("classic", (n_o, n_i), S, ranks, model, time.perf_counter() - t0)
     filtered = ds.with_data(out.transpose(1, 2, 0))
     return filtered, FilterReport([record], record.seconds)
 
@@ -125,7 +111,7 @@ def _unfolded(ds: ResponseDataset, selector: SelectionStrategy, hankel=None):
     The rebuild is the projection A V_r diag(c / s) V_r^H, or
     U_r diag(c / s) U_r^H A, with c the e15-cleaned values and c / s = 1 for
     every other selector, so a full rank gives A back without dividing by s.
-    ``hankel = (selector, window)`` runs the Hankel row stage on the unit
+    ``hankel = (window, selector)`` runs the Hankel row stage on the unit
     left vectors U_r (the normalised columns of A V_r when tall, a zero
     column where A v = 0) before the rebuild (PRANK_HiP).  Returns (filtered, report, prfs), prfs taken
     before any Hankel stage.
@@ -153,35 +139,14 @@ def _unfolded(ds: ResponseDataset, selector: SelectionStrategy, hankel=None):
         # unit columns of A V_r: below the squaring floor s is rounding noise, not ||A v||
         norm = 1.0 if left else np.linalg.norm(prfs, axis=0)
         U = Q if left else np.divide(prfs, norm, out=np.zeros_like(prfs), where=norm > 0)
-        rows, record = _hankel_rows(U.T, *hankel, "hankel_in_prf")
+        rows, record = hankel_tsvd_series(U.T, *hankel)
+        record.name = "hankel_in_prf"
         lhs = rows.T * norm
         report.stages.append(record)
     filtered = (lhs * scale) @ rhs
     result = ds.with_data(unflatten(filtered, n_o, n_i))
     report.total_seconds = time.perf_counter() - t0
     return result, report, prfs
-
-
-def _hankel_rows(rows: np.ndarray, selector: SelectionStrategy, window: Optional[int], name: str):
-    """The Hankel row stage: one Hankel TSVD per row of ``rows`` (n, length).
-
-    Returns (filtered rows, StageRecord).  The record keeps the first row's
-    shape, spectrum and e15 model, the largest rank and every row's rank;
-    no rows (PRF rank 0) give an empty record.  Later rows' records are
-    dropped once their rank is read.
-    """
-    t0 = time.perf_counter()
-    out = np.empty_like(rows)
-    first = StageRecord(name, (0, 0), np.zeros(0), 0)
-    ranks = []
-    for j, row in enumerate(rows):
-        out[j], rec = hankel_tsvd_series(row, window, selector)
-        ranks.append(rec.rank)
-        if j == 0:
-            first = rec
-    seconds = time.perf_counter() - t0
-    extras = {"svd_calls": len(ranks), "ranks": ranks}
-    return out, replace(first, name=name, rank=max(ranks, default=0), seconds=seconds, extras=extras)
 
 
 def prf_tsvd(ds: ResponseDataset, selector: SelectionStrategy):
@@ -196,12 +161,17 @@ def prf_tsvd(ds: ResponseDataset, selector: SelectionStrategy):
 
 def hankel_filter_dataset(ds: ResponseDataset, selector: SelectionStrategy, window: Optional[int] = None):
     """Hankel-TSVD every (o, i) time series independently; blind to the rest."""
+    _check_hankel_input(ds)
+    out, record = hankel_tsvd_series(ds.data, window, selector)
+    return ds.with_data(out), FilterReport([record], record.seconds)
+
+
+def _check_hankel_input(ds: ResponseDataset):
+    """The one dataset check of both Hankel stages: a time record of at least 4 samples."""
     if ds.domain is not Domain.TIME:
         raise DomainError("Hankel filtering requires a time-domain dataset")
     if ds.n_bins < 4:
         raise ShapeError("Hankel filtering needs at least 4 samples")
-    out, record = _hankel_rows(ds.data.reshape(-1, ds.n_bins), selector, window, "hankel")
-    return ds.with_data(out.reshape(ds.data.shape)), FilterReport([record], record.seconds)
 
 
 def prank_ph(ds: ResponseDataset, cfg: PrankConfig):
@@ -237,7 +207,8 @@ def _hankel(ds: ResponseDataset, cfg: PrankConfig):
 
 
 def _hip(ds: ResponseDataset, cfg: PrankConfig):
-    return _unfolded(ds, cfg.prf_selector, (cfg.hankel_selector, cfg.hankel_window))[:2]
+    _check_hankel_input(ds)
+    return _unfolded(ds, cfg.prf_selector, (cfg.hankel_window, cfg.hankel_selector))[:2]
 
 
 # every variant as its domain and its stages, run in order; each maps (ds, cfg) to (ds, report)
@@ -254,6 +225,9 @@ _CHAINS = {
 def _chain(ds: ResponseDataset, cfg: PrankConfig, variant: Variant):
     """Bridge ``ds`` to the variant's domain, run its stages, bridge back."""
     domain, stages = _CHAINS[variant]
+    if domain is Domain.TIME and ds.domain is Domain.FREQUENCY and ds.axis_start != 0.0:
+        raise AxisError(f"variant {variant.value} runs on the time record, so it needs a spectrum that "
+                        f"starts at 0, got axis_start = {ds.axis_start}; for a cut band use classic or prf_tsvd")
     t0 = time.perf_counter()
     work, restore = _working(ds, domain)
     report = FilterReport()

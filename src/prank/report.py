@@ -20,15 +20,12 @@ class StageRecord:
     samples, PRF on what it is handed.  Every stage takes its spectrum from
     the eigenvalues of each matrix's smaller Gram matrix (``tsvd._gram``),
     where values below about 1.5e-8 of the largest are rounding noise.
-    Classic records the mean spectrum over its lines and, under e15, the
-    stacked ``E15Model`` of all of them.  Stages that factor many matrices
-    one call at a time (per-entry or per-column Hankel passes) keep the
-    first call's ``singular_values`` and ``model``; ``extras`` carries the
-    per-call ranks and the factorization count as ``svd_calls``.
+    The PRF stage factors one matrix.  Classic and the Hankel stages factor
+    one ``shape`` matrix per call and build their record with ``of_calls``.
     ``model.tail_misfit`` is the ``e15_tail_misfit`` of ``to_text``.
     ``seconds`` covers the factorization and rank selection of a PRF stage,
-    every per-row Hankel call of a Hankel stage; the chain's one domain
-    bridge (``filters._chain``) and the PRF rebuild count only toward
+    every call of a multi-call stage; the chain's one domain bridge
+    (``filters._chain``) and the PRF rebuild count only toward
     ``FilterReport.total_seconds``.
     """
 
@@ -39,6 +36,19 @@ class StageRecord:
     model: Optional[E15Model] = None
     seconds: float = 0.0
     extras: dict = field(default_factory=dict)
+
+    @classmethod
+    def of_calls(cls, name, shape, S, ranks, model, seconds):
+        """The record of a stage that factors one ``shape`` matrix per call, from
+        every call's spectrum S (calls, p), rank and stacked ``E15Model``: the
+        mean spectrum, the largest rank, the model, and in ``extras``
+        ``svd_calls``, ``ranks`` and their min / max / mean.  No calls give
+        zeros and no model."""
+        calls = len(ranks)
+        lo, hi, mean = (int(ranks.min()), int(ranks.max()), float(ranks.mean())) if calls else (0, 0, 0.0)
+        extras = {"svd_calls": calls, "ranks": ranks.tolist(), "rank_min": lo, "rank_max": hi, "rank_mean": mean}
+        spectrum = S.mean(axis=0) if calls else np.zeros(S.shape[-1])
+        return cls(name, shape, spectrum, hi, model if calls else None, seconds, extras)
 
 
 @dataclass
@@ -75,7 +85,7 @@ _MODEL_FIELDS = (("sigma_n", "{:.6e}"), ("corr", "{}"), ("tail_misfit", "{:.4f}"
 
 def _model_lines(model: E15Model) -> list:
     """One line per e15 field; a stacked model gives min / median / max over
-    its lines.  NaN misfits (all-zero tails) are left out."""
+    its calls.  NaN misfits (all-zero tails) are left out."""
     lines = []
     for name, fmt in _MODEL_FIELDS:
         values = np.asarray(getattr(model, name), dtype=float)
@@ -87,7 +97,7 @@ def _model_lines(model: E15Model) -> list:
             # np.median would import numpy.ma, about 40 ms of every CLI run
             v = np.sort(values)
             stats = (v[0], (v[(len(v) - 1) // 2] + v[len(v) // 2]) / 2, v[-1])
-            text = " / ".join(fmt.format(x) for x in stats) + " (min / median / max over lines)"
+            text = " / ".join(fmt.format(x) for x in stats) + " (min / median / max over calls)"
         else:
             text = fmt.format(values.item())
         lines.append(f"  e15_{name}: {text}")
@@ -96,7 +106,7 @@ def _model_lines(model: E15Model) -> list:
 
 def _curves(rec: StageRecord) -> list:
     """The CSV columns of a stage: its spectrum and, under e15, the MP curve and
-    cleanliness, each the mean over the lines when the model is stacked."""
+    cleanliness, each the mean over the calls when the model is stacked."""
     columns = [rec.singular_values]
     if rec.model is not None:
         columns += [np.reshape(x, (-1, len(rec.singular_values))).mean(axis=0)
@@ -106,7 +116,7 @@ def _curves(rec: StageRecord) -> list:
 
 def write_report(report: FilterReport, prefix) -> list:
     """Write ``<prefix>.report.txt`` plus one SV-curve CSV per stage; a
-    stacked (classic) stage writes the means over its lines."""
+    multi-call stage writes the means over its calls."""
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     paths = []

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConvergenceError, NonFiniteError, ShapeError, WindowError
 from .report import StageRecord
-from .selection import E15, FixedRank, SelectionStrategy, evaluate
+from .selection import E15, E15Model, FixedRank, SelectionStrategy, evaluate
 
 
 @dataclass(frozen=True)
@@ -83,11 +83,17 @@ def hankelize(series: np.ndarray, window: Optional[int] = None) -> np.ndarray:
     n = len(series)
     if n < 2:
         raise WindowError(f"series too short ({n} samples)")
+    L = _window(n, window)
+    K = n - L + 1
+    return series[np.arange(L)[:, None] + np.arange(K)[None, :]]
+
+
+def _window(n: int, window: Optional[int]) -> int:
+    """The window length L of an n-sample series: ``window`` or ``auto_window(n)``, in [1, n]."""
     L = auto_window(n) if window is None else int(window)
     if not 1 <= L <= n:
         raise WindowError(f"window {L} outside [1, {n}]")
-    K = n - L + 1
-    return series[np.arange(L)[:, None] + np.arange(K)[None, :]]
+    return L
 
 
 def dehankelize_ssa(M: np.ndarray) -> np.ndarray:
@@ -176,27 +182,33 @@ def hankel_tsvd_series(
     window: Optional[int] = None,
     selector: Union[SelectionStrategy, None] = None,
 ):
-    """Hankelize, truncate by the selector, SSA back to a same-length series.
-
-    Returns (filtered_series, StageRecord).  The truncation runs through
-    ``gram_tsvd``; e15 selectors use the cleaned singular values in the
-    reconstruction.
-    """
+    """Hankelize, truncate by the selector, SSA back to a same-length series,
+    for one series or each row of a stack (..., length), one ``gram_tsvd``
+    call per row; e15 selectors use the cleaned singular values.  Returns
+    (filtered, record): filtered shaped as ``series``, and the
+    ``StageRecord.of_calls`` record "hankel" of every call's spectrum, rank
+    and e15 fields, written into arrays allocated before the loop."""
     series = np.asarray(series)
-    if len(series) < 4:
-        raise WindowError(f"series too short for Hankel filtering ({len(series)} samples)")
+    length = series.shape[-1]
+    if length < 4:
+        raise WindowError(f"series too short for Hankel filtering ({length} samples)")
     if selector is None:
-        selector = FixedRank(len(series))
+        selector = FixedRank(length)
     t0 = time.perf_counter()
-    H = hankelize(series, window)
-    filtered, S, rank, model = gram_tsvd(H, selector)
-    out = dehankelize_ssa(filtered)
-    record = StageRecord(
-        name="hankel",
-        shape=H.shape,
-        singular_values=S,
-        rank=rank,
-        model=model,
-        seconds=time.perf_counter() - t0,
-    )
-    return out, record
+    L = _window(length, window)
+    shape = (L, length - L + 1)
+    rows = series.reshape(-1, length)
+    n, p = len(rows), min(shape)
+    out, S, ranks = np.empty_like(rows), np.zeros((n, p)), np.zeros(n, dtype=int)
+    model = E15Model(np.zeros(n), np.zeros(n), np.zeros((n, p)), np.zeros((n, p)), np.zeros(n, dtype=int),
+                     np.zeros((n, p)), np.zeros(n)) if isinstance(selector, E15) else None
+    stacks = (S, ranks) + (() if model is None else tuple(vars(model).values()))
+    for j, row in enumerate(rows):
+        # a stack of one, so every field comes stacked (cleaned_s zero-padded)
+        filtered, S_j, rank_j, model_j = gram_tsvd(hankelize(row, L)[None], selector)
+        out[j] = dehankelize_ssa(filtered[0])
+        values = (S_j, rank_j) + (() if model_j is None else tuple(vars(model_j).values()))
+        for stack, value in zip(stacks, values):
+            stack[j] = value[0]
+    record = StageRecord.of_calls("hankel", shape, S, ranks, model, time.perf_counter() - t0)
+    return out.reshape(series.shape), record

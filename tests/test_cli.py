@@ -182,6 +182,21 @@ def test_filter_e15_on_window_one_is_usage_error(tmp_path, capsys, variant):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("variant", ["prf", "hip"])
+def test_filter_cut_spectrum_on_time_variant_is_usage_error(tmp_path, capsys, variant):
+    # a band that does not start at 0 has no time record; classic filters it
+    ds = read_dataset(synth_small(tmp_path))
+    cut = tmp_path / "cut.prnk"
+    write_dataset(prank.ResponseDataset(ds.data[..., 50:], Domain.FREQUENCY, 50 * ds.axis_step,
+                                        ds.axis_step, ds.unit_label), cut)
+    out = tmp_path / "x.prnk"
+    assert run(["filter", str(cut), "--variant", variant, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "needs a spectrum that starts at 0" in err and "classic or prf_tsvd" in err
+    assert not out.exists()
+    assert run(["filter", str(cut), "--variant", "classic", "-o", str(out)]) == 0
+
+
 def test_filter_hip_report_call_count_equals_prf_rank(tmp_path):
     src = synth_small(tmp_path)
     noisy = tmp_path / "noisy.prnk"

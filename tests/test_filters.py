@@ -137,7 +137,7 @@ def test_classic_e15_report_keeps_every_line(noisy_bench, tmp_path):
     assert model.sigma_n.shape == (noisy_bench.n_bins,)
     assert model.rank.max() == rec.rank and model.rank.min() == rec.extras["rank_min"]
     assert model.rank.mean() == rec.extras["rank_mean"]
-    # the text gives min / median / max over the lines of each e15 field
+    # the text gives min / median / max over the calls (lines) of each e15 field
     text = report.to_text()
     for name, values in (("sigma_n", model.sigma_n), ("corr", model.corr),
                          ("tail_misfit", model.tail_misfit[~np.isnan(model.tail_misfit)])):
@@ -145,7 +145,7 @@ def test_classic_e15_report_keeps_every_line(noisy_bench, tmp_path):
         stats = [float(x) for x in line.split(": ")[1].split(" (")[0].split(" / ")]
         expected = [values.min(), np.median(values), values.max()]
         assert stats == pytest.approx(expected, rel=1e-4, abs=1e-4)
-        assert line.endswith("(min / median / max over lines)")
+        assert line.endswith("(min / median / max over calls)")
     # the CSV puts the line-mean MP curve and cleanliness next to the line-mean spectrum
     csv = next(p for p in write_report(report, tmp_path / "classic") if p.suffix == ".csv")
     rows = csv.read_text().splitlines()
@@ -352,6 +352,14 @@ def test_hankel_only_keeps_offset_zero_error(clean_bench, noisy_bench, zero_band
     assert consist(clean_bench, out).overall > base
 
 
+@pytest.mark.parametrize("variant", [Variant.HANKEL, Variant.PRANK_PH, Variant.PRANK_HP, Variant.PRANK_HIP])
+def test_short_time_record_is_shape_error_for_every_hankel_variant(variant):
+    # one dataset check for both Hankel stages, ahead of any Hankel call
+    ds = ResponseDataset(np.random.default_rng(0).standard_normal((2, 2, 3)), Domain.TIME)
+    with pytest.raises(ShapeError, match="at least 4 samples"):
+        apply_filter(ds, PrankConfig(variant=variant))
+
+
 def test_hankel_filter_needs_bins(clean_bench):
     ds = ResponseDataset(np.ones((2, 2, 3)), Domain.TIME)
     with pytest.raises(ShapeError):
@@ -397,12 +405,22 @@ def test_prank_stage_order_in_reports(prank_runs):
     assert [s.name for s in prank_runs["hip"][1].stages] == ["prf", "hankel_in_prf"]
 
 
-def test_hip_hankel_call_count_equals_prf_rank(prank_runs):
+def test_hip_hankel_call_count_equals_prf_rank(noisy_bench, prank_runs):
     report = prank_runs["hip"][1]
     prf_rank = report.stage("prf").rank
     hankel = report.stage("hankel_in_prf")
     assert hankel.extras["svd_calls"] == prf_rank
     assert len(hankel.extras["ranks"]) == prf_rank
+    # every multi-call stage keeps each call's rank and e15 model
+    classic = classic_tsvd(noisy_bench, E15())[1].stage("classic")
+    for rec in (classic, prank_runs["ph"][1].stage("hankel"), hankel):
+        calls, ranks = rec.extras["svd_calls"], rec.extras["ranks"]
+        assert calls > 0 and len(ranks) == calls
+        assert rec.rank == max(ranks) == rec.extras["rank_max"]
+        assert (rec.extras["rank_min"], rec.extras["rank_mean"]) == (min(ranks), np.mean(ranks))
+        for name, value in vars(rec.model).items():
+            assert np.shape(value)[0] == calls, name
+        assert rec.model.rank.tolist() == ranks
 
 
 def test_ph_hankel_call_count_equals_entries(prank_runs):

@@ -283,6 +283,27 @@ def test_hankel_tsvd_series_e15_rejects_white_noise():
         assert record.model.sigma_n > 0
 
 
+@pytest.mark.parametrize("complex_data", [False, True])
+@pytest.mark.parametrize("selector", [FixedRank(6), E15()])
+def test_hankel_tsvd_series_stack_equals_row_by_row(complex_data, selector):
+    rows = np.stack([noisy_series(complex_data, seed) for seed in range(3)])
+    out, record = hankel_tsvd_series(rows, 150, selector)
+    alone = [hankel_tsvd_series(row, 150, selector) for row in rows]
+    assert np.array_equal(out, np.stack([a for a, _ in alone]))
+    assert record.extras["ranks"] == [rec.rank for _, rec in alone]
+    assert record.extras["svd_calls"] == 3 and record.rank == max(record.extras["ranks"])
+    assert np.array_equal(record.singular_values, np.mean([rec.singular_values for _, rec in alone], axis=0))
+    if record.model is not None:
+        for name, value in vars(record.model).items():
+            assert np.array_equal(value, np.concatenate([getattr(rec.model, name) for _, rec in alone]),
+                                  equal_nan=True), name
+    # no rows, as HiP hands over at PRF rank 0: no calls and an empty result
+    empty, record = hankel_tsvd_series(rows[:0], 150, selector)
+    assert empty.shape == (0, rows.shape[1]) and empty.dtype == rows.dtype
+    assert (record.extras["svd_calls"], record.extras["ranks"], record.rank) == (0, [], 0)
+    assert record.model is None and not record.singular_values.any()
+
+
 def test_hankel_tsvd_series_too_short():
     with pytest.raises(WindowError):
         hankel_tsvd_series(np.ones(3), selector=FixedRank(1))
