@@ -19,6 +19,9 @@ from .errors import (
 )
 
 MAGIC = b"PRNKDS01"
+# after the magic: counts (outputs, inputs, lines), domain tag, axis start
+# and step, unit label length
+_HEADER = struct.Struct("<IIIBddH")
 
 
 class Domain(Enum):
@@ -26,10 +29,10 @@ class Domain(Enum):
     FREQUENCY = 1
 
 
-def _is_angular(unit_label: str) -> bool:
-    # "rad/s" style labels get the 2*pi factor in the time bridge; anything
-    # else is treated as a cyclic frequency (Hz).
-    return "rad" in unit_label.lower()
+def _cycle(unit_label: str) -> float:
+    """One cycle in axis units: 2*pi for "rad/s" style labels, 1 for anything
+    else (a cyclic frequency such as Hz)."""
+    return 2.0 * np.pi if "rad" in unit_label.lower() else 1.0
 
 
 @dataclass(frozen=True)
@@ -120,11 +123,7 @@ def to_time(ds: ResponseDataset) -> ResponseDataset:
         raise AxisError(f"time bridge requires axis_start = 0, got {ds.axis_start}")
     n_samples = 2 * (ds.n_bins - 1)
     samples = _irfft_real_edges(ds.data, n_samples)
-    full_span = ds.axis_step * n_samples
-    if _is_angular(ds.unit_label):
-        dt = 2.0 * np.pi / full_span
-    else:
-        dt = 1.0 / full_span
+    dt = _cycle(ds.unit_label) / (ds.axis_step * n_samples)
     return ResponseDataset(samples, Domain.TIME, 0.0, dt, "s")
 
 
@@ -153,11 +152,7 @@ def to_frequency(ds: ResponseDataset, unit_label: str = "Hz") -> ResponseDataset
     if n_samples % 2 != 0:
         raise LengthError(f"time record length must be even, got {n_samples}")
     spectrum = np.fft.rfft(ds.data, axis=-1)
-    full_span = 1.0 / ds.axis_step
-    if _is_angular(unit_label):
-        df = 2.0 * np.pi * full_span / n_samples
-    else:
-        df = full_span / n_samples
+    df = _cycle(unit_label) * (1.0 / ds.axis_step) / n_samples
     return ResponseDataset(spectrum, Domain.FREQUENCY, 0.0, df, unit_label)
 
 
@@ -176,30 +171,21 @@ def _atomic_write(path, data) -> None:
 def write_dataset(ds: ResponseDataset, path) -> None:
     """Write the little-endian binary container (atomically, see ``_atomic_write``)."""
     label = ds.unit_label.encode("utf-8")
-    header = MAGIC + struct.pack(
-        "<IIIBddH",
-        ds.n_outputs,
-        ds.n_inputs,
-        ds.n_bins,
-        ds.domain.value,
-        ds.axis_start,
-        ds.axis_step,
-        len(label),
-    )
+    header = MAGIC + _HEADER.pack(ds.n_outputs, ds.n_inputs, ds.n_bins, ds.domain.value,
+                                  ds.axis_start, ds.axis_step, len(label))
     _atomic_write(path, header + label + ds.data.astype("<c16").tobytes())
 
 
 def read_dataset(path) -> ResponseDataset:
     """Read a dataset written by write_dataset; bit-exact round trip."""
     blob = Path(path).read_bytes()
-    if blob[:8] != MAGIC:
-        raise FormatError(f"bad magic {blob[:8]!r}, expected {MAGIC!r}")
-    head_fmt = "<IIIBddH"
-    head_size = struct.calcsize(head_fmt)
-    if len(blob) < 8 + head_size:
+    magic = blob[: len(MAGIC)]
+    if magic != MAGIC:
+        raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
+    offset = len(MAGIC) + _HEADER.size
+    if len(blob) < offset:
         raise FormatError(f"truncated header at byte {len(blob)}")
-    n_o, n_i, n_k, dom, start, step, label_len = struct.unpack_from(head_fmt, blob, 8)
-    offset = 8 + head_size
+    n_o, n_i, n_k, dom, start, step, label_len = _HEADER.unpack_from(blob, len(MAGIC))
     if len(blob) < offset + label_len:
         raise FormatError(f"truncated unit label at byte {len(blob)}")
     try:
@@ -225,15 +211,27 @@ def read_dataset(path) -> ResponseDataset:
     return ResponseDataset(data, domain, start, step, label)
 
 
+def _write_csv(path, header, rows) -> None:
+    """Write a CSV table atomically: the ``header`` names, then one line per
+    row, floats as ``repr(float(x))`` and ints and labels as text."""
+    lines = [",".join(header)] + [",".join(_cell(x) for x in row) for row in rows]
+    _atomic_write(path, "\n".join(lines) + "\n")
+
+
+def _cell(x) -> str:
+    if isinstance(x, str):
+        return x
+    return str(x) if isinstance(x, (int, np.integer)) else repr(float(x))
+
+
 def export_csv(ds: ResponseDataset, o: int, i: int, path) -> None:
     """Write one (o, i) entry as CSV: axis_value, real, imag, magnitude, phase."""
     if not (0 <= o < ds.n_outputs and 0 <= i < ds.n_inputs):
         raise IndexError(f"entry ({o}, {i}) outside {ds.n_outputs}x{ds.n_inputs} dataset")
-    lines = ["axis_value,real,imag,magnitude,phase\n"]
-    for x, v in zip(ds.axis, ds.data[o, i]):
-        fields = (float(x), float(v.real), float(v.imag), float(abs(v)), float(np.angle(v)))
-        lines.append(",".join(repr(f) for f in fields) + "\n")
-    _atomic_write(path, "".join(lines))
+    values = ds.data[o, i]
+    # abs per value: np.abs over the array can differ in the last bit
+    rows = ((x, v.real, v.imag, abs(v), a) for x, v, a in zip(ds.axis, values, np.angle(values)))
+    _write_csv(path, ("axis_value", "real", "imag", "magnitude", "phase"), rows)
 
 
 def export_all_csv(ds: ResponseDataset, directory) -> list:

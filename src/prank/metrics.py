@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Domain, ResponseDataset, _atomic_write
+from .dataset import Domain, ResponseDataset, _write_csv
 from .errors import DomainError, NonFiniteError, ShapeMismatch
 from .tsvd import svd
 
@@ -86,18 +86,10 @@ def zero_locations(ds: ResponseDataset, o: int, i: int, prominence: float = 0.9)
 
 def write_coherence_csv(report: CoherenceReport, path) -> None:
     """Flat CSV of the per-entry coherence matrix plus the overall mean."""
-    lines = ["output,input,coherence"]
-    n_o, n_i = report.per_entry.shape
-    for o in range(n_o):
-        for i in range(n_i):
-            lines.append(f"{o},{i},{float(report.per_entry[o, i])!r}")
-    lines.append(f"overall,,{float(report.overall)!r}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    rows = [(o, i, c) for (o, i), c in np.ndenumerate(report.per_entry)]
+    _write_csv(path, ("output", "input", "coherence"), rows + [("overall", "", report.overall)])
 
 
 def write_cmif_csv(curves: np.ndarray, axis: np.ndarray, path) -> None:
-    n_k, p = curves.shape
-    lines = ["axis_value," + ",".join(f"sv{j}" for j in range(p))]
-    for k in range(n_k):
-        lines.append(f"{float(axis[k])!r}," + ",".join(repr(float(v)) for v in curves[k]))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    header = ["axis_value"] + [f"sv{j}" for j in range(curves.shape[1])]
+    _write_csv(path, header, ([x, *row] for x, row in zip(axis, curves)))

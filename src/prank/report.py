@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import _atomic_write
+from .dataset import _atomic_write, _write_csv
 from .selection import E15Model
 
 
@@ -125,9 +125,7 @@ def write_report(report: FilterReport, prefix) -> list:
     paths.append(text_path)
     for idx, rec in enumerate(report.stages):
         csv_path = prefix.with_name(f"{prefix.name}.sv_{idx}_{rec.name}.csv")
-        rows = ["index,singular_value" + (",mp_curve,cleanliness" if rec.model is not None else "")]
-        for k, values in enumerate(zip(*_curves(rec))):
-            rows.append(",".join([str(k)] + [repr(float(x)) for x in values]))
-        _atomic_write(csv_path, "\n".join(rows) + "\n")
+        header = ["index", "singular_value"] + (["mp_curve", "cleanliness"] if rec.model is not None else [])
+        _write_csv(csv_path, header, ((k, *values) for k, values in enumerate(zip(*_curves(rec)))))
         paths.append(csv_path)
     return paths

@@ -326,6 +326,17 @@ def test_export_csv_magnitude_column(tmp_path):
     assert float(rows[1][3]) == pytest.approx(5.0)
 
 
+def test_export_csv_golden_text(tmp_path):
+    # the whole file, byte for byte: header, repr floats, "\n" line ends
+    ds = make_ds(np.array([[[3 + 4j, -2 + 0j, -5j]]]), axis_start=0.0, axis_step=0.5)
+    path = tmp_path / "entry.csv"
+    export_csv(ds, 0, 0, path)
+    assert path.read_bytes() == (b"axis_value,real,imag,magnitude,phase\n"
+                                 b"0.0,3.0,4.0,5.0,0.9272952180016122\n"
+                                 b"0.5,-2.0,0.0,2.0,3.141592653589793\n"
+                                 b"1.0,-0.0,-5.0,5.0,-1.5707963267948966\n")
+
+
 def test_export_csv_index_error(tmp_path):
     ds = make_ds(np.ones((2, 2, 3)))
     with pytest.raises(IndexError):

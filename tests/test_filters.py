@@ -8,6 +8,8 @@ from prank import (
     ConvergenceError,
     Domain,
     DomainError,
+    E15Model,
+    FilterReport,
     FixedRank,
     NoiseModel,
     NonFiniteError,
@@ -15,6 +17,7 @@ from prank import (
     PrankConfig,
     ResponseDataset,
     ShapeError,
+    StageRecord,
     Variant,
     add_noise,
     add_offsets,
@@ -154,6 +157,20 @@ def test_classic_e15_report_keeps_every_line(noisy_bench, tmp_path):
     assert np.array_equal(table[:, 1], rec.singular_values)
     assert np.array_equal(table[:, 2], model.mp_curve.mean(axis=0))
     assert np.array_equal(table[:, 3], model.cleanliness.mean(axis=0))
+
+
+def test_report_sv_csv_golden_text(tmp_path):
+    # one table per stage, byte for byte; a stacked model gives call means
+    model = E15Model(np.array([0.1, 0.2]), np.array([1.0, 1.0]),
+                     np.array([[0.5, 0.25], [1.5, 0.25]]), np.array([[0.75, 0.0], [0.25, 0.0]]),
+                     np.array([1, 1]), np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([0.5, 0.5]))
+    report = FilterReport([StageRecord("prf", (4, 2), np.array([2.0, 0.5]), 1),
+                           StageRecord("hankel", (3, 3), np.array([4.0, 0.125]), 1, model)])
+    paths = write_report(report, tmp_path / "out")
+    assert [p.name for p in paths] == ["out.report.txt", "out.sv_0_prf.csv", "out.sv_1_hankel.csv"]
+    assert paths[1].read_bytes() == b"index,singular_value\n0,2.0\n1,0.5\n"
+    assert paths[2].read_bytes() == (b"index,singular_value,mp_curve,cleanliness\n"
+                                     b"0,4.0,1.0,0.5\n1,0.125,0.25,0.0\n")
 
 
 def test_classic_rank_sweep_never_denoises():

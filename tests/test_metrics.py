@@ -3,6 +3,7 @@ import pytest
 
 from prank import (
     ChainSystem,
+    CoherenceReport,
     Domain,
     DomainError,
     NonFiniteError,
@@ -221,3 +222,18 @@ def test_cmif_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("axis_value,sv0")
     assert len(lines) == 6
+
+
+def test_coherence_csv_golden_text(tmp_path):
+    rep = CoherenceReport(0.625, np.array([[1.0, 0.5], [0.25, 0.75]]), np.array([0.5, 0.75]))
+    path = tmp_path / "coh.csv"
+    write_coherence_csv(rep, path)
+    assert path.read_bytes() == (b"output,input,coherence\n"
+                                 b"0,0,1.0\n0,1,0.5\n1,0,0.25\n1,1,0.75\n"
+                                 b"overall,,0.625\n")
+
+
+def test_cmif_csv_golden_text(tmp_path):
+    path = tmp_path / "cmif.csv"
+    write_cmif_csv(np.array([[2.0, 0.5], [1.5, -0.0]]), np.array([0.0, 0.25]), path)
+    assert path.read_bytes() == b"axis_value,sv0,sv1\n0.0,2.0,0.5\n0.25,1.5,-0.0\n"
