@@ -117,8 +117,8 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.a, self.b, self.c, self.d) < 0:
-            raise ValueError("noise coefficients must be nonnegative")
+        if not all(0.0 <= x < np.inf for x in (self.a, self.b, self.c, self.d)):
+            raise ValueError("noise coefficients must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,10 @@ class OffsetSpec:
     entries: tuple
 
     def __init__(self, entries: Sequence):
-        object.__setattr__(self, "entries", tuple((int(o), float(v)) for o, v in entries))
+        entries = tuple((int(o), float(v)) for o, v in entries)
+        if not all(np.isfinite(v) for _, v in entries):
+            raise ValueError("offsets must be finite")
+        object.__setattr__(self, "entries", entries)
 
 
 def _axis_checked(axis: np.ndarray) -> tuple:

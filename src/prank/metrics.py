@@ -67,8 +67,10 @@ def zero_locations(ds: ResponseDataset, o: int, i: int, prominence: float = 0.9)
     only dips below 10% of the surrounding maxima, rejecting noise-floor
     wiggles; prominence = 1 and monotone curves yield an empty array.
     A prominence outside [0, 1] (or NaN) raises ValueError, NaN or infinite
-    magnitudes NonFiniteError.
+    magnitudes NonFiniteError, and time-domain data DomainError.
     """
+    if ds.domain is not Domain.FREQUENCY:
+        raise DomainError("anti-resonances are defined on frequency-domain data")
     if not 0.0 <= prominence <= 1.0:
         raise ValueError(f"prominence must lie in [0, 1], got {prominence}")
     if not (0 <= o < ds.n_outputs and 0 <= i < ds.n_inputs):

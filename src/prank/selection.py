@@ -48,8 +48,8 @@ class AbsoluteThreshold:
     mode: ThresholdMode = ThresholdMode.PER_VALUE
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise ValueError("threshold must be nonnegative")
+        if not self.eps >= 0:
+            raise ValueError(f"threshold must be nonnegative, got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -153,11 +153,16 @@ def mp_quantile_curve(shape: tuple, sigma: float, corr: float = 1.0) -> np.ndarr
     round(cols/corr).  The k-th value is sigma*sqrt(M)*sqrt(lam_k) with
     lam_k the (N - k + 1/2)/N quantile of the MP law, solved from its
     closed-form CDF to rounding.  Indices past the effective rank are zero.
-    The result has length min(shape).
+    The result has length min(shape).  A negative or non-finite sigma, or a
+    corr below 1 (or NaN), raises ValueError.
     """
+    if not 0.0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
+    if not corr >= 1.0:
+        raise ValueError(f"corr must be >= 1, got {corr}")
     m, n = shape
     p = min(m, n)
-    if sigma <= 0.0:
+    if sigma == 0.0:
         return np.zeros(p)
     return sigma * _unit_curves(m, [max(1, round(n / corr))], p)[0]
 
@@ -220,8 +225,11 @@ def mp_fit(S: np.ndarray, shape: tuple, tail_fraction: float = 0.5) -> tuple:
     ``tail_fraction`` of the indices, exact zeros excluded) against the
     unit-sigma quantile curve.  Smallest-residual pair wins; ties, residuals
     within 1e-12 of the tail's energy, resolve to the smallest corr.  An
-    all-zero tail yields (0.0, 1.0).
+    all-zero tail yields (0.0, 1.0); a ``tail_fraction`` outside (0, 1)
+    raises ValueError.
     """
+    if not 0.0 < tail_fraction < 1.0:
+        raise ValueError("tail_fraction must lie in (0, 1)")
     sigma, corr, _, _ = _fit(_spectra(S, shape)[None, :], shape, tail_fraction)
     return float(sigma[0]), float(corr[0])
 
@@ -251,9 +259,10 @@ def e15(S: np.ndarray, shape: tuple, mu: float = 0.10, tail_fraction: float = 0.
     noise ceiling to ~1 for the cleanest dominant mode; the selected rank is
     the longest prefix with cleanliness >= mu.  Retained singular values are
     root-difference cleaned: sqrt(max(S^2 - mp_curve^2, 0)).  Degenerate
-    inputs produce rank 0 rather than an error.
+    inputs produce rank 0 rather than an error; ``mu`` and ``tail_fraction``
+    are checked as by ``E15``.
     """
-    return _first_row(_e15(_spectra(S, shape)[None, :], shape, mu, tail_fraction))
+    return evaluate(S, shape, E15(mu, tail_fraction))[1]
 
 
 def evaluate(S: np.ndarray, shape: tuple, strategy: SelectionStrategy):

@@ -308,6 +308,15 @@ def test_noise_model_accepts_published_parameter_sets():
         NoiseModel(-0.1, 0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("position", range(4))
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_noise_model_rejects_nonfinite_coefficient(position, bad):
+    coeffs = [0.003, 0.06, 0.003, 0.05]
+    coeffs[position] = bad
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        NoiseModel(*coeffs)
+
+
 # ------------------------------------------------------------------ offsets
 
 def test_add_offsets_zero_entries_identity():
@@ -353,6 +362,12 @@ def test_add_offsets_index_errors():
         add_offsets(ds, OffsetSpec([(7, 0.1)]))
     with pytest.raises(IndexError):
         add_offsets(ds, OffsetSpec([(1, 0.1), (1, 0.2)]))  # 2 values for 4 inputs
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_offset_spec_rejects_nonfinite_value(bad):
+    with pytest.raises(ValueError, match="offsets must be finite"):
+        OffsetSpec([(1, 0.22), (1, bad)])
 
 
 def test_add_offsets_rejects_time_domain():

@@ -117,6 +117,10 @@ def test_corrupt_bad_offset_dof_is_usage_error(tmp_path):
 @pytest.mark.parametrize("flags,message", [
     (["--noise", "1,2,3"], "exactly four"),
     (["--offset", "0:0.1"], "must be >= 1"),
+    (["--noise", "nan,0,0,0"], "must be finite"),
+    (["--noise", "0,inf,0,0"], "must be finite"),
+    (["--offset", "2:nan"], "must be finite"),
+    (["--offset", "2:inf"], "must be finite"),
 ])
 def test_corrupt_malformed_flag_is_usage_error(tmp_path, capsys, flags, message):
     src = synth_small(tmp_path)
@@ -252,6 +256,17 @@ def test_metrics_prominence_outside_unit_interval_is_usage_error(tmp_path, capsy
     assert run(["metrics", "--ref", str(src), "--test", str(src), "--zeros", "2:1",
                 "--zero-prominence", prominence, "-o", str(prefix)]) == 2
     assert "prominence" in capsys.readouterr().err
+    assert not list(tmp_path.glob("rep*"))
+
+
+def test_metrics_zeros_on_time_dataset_is_usage_error(tmp_path, capsys):
+    src = synth_small(tmp_path)
+    time_path = tmp_path / "time.prnk"
+    assert run(["convert", str(src), "--to-time", "-o", str(time_path)]) == 0
+    prefix = tmp_path / "rep"
+    assert run(["metrics", "--ref", str(time_path), "--test", str(time_path), "--zeros", "2:1",
+                "-o", str(prefix)]) == 2
+    assert "frequency-domain" in capsys.readouterr().err
     assert not list(tmp_path.glob("rep*"))
 
 

@@ -194,6 +194,12 @@ def test_zero_locations_index_error():
         zero_locations(ds, 5, 0)
 
 
+def test_zero_locations_rejects_time_domain():
+    ds = ResponseDataset(np.ones((2, 2, 8)), Domain.TIME)
+    with pytest.raises(DomainError, match="frequency-domain"):
+        zero_locations(ds, 0, 0)
+
+
 @pytest.mark.parametrize("prominence", [1.5, -1.0, np.nan])
 def test_zero_locations_rejects_prominence_outside_unit_interval(prominence):
     ds = synthesize_direct(ChainSystem.uniform(4), np.arange(0.0, 2.0, 1e-3))

@@ -106,6 +106,8 @@ def test_strategy_validation():
         RelativeThreshold(1.5)
     with pytest.raises(ValueError):
         AbsoluteThreshold(-1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        AbsoluteThreshold(float("nan"))
     with pytest.raises(ValueError):
         E15(0.0)
     with pytest.raises(ValueError, match="tail_fraction"):
@@ -114,6 +116,30 @@ def test_strategy_validation():
         evaluate(np.ones(4), (4, 4), FixedRank(-1))
     with pytest.raises(TypeError):
         evaluate(np.ones(4), (4, 4), "e15")
+
+
+@pytest.mark.parametrize("kw", [{"mu": 5.0}, {"mu": 0.0}, {"tail_fraction": 2.0}])
+def test_e15_helper_validates_like_the_strategy(kw):
+    with pytest.raises(ValueError):
+        e15(np.linspace(2.0, 1.0, 8), (8, 8), **kw)
+
+
+@pytest.mark.parametrize("tail_fraction", [0.0, 1.0, 2.0, float("nan")])
+def test_mp_fit_rejects_tail_fraction_outside_unit_interval(tail_fraction):
+    with pytest.raises(ValueError, match="tail_fraction"):
+        mp_fit(np.linspace(2.0, 1.0, 8), (8, 8), tail_fraction)
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -1.0])
+def test_mp_quantile_curve_rejects_bad_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma"):
+        mp_quantile_curve((8, 8), sigma)
+
+
+@pytest.mark.parametrize("corr", [-1.0, 0.5, float("nan")])
+def test_mp_quantile_curve_rejects_corr_below_one(corr):
+    with pytest.raises(ValueError, match="corr"):
+        mp_quantile_curve((8, 8), 1.0, corr)
 
 
 # ------------------------------------------------------- mp_quantile_curve
