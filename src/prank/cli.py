@@ -34,8 +34,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "with truncated-SVD filters.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # every subcommand accepts --config; _inject_config has spliced its lines in before parsing
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", type=Path, default=None, help="key=value defaults file")
 
-    p = sub.add_parser("synth", help="synthesize a chain-system FRF dataset")
+    p = sub.add_parser("synth", parents=[config], help="synthesize a chain-system FRF dataset")
+    p.set_defaults(run=cmd_synth)
     p.add_argument("--dofs", type=int, default=4)
     p.add_argument("--mass", type=float, default=1.0)
     p.add_argument("--damp", type=float, default=0.002)
@@ -48,10 +52,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modal-damping", type=float, default=None,
                    help="uniform modal damping ratio override (modal method)")
     p.add_argument("--quantity", choices=["receptance", "accelerance"], default="receptance")
-    p.add_argument("--config", type=Path, default=None, help="key=value defaults file")
     p.add_argument("-o", "--output", type=Path, required=True)
 
-    p = sub.add_parser("corrupt", help="add seeded noise and row offsets")
+    p = sub.add_parser("corrupt", parents=[config], help="add seeded noise and row offsets")
+    p.set_defaults(run=cmd_corrupt)
     p.add_argument("input", type=Path)
     p.add_argument("--noise", type=str, default="0,0,0,0", metavar="A,B,C,D",
                    help="sigma_re = A|Y|+B, sigma_im = C|Y|+D")
@@ -59,10 +63,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--offset", action="append", default=[], metavar="DOF:VALUE",
                    help="real offset on an output DoF (1-based); repeat the same "
                         "DoF to give per-input values")
-    p.add_argument("--config", type=Path, default=None)
     p.add_argument("-o", "--output", type=Path, required=True)
 
-    p = sub.add_parser("filter", help="run a truncation filter or PRANK pipeline")
+    p = sub.add_parser("filter", parents=[config], help="run a truncation filter or PRANK pipeline")
+    p.set_defaults(run=cmd_filter)
     p.add_argument("input", type=Path)
     p.add_argument("--variant", choices=[v.value for v in filters.Variant], default="hip")
     p.add_argument("--domain", choices=["time"], default="time", help="ignored: stage domains are fixed")
@@ -76,28 +80,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=str, default="auto", help="Hankel window length or 'auto'")
     p.add_argument("--report-prefix", type=Path, default=None,
                    help="prefix for the report text/CSV files (default: output path)")
-    p.add_argument("--config", type=Path, default=None)
     p.add_argument("-o", "--output", type=Path, required=True)
 
-    p = sub.add_parser("metrics", help="coherence and diagnostics between two datasets")
+    p = sub.add_parser("metrics", parents=[config], help="coherence and diagnostics between two datasets")
+    p.set_defaults(run=cmd_metrics)
     p.add_argument("--ref", type=Path, required=True)
     p.add_argument("--test", type=Path, required=True)
     p.add_argument("--cmif", action="store_true", help="also export CMIF curves of the test file")
     p.add_argument("--zeros", type=str, default=None, metavar="DOF_OUT:DOF_IN",
                    help="report anti-resonance locations of this entry (1-based)")
     p.add_argument("--zero-prominence", type=float, default=0.9)
-    p.add_argument("--config", type=Path, default=None)
     p.add_argument("-o", "--output", type=Path, default=None,
                    help="prefix for CSV reports (omit to only print the summary)")
 
-    p = sub.add_parser("convert", help="domain conversion and CSV export")
+    p = sub.add_parser("convert", parents=[config], help="domain conversion and CSV export")
+    p.set_defaults(run=cmd_convert)
     p.add_argument("input", type=Path)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--to-time", action="store_true")
     group.add_argument("--to-freq", action="store_true")
     p.add_argument("--unit", type=str, default="Hz", help="frequency unit label for --to-freq")
     p.add_argument("--csv-dir", type=Path, default=None, help="export every entry as CSV here")
-    p.add_argument("--config", type=Path, default=None)
     p.add_argument("-o", "--output", type=Path, default=None)
     return parser
 
@@ -146,8 +149,9 @@ def cmd_synth(args) -> int:
         raise ValueError("--fmax and --df must be positive")
     axis = np.arange(0.0, args.fmax + 0.5 * args.df, args.df)
     if args.method == "direct":
-        if args.quantity != "receptance":
-            raise ValueError("direct synthesis produces receptance only; use --method modal")
+        if args.quantity != "receptance" or args.modes is not None or args.modal_damping is not None:
+            raise ValueError("direct synthesis produces receptance only and takes no --modes or "
+                             "--modal-damping; use --method modal")
         ds = benchmark.synthesize_direct(sys_, axis)
     else:
         if args.modes is not None and args.modes < 1:
@@ -205,12 +209,12 @@ def cmd_metrics(args) -> int:
         o, i = int(o_raw) - 1, int(i_raw) - 1
         zeros = {name: metrics.zero_locations(ds, o, i, args.zero_prominence)
                  for name, ds in (("ref", ref), ("test", test))}
+    curves = metrics.cmif(test) if args.cmif else None  # before any output, like --zeros
     rep = metrics.consist(ref, test)
     print(f"overall_coherence: {rep.overall:.6f}")
     if args.output is not None:
         metrics.write_coherence_csv(rep, Path(str(args.output) + ".coherence.csv"))
-    if args.cmif:
-        curves = metrics.cmif(test)
+    if curves is not None:
         if args.output is not None:
             metrics.write_cmif_csv(curves, test.axis, Path(str(args.output) + ".cmif.csv"))
         else:
@@ -235,20 +239,11 @@ def cmd_convert(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "synth": cmd_synth,
-    "corrupt": cmd_corrupt,
-    "filter": cmd_filter,
-    "metrics": cmd_metrics,
-    "convert": cmd_convert,
-}
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser().parse_args(_inject_config(argv))
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ConvergenceError, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _NUMERIC_ERRORS

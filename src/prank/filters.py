@@ -42,7 +42,7 @@ from .dataset import (
 from .errors import AxisError, DomainError, ShapeError
 from .report import FilterReport, StageRecord
 from .selection import E15, SelectionStrategy
-from .tsvd import _gram, _pivot_phase, gram_tsvd, hankel_tsvd_series
+from .tsvd import _gram, _pivot_phase, _unit_exponent, gram_tsvd, hankel_tsvd_series
 
 
 class Variant(Enum):
@@ -136,9 +136,14 @@ def _unfolded(ds: ResponseDataset, selector: SelectionStrategy, hankel=None):
         prfs, Q = prfs * rot, Q * rot
         lhs, rhs = prfs, Q.conj().T
     if hankel is not None:
-        # unit columns of A V_r: below the squaring floor s is rounding noise, not ||A v||
-        norm = 1.0 if left else np.linalg.norm(prfs, axis=0)
-        U = Q if left else np.divide(prfs, norm, out=np.zeros_like(prfs), where=norm > 0)
+        if left:
+            U, norm = Q, 1.0
+        else:
+            # unit columns of A V_r: below the squaring floor s is rounding noise, not ||A v||;
+            # each column is normalised by a power of two first, so its squares cannot overflow
+            unit = np.ldexp(1.0, _unit_exponent(prfs, 0))
+            norm = np.linalg.norm(prfs * unit, axis=0) / unit
+            U = np.divide(prfs, norm, out=np.zeros_like(prfs), where=norm > 0)
         rows, record = hankel_tsvd_series(U.T, *hankel)
         record.name = "hankel_in_prf"
         lhs = rows.T * norm

@@ -9,13 +9,15 @@ ranks.  ``gram_tsvd`` reconstructs from it by projection for the Hankel and
 the per-line classic filters; the PRF stage (``filters._unfolded``) builds
 its principal responses and its rebuild from it.  Squaring costs the
 components below about sqrt(eps) * sigma_1 (1.5e-8 of each matrix's norm);
-everything above that matches the dense SVD, which only ``svd`` runs.
+everything above that matches the dense SVD, which only ``svd`` runs.  Each
+matrix is normalised by a power of two before it is squared, so finite data
+of any magnitude is taken.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -69,6 +71,18 @@ def _finite(A) -> np.ndarray:
     if not np.all(np.isfinite(A)):
         raise NonFiniteError("matrix entries must be finite")
     return A
+
+
+def _unit_exponent(A: np.ndarray, axis) -> np.ndarray:
+    """Exponents e, one per slice of A over ``axis``, such that 2^e times the
+    slice has its largest |entry| in [1, 2): an exact scaling under which
+    squaring neither overflows nor underflows.  e is capped at 1023 so 2^e
+    stays finite; a subnormal peak lands at 2^-51 or above.  NaN or infinite
+    entries raise NonFiniteError."""
+    peak = np.max(np.abs(A), axis=axis, initial=0.0)
+    if not np.all(np.isfinite(peak)):
+        raise NonFiniteError("matrix entries must be finite")
+    return np.minimum(1 - np.frexp(peak)[1], 1023)
 
 
 def auto_window(n: int) -> int:
@@ -127,24 +141,39 @@ def _gram(A: np.ndarray, selector: SelectionStrategy):
     nonincreasing, and the singular vectors of that side; one ``evaluate``
     selects every rank.  The scale c / s of each of the first r = max(rank)
     values is the e15-cleaned value over s (c <= s), 1 for every other
-    selector, and 0 beyond a matrix's own rank or where s = 0.  NaN or
-    infinite entries raise NonFiniteError, a backend failure
-    ConvergenceError.
+    selector, and 0 beyond a matrix's own rank or where s = 0.
+
+    Finite data of any magnitude is taken: squaring would overflow above
+    about 1e154 and underflow below about 1e-154, so each matrix is first
+    normalised by a power of two (``_unit_exponent``), and S, sigma_n,
+    mp_curve and cleaned_s are scaled back, all exactly.  e15, which
+    squares S too, runs on the normalised spectrum; the other selectors see
+    S itself (an absolute threshold is not scale-free).  NaN or infinite
+    entries raise NonFiniteError, a backend failure ConvergenceError.
 
     Returns (S, rank, model, Q_r, scale, left): Q_r the first r vectors,
     scale of shape (..., 1, r), and left True when Q_r are left vectors.
     """
-    A = _finite(A)
+    A = np.asarray(A)
     if isinstance(selector, E15) and min(A.shape[-2:]) < 2:
         raise ShapeError(f"e15 on a {A.shape[-2]} x {A.shape[-1]} matrix: one value is its own noise tail")
-    Ah = np.swapaxes(A.conj(), -1, -2)
+    e = _unit_exponent(A, (-2, -1))
+    An = A * np.ldexp(1.0, e)[..., None, None]
+    Anh = np.swapaxes(An.conj(), -1, -2)
     left = A.shape[-2] <= A.shape[-1]
     try:
-        w, Q = np.linalg.eigh(A @ Ah if left else Ah @ A)
+        w, Q = np.linalg.eigh(An @ Anh if left else Anh @ An)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(str(exc)) from exc
-    S = np.sqrt(np.maximum(w[..., ::-1], 0.0))
-    rank, model = evaluate(S, A.shape[-2:], selector)
+    Sn = np.sqrt(np.maximum(w[..., ::-1], 0.0))
+    S = np.ldexp(Sn, -e[..., None])
+    if isinstance(selector, E15):
+        rank, model = evaluate(Sn, A.shape[-2:], selector)
+        model = replace(model, sigma_n=np.ldexp(model.sigma_n, -e),
+                        mp_curve=np.ldexp(model.mp_curve, -e[..., None]),
+                        cleaned_s=np.ldexp(model.cleaned_s, -e[..., None]))
+    else:
+        rank, model = evaluate(S, A.shape[-2:], selector)
     r = int(np.max(rank, initial=0))
     s = S[..., :r]
     if model is None:
@@ -163,9 +192,10 @@ def gram_tsvd(A: np.ndarray, selector: SelectionStrategy):
     c / s = 1 for every other selector; c / s = 0 where s = 0.  A stack
     projects every matrix onto its first max(rank) vectors, with scale 0
     beyond its own rank.  The scale never exceeds 1, so small singular
-    values amplify nothing.  Squaring costs the components below about
-    sqrt(eps) = 1.5e-8 of each matrix's norm: its singular values there are
-    rounding noise.
+    values amplify nothing.  Finite data of any magnitude is taken, since
+    each matrix is normalised by a power of two before it is squared.
+    Squaring costs the components below about sqrt(eps) = 1.5e-8 of each
+    matrix's norm: its singular values there are rounding noise.
 
     Returns (filtered, S, rank, model): rank an int and model the E15Model
     or None; for a stack, ranks of shape A.shape[:-2] and the stacked model.

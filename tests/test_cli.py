@@ -78,6 +78,14 @@ def test_synth_direct_accelerance_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", [["--modes", "3"], ["--modal-damping", "0.5"]])
+def test_synth_direct_rejects_modal_flags(tmp_path, capsys, flag):
+    out = tmp_path / "direct.prnk"
+    assert run(["synth", "--fmax", "2.0", "--df", "0.02", *flag, "-o", str(out)]) == 2
+    assert "--method modal" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ corrupt
 
 def test_corrupt_zero_noise_identity_bytes(tmp_path):
@@ -270,6 +278,18 @@ def test_metrics_zeros_on_time_dataset_is_usage_error(tmp_path, capsys):
     assert not list(tmp_path.glob("rep*"))
 
 
+def test_metrics_cmif_on_time_dataset_writes_nothing(tmp_path, capsys):
+    src = synth_small(tmp_path)
+    time_path = tmp_path / "time.prnk"
+    assert run(["convert", str(src), "--to-time", "-o", str(time_path)]) == 0
+    prefix = tmp_path / "rep"
+    assert run(["metrics", "--ref", str(time_path), "--test", str(time_path), "--cmif",
+                "-o", str(prefix)]) == 2
+    captured = capsys.readouterr()
+    assert "frequency-domain" in captured.err and "overall_coherence" not in captured.out
+    assert not list(tmp_path.glob("rep*"))
+
+
 # ------------------------------------------------------------------ convert
 
 def test_convert_round_trip_through_time(tmp_path):
@@ -404,16 +424,49 @@ def test_usage_error_exit_code():
     assert err.value.code == 2
 
 
-def test_config_file_defaults_with_flag_precedence(tmp_path):
+@pytest.mark.parametrize("command,args,config,config_flags,flags", [
+    pytest.param("synth", ["--fmax", "2.0"], "df=0.5\ndofs=3\n", ["--df", "0.5", "--dofs", "3"],
+                 ["--dofs", "2"], id="synth"),
+    pytest.param("corrupt", ["SRC"], "noise=0,0.1,0,0.1\nseed=1\n",
+                 ["--noise", "0,0.1,0,0.1", "--seed", "1"], ["--seed", "2"], id="corrupt"),
+    pytest.param("filter", ["SRC"], "variant=ph\nmu=0.08\n", ["--variant", "ph", "--mu", "0.08"],
+                 ["--variant", "hankel", "--hankel-rank", "9999"], id="filter"),
+    pytest.param("metrics", ["--ref", "SRC", "--test", "SRC"], "cmif\nzeros=2:1\n",
+                 ["--cmif", "--zeros", "2:1"], ["--zeros", "1:1"], id="metrics"),
+    pytest.param("convert", ["SRC"], "to-time\n", ["--to-time"], [], id="convert"),
+])
+def test_config_file_defaults_with_flag_precedence(tmp_path, capsys, command, args, config,
+                                                   config_flags, flags):
+    # a config file acts as its lines spelled out as flags before the explicit
+    # ones, so an explicit flag wins; each case's flag changes the output
     src = synth_small(tmp_path)
+    args = [str(src) if a == "SRC" else a for a in args]
     cfg = tmp_path / "prank.cfg"
-    cfg.write_text("variant=ph\nmu=0.08\n")
-    out = tmp_path / "filt.prnk"
-    assert run(["filter", str(src), "--config", str(cfg), "--variant", "hankel",
-                "--hankel-rank", "9999", "-o", str(out)]) == 0
-    text = (tmp_path / "filt.prnk.report.txt").read_text()
-    # flag wins over the config file: a hankel-only run has no prf stage
-    assert "stage: hankel" in text and "stage: prf" not in text
+    cfg.write_text(config)
+    assert run([command, *args, "--config", str(cfg), *flags, "-o", str(tmp_path / "a")]) == 0
+    via_config = capsys.readouterr().out
+    assert run([command, *args, *config_flags, *flags, "-o", str(tmp_path / "b")]) == 0
+    assert drop_seconds(capsys.readouterr().out.encode()) == drop_seconds(via_config.encode())
+    written = sorted(tmp_path.glob("a*"))
+    assert written
+    for path in written:
+        twin = tmp_path / ("b" + path.name[1:])
+        assert drop_seconds(twin.read_bytes()) == drop_seconds(path.read_bytes())
+    if command == "filter":  # a hankel-only run has no prf stage
+        assert "stage: hankel" in via_config and "stage: prf" not in via_config
+
+
+def drop_seconds(data):
+    """The lines of ``data`` (bytes) without the timing lines."""
+    return [line for line in data.splitlines() if b"seconds" not in line]
+
+
+@pytest.mark.parametrize("command", ["synth", "corrupt", "filter", "metrics", "convert"])
+def test_every_command_help_lists_config(capsys, command):
+    with pytest.raises(SystemExit) as err:
+        main([command, "--help"])
+    assert err.value.code == 0
+    assert "--config" in capsys.readouterr().out
 
 
 def test_config_file_skips_blank_and_comment_lines(tmp_path):

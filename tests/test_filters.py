@@ -291,6 +291,26 @@ def test_prf_nonfinite_data_raises():
             apply_filter(ResponseDataset(data, Domain.TIME), PrankConfig(variant=variant))
 
 
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("power", [530, -530])
+def test_filters_are_exactly_scale_equivariant_under_powers_of_two(variant, power):
+    # entries near 1e+-160 square out of range; each matrix is normalised by a
+    # power of two before squaring, so the result is the unscaled one times 2^power
+    ds = modal_dataset(3, 2, 33, True, 0)
+    cfg = PrankConfig(variant=variant)
+    out, report = apply_filter(ds, cfg)
+    big, big_report = apply_filter(ds.with_data(ds.data * 2.0**power), cfg)
+    assert np.any(out.data != 0) and np.array_equal(big.data, out.data * 2.0**power)
+    assert [r.name for r in big_report.stages] == [r.name for r in report.stages]
+    for rec, big_rec in zip(report.stages, big_report.stages):
+        factor = 1.0 if rec.name == "hankel_in_prf" else 2.0**power  # that stage sees unit vectors
+        assert big_rec.rank == rec.rank and big_rec.extras == rec.extras
+        assert np.array_equal(big_rec.singular_values, rec.singular_values * factor)
+        for name in ("sigma_n", "mp_curve", "cleaned_s"):
+            assert np.array_equal(getattr(big_rec.model, name), getattr(rec.model, name) * factor)
+        assert np.array_equal(big_rec.model.cleanliness, rec.model.cleanliness)
+
+
 @pytest.mark.parametrize("shape", [(4, 2, 16), (4, 3, 6)])  # tall and wide unfoldings
 @pytest.mark.parametrize("selector", [FULL, FixedRank(2), E15()])
 def test_prf_zero_and_rank_deficient_input_stay_finite(shape, selector):

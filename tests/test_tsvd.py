@@ -138,6 +138,22 @@ def test_gram_tsvd_stack_equals_each_matrix(shape, kind, selector):
         gram_tsvd(A, selector)
 
 
+@pytest.mark.parametrize("power", [530, -530])
+@pytest.mark.parametrize("selector", [FixedRank(2), RelativeThreshold(0.05), E15()])
+def test_gram_tsvd_stack_is_exactly_scale_equivariant_under_powers_of_two(power, selector):
+    # each matrix of the stack has its own scale, and the squares of entries
+    # near 2^+-530 (2^+-1060) lie outside the double range
+    rng = np.random.default_rng(5)
+    A = low_rank_stack(rng, (3, 7, 12), "complex") * np.ldexp(1.0, [0, 40, -40])[:, None, None]
+    filtered, S, ranks, model = gram_tsvd(A, selector)
+    big, big_S, big_ranks, big_model = gram_tsvd(A * 2.0**power, selector)
+    assert np.any(ranks > 0) and np.array_equal(big_ranks, ranks)
+    assert np.array_equal(big, filtered * 2.0**power) and np.array_equal(big_S, S * 2.0**power)
+    if model is not None:
+        for name in ("sigma_n", "mp_curve", "cleaned_s"):
+            assert np.array_equal(getattr(big_model, name), getattr(model, name) * 2.0**power)
+
+
 # ----------------------------------------------------------- truncation
 
 def test_truncate_full_rank_reproduces():
