@@ -45,17 +45,7 @@ from .errors import (
     ShapeMismatch,
     WindowError,
 )
-from .filters import (
-    PrankConfig,
-    Variant,
-    apply_filter,
-    classic_tsvd,
-    hankel_filter_dataset,
-    prank_hip,
-    prank_hp,
-    prank_ph,
-    prf_tsvd,
-)
+from .filters import PrankConfig, Variant, apply_filter, prf_tsvd
 from .metrics import CoherenceReport, cmif, coh, consist, zero_locations
 from .report import FilterReport, StageRecord, write_report
 from .selection import (

@@ -122,21 +122,11 @@ def to_time(ds: ResponseDataset) -> ResponseDataset:
     if ds.axis_start != 0.0:
         raise AxisError(f"time bridge requires axis_start = 0, got {ds.axis_start}")
     n_samples = 2 * (ds.n_bins - 1)
-    samples = _irfft_real_edges(ds.data, n_samples)
-    dt = _cycle(ds.unit_label) / (ds.axis_step * n_samples)
-    return ResponseDataset(samples, Domain.TIME, 0.0, dt, "s")
-
-
-def _irfft_real_edges(spectrum: np.ndarray, n_samples: int) -> np.ndarray:
-    """Length-``n_samples`` real signals (float64) of one-sided spectra.
-
-    Transforms along the last axis after forcing the imaginary parts of the
-    DC and Nyquist bins to zero, which a real signal's spectrum has.
-    """
-    spectrum = np.array(spectrum)
+    spectrum = np.array(ds.data)
     spectrum[..., 0] = spectrum[..., 0].real
     spectrum[..., -1] = spectrum[..., -1].real
-    return np.fft.irfft(spectrum, n=n_samples, axis=-1)
+    dt = _cycle(ds.unit_label) / (ds.axis_step * n_samples)
+    return ResponseDataset(np.fft.irfft(spectrum, n=n_samples, axis=-1), Domain.TIME, 0.0, dt, "s")
 
 
 def to_frequency(ds: ResponseDataset, unit_label: str = "Hz") -> ResponseDataset:

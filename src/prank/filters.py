@@ -1,13 +1,16 @@
 """Per-frequency, PRF and Hankel truncation filters plus the PRANK pipelines.
 
-All filters return (filtered_dataset, FilterReport); shape, domain tag and
-axis metadata of the input are always preserved.  Every variant is a chain
-of stages (``_CHAINS``) and each stage has one domain: classic runs on
-spectral lines, the Hankel stages on the real time record (an impulse
-response is a sum of damped exponentials, so its Hankel matrix is low rank;
-an FRF's is not), and the PRF stage on whatever it is handed.  ``_chain``
-holds the single bridge (``_working``): the input goes to the chain's
-domain once, the result back once.  All but classic use two stages:
+``apply_filter(ds, cfg)`` runs every ``Variant``; ``prf_tsvd`` runs the PRF
+stage alone, in the domain of its input, and returns the principal
+response functions.  Both return the filtered dataset and its
+``FilterReport``; shape, domain tag and axis metadata of the input are
+always preserved.  Every variant is a chain of stages (``_CHAINS``) and
+each stage has one domain: classic runs on spectral lines, the Hankel
+stages on the real time record (an impulse response is a sum of damped
+exponentials, so its Hankel matrix is low rank; an FRF's is not), and the
+PRF stage on whatever it is handed.  ``apply_filter`` holds the single
+bridge (``_working``): the input goes to the chain's domain once, the
+result back once.  All but classic use two stages:
 
 - the PRF stage (``_unfolded``): unfolding, one eigendecomposition of the
   smaller Gram matrix (``tsvd._gram``, shared with ``gram_tsvd``), rank
@@ -30,15 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import (
-    Domain,
-    ResponseDataset,
-    _irfft_real_edges,
-    flatten,
-    to_frequency,
-    to_time,
-    unflatten,
-)
+from .dataset import Domain, ResponseDataset, flatten, to_frequency, to_time, unflatten
 from .errors import AxisError, DomainError, ShapeError
 from .report import FilterReport, StageRecord
 from .selection import E15, SelectionStrategy
@@ -72,16 +67,15 @@ class PrankConfig:
 
 
 def _working(ds: ResponseDataset, domain: Domain):
-    """The one domain bridge, called by ``_chain`` only: ``ds`` in ``domain``,
+    """The one domain bridge, called by ``apply_filter`` only: ``ds`` in ``domain``,
     and a restore that maps a dataset in ``domain`` back to the tag and axes of ``ds``."""
     if domain is ds.domain:
         return ds, lambda out: out
-    if domain is Domain.TIME:
-        return to_time(ds), lambda out: ds.with_data(np.fft.rfft(out.data, axis=-1))
-    return to_frequency(ds), lambda out: ds.with_data(_irfft_real_edges(out.data, ds.n_bins))
+    there, back = (to_time, to_frequency) if domain is Domain.TIME else (to_frequency, to_time)
+    return there(ds), lambda out: ds.with_data(back(out).data)
 
 
-def classic_tsvd(ds: ResponseDataset, selector: SelectionStrategy):
+def _classic(ds: ResponseDataset, cfg: PrankConfig):
     """Independent TSVD of the n_o x n_i slice at every spectral line.
 
     One stacked ``gram_tsvd`` call truncates all n_k slices: one stacked
@@ -90,16 +84,13 @@ def classic_tsvd(ds: ResponseDataset, selector: SelectionStrategy):
     projection.  Each line is one call of the record (``StageRecord.of_calls``).
     Under e15 a line needs 2 outputs and 2 inputs (``tsvd._gram``).
     """
-    if ds.domain is not Domain.FREQUENCY:
-        raise DomainError("per-frequency-line filtering requires a frequency-domain dataset")
     n_o, n_i = ds.n_outputs, ds.n_inputs
     if max(n_o, n_i) < 2:
         raise ShapeError("per-line filtering needs 2 outputs or 2 inputs")
     t0 = time.perf_counter()
-    out, S, ranks, model = gram_tsvd(ds.data.transpose(2, 0, 1), selector)
+    out, S, ranks, model = gram_tsvd(ds.data.transpose(2, 0, 1), cfg.prf_selector)
     record = StageRecord.of_calls("classic", (n_o, n_i), S, ranks, model, time.perf_counter() - t0)
-    filtered = ds.with_data(out.transpose(1, 2, 0))
-    return filtered, FilterReport([record], record.seconds)
+    return ds.with_data(out.transpose(1, 2, 0)), FilterReport([record], record.seconds)
 
 
 def _unfolded(ds: ResponseDataset, selector: SelectionStrategy, hankel=None):
@@ -164,43 +155,10 @@ def prf_tsvd(ds: ResponseDataset, selector: SelectionStrategy):
     return _unfolded(ds, selector)
 
 
-def hankel_filter_dataset(ds: ResponseDataset, selector: SelectionStrategy, window: Optional[int] = None):
-    """Hankel-TSVD every (o, i) time series independently; blind to the rest."""
-    _check_hankel_input(ds)
-    out, record = hankel_tsvd_series(ds.data, window, selector)
-    return ds.with_data(out), FilterReport([record], record.seconds)
-
-
 def _check_hankel_input(ds: ResponseDataset):
-    """The one dataset check of both Hankel stages: a time record of at least 4 samples."""
-    if ds.domain is not Domain.TIME:
-        raise DomainError("Hankel filtering requires a time-domain dataset")
+    """The one dataset check of both Hankel stages: at least 4 samples."""
     if ds.n_bins < 4:
         raise ShapeError("Hankel filtering needs at least 4 samples")
-
-
-def prank_ph(ds: ResponseDataset, cfg: PrankConfig):
-    """PRF stage followed by per-entry Hankel filtering."""
-    return _chain(ds, cfg, Variant.PRANK_PH)
-
-
-def prank_hp(ds: ResponseDataset, cfg: PrankConfig):
-    """Per-entry Hankel filtering followed by the PRF stage."""
-    return _chain(ds, cfg, Variant.PRANK_HP)
-
-
-def prank_hip(ds: ResponseDataset, cfg: PrankConfig):
-    """Mixed pipeline: Hankel-filter only the retained PRF left vectors.
-
-    The Hankel stage runs once per retained component instead of once per
-    spatial entry; the PRF singular values (e15-cleaned when applicable)
-    and right vectors are reused in the reconstruction.
-    """
-    return _chain(ds, cfg, Variant.PRANK_HIP)
-
-
-def _classic(ds: ResponseDataset, cfg: PrankConfig):
-    return classic_tsvd(ds, cfg.prf_selector)
 
 
 def _prf(ds: ResponseDataset, cfg: PrankConfig):
@@ -208,10 +166,19 @@ def _prf(ds: ResponseDataset, cfg: PrankConfig):
 
 
 def _hankel(ds: ResponseDataset, cfg: PrankConfig):
-    return hankel_filter_dataset(ds, cfg.hankel_selector, cfg.hankel_window)
+    """Hankel-TSVD every (o, i) time series independently; blind to the rest."""
+    _check_hankel_input(ds)
+    out, record = hankel_tsvd_series(ds.data, cfg.hankel_window, cfg.hankel_selector)
+    return ds.with_data(out), FilterReport([record], record.seconds)
 
 
 def _hip(ds: ResponseDataset, cfg: PrankConfig):
+    """Mixed pipeline: Hankel-filter only the retained PRF left vectors.
+
+    The Hankel stage runs once per retained component instead of once per
+    spatial entry; the PRF singular values (e15-cleaned when applicable)
+    and right vectors are reused in the reconstruction.
+    """
     _check_hankel_input(ds)
     return _unfolded(ds, cfg.prf_selector, (cfg.hankel_window, cfg.hankel_selector))[:2]
 
@@ -227,11 +194,12 @@ _CHAINS = {
 }
 
 
-def _chain(ds: ResponseDataset, cfg: PrankConfig, variant: Variant):
-    """Bridge ``ds`` to the variant's domain, run its stages, bridge back."""
-    domain, stages = _CHAINS[variant]
+def apply_filter(ds: ResponseDataset, cfg: PrankConfig):
+    """Run the configured variant on a dataset in either domain: bridge ``ds``
+    to the variant's domain, run its stages, bridge back."""
+    domain, stages = _CHAINS[cfg.variant]
     if domain is Domain.TIME and ds.domain is Domain.FREQUENCY and ds.axis_start != 0.0:
-        raise AxisError(f"variant {variant.value} runs on the time record, so it needs a spectrum that "
+        raise AxisError(f"variant {cfg.variant.value} runs on the time record, so it needs a spectrum that "
                         f"starts at 0, got axis_start = {ds.axis_start}; for a cut band use classic or prf_tsvd")
     t0 = time.perf_counter()
     work, restore = _working(ds, domain)
@@ -243,8 +211,3 @@ def _chain(ds: ResponseDataset, cfg: PrankConfig, variant: Variant):
     result = restore(work)
     report.total_seconds = time.perf_counter() - t0
     return result, report
-
-
-def apply_filter(ds: ResponseDataset, cfg: PrankConfig):
-    """Run the configured variant on a dataset in either domain (see ``_chain``)."""
-    return _chain(ds, cfg, cfg.variant)

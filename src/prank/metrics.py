@@ -8,7 +8,7 @@ import numpy as np
 
 from .dataset import Domain, ResponseDataset, _write_csv
 from .errors import DomainError, NonFiniteError, ShapeMismatch
-from .tsvd import svd
+from .tsvd import _unit_exponent, svd
 
 
 @dataclass(frozen=True)
@@ -19,11 +19,16 @@ class CoherenceReport:
 
 
 def coh(x: complex, y: complex) -> float:
-    """|x + y|^2 / (2(|x|^2 + |y|^2)) in [0, 1]; two zeros agree (1.0)."""
+    """|x + y|^2 / (2(|x|^2 + |y|^2)) in [0, 1]; two zeros agree (1.0).
+
+    Scale-free at any finite magnitude; NaN or infinite values raise NonFiniteError."""
     return float(_coh_field(x, y))
 
 
 def _coh_field(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # one power of two per entry pair scales both exactly, so the squares cannot overflow or underflow
+    unit = np.ldexp(1.0, _unit_exponent(np.stack((a, b)), 0))
+    a, b = a * unit, b * unit
     num = np.abs(a + b) ** 2
     den = 2.0 * (np.abs(a) ** 2 + np.abs(b) ** 2)
     return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 1.0)

@@ -25,7 +25,7 @@ class StageRecord:
     ``model.tail_misfit`` is the ``e15_tail_misfit`` of ``to_text``.
     ``seconds`` covers the factorization and rank selection of a PRF stage,
     every call of a multi-call stage; the chain's one domain bridge
-    (``filters._chain``) and the PRF rebuild count only toward
+    (``filters.apply_filter``) and the PRF rebuild count only toward
     ``FilterReport.total_seconds``.
     """
 

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .errors import ConvergenceError, NonFiniteError, ShapeError, WindowError
 from .report import StageRecord
-from .selection import E15, E15Model, FixedRank, SelectionStrategy, evaluate
+from .selection import E15, E15Model, SelectionStrategy, evaluate
 
 
 @dataclass(frozen=True)
@@ -207,11 +207,7 @@ def gram_tsvd(A: np.ndarray, selector: SelectionStrategy):
     return filtered, S, rank, model
 
 
-def hankel_tsvd_series(
-    series: np.ndarray,
-    window: Optional[int] = None,
-    selector: Union[SelectionStrategy, None] = None,
-):
+def hankel_tsvd_series(series: np.ndarray, window: Optional[int], selector: SelectionStrategy):
     """Hankelize, truncate by the selector, SSA back to a same-length series,
     for one series or each row of a stack (..., length), one ``gram_tsvd``
     call per row; e15 selectors use the cleaned singular values.  Returns
@@ -222,8 +218,6 @@ def hankel_tsvd_series(
     length = series.shape[-1]
     if length < 4:
         raise WindowError(f"series too short for Hankel filtering ({length} samples)")
-    if selector is None:
-        selector = FixedRank(length)
     t0 = time.perf_counter()
     L = _window(length, window)
     shape = (L, length - L + 1)

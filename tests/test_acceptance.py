@@ -31,9 +31,6 @@ from prank import (
     hankel_tsvd_series,
     modal_frf,
     mp_quantile_curve,
-    prank_hip,
-    prank_hp,
-    prank_ph,
     prf_tsvd,
     read_dataset,
     synthesize_direct,
@@ -81,7 +78,6 @@ def end_to_end_runs():
     step = clean.axis_step
     lo, hi = int(round(freqs[0] / step)) + 1, int(round(freqs[1] / step))
     clean_zero = zero_bin(clean, lo, hi)
-    cfg = PrankConfig()
     rows = []
     t0 = time.perf_counter()
     for seed in range(5):
@@ -90,10 +86,10 @@ def end_to_end_runs():
             "noisy_coh": consist(clean, noisy).overall,
             "noisy_miss": abs(zero_bin(noisy, lo, hi) - clean_zero),
         }
-        for name, runner in (("ph", prank_ph), ("hp", prank_hp), ("hip", prank_hip)):
-            out, _ = runner(noisy, cfg)
-            row[f"{name}_coh"] = consist(clean, out).overall
-            row[f"{name}_miss"] = abs(zero_bin(out, lo, hi) - clean_zero)
+        for variant in (Variant.PRANK_PH, Variant.PRANK_HP, Variant.PRANK_HIP):
+            out, _ = apply_filter(noisy, PrankConfig(variant=variant))
+            row[f"{variant.value}_coh"] = consist(clean, out).overall
+            row[f"{variant.value}_miss"] = abs(zero_bin(out, lo, hi) - clean_zero)
         rows.append(row)
     elapsed = time.perf_counter() - t0
     return rows, elapsed
@@ -115,10 +111,9 @@ def chain30_runs():
     data[..., -1] = data[..., -1].real
     clean = clean.with_data(data)
     noisy = add_noise(clean, NoiseModel(0.003, 0.06, 0.003, 0.05, seed=11))
-    cfg = PrankConfig()
     t0 = time.perf_counter()
-    hip_out, hip_report = prank_hip(noisy, cfg)
-    ph_out, ph_report = prank_ph(noisy, cfg)
+    hip_out, hip_report = apply_filter(noisy, PrankConfig(variant=Variant.PRANK_HIP))
+    ph_out, ph_report = apply_filter(noisy, PrankConfig(variant=Variant.PRANK_PH))
     elapsed = time.perf_counter() - t0
     return {
         "clean": clean,
@@ -159,7 +154,7 @@ def test_criterion_2_hankel_ssa_oracle():
         amps = rng.uniform(0.5, 2.0, q) * np.exp(1j * rng.uniform(0, 2 * np.pi, q))
         poles = np.exp(-decay + 1j * angle)
         series = (amps[None, :] * poles[None, :] ** t[:, None]).sum(axis=1)
-        out, _ = hankel_tsvd_series(series, selector=FixedRank(2 * q))
+        out, _ = hankel_tsvd_series(series, None, FixedRank(2 * q))
         worst = max(worst, np.linalg.norm(out - series) / np.linalg.norm(series))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed < 30.0
@@ -293,7 +288,7 @@ def test_criterion_9_frequency_range_effect(chain30_runs):
         return ResponseDataset(ds.data[:, :, :half_bins], ds.domain,
                                ds.axis_start, ds.axis_step, ds.unit_label)
     cfg = PrankConfig()
-    half_out, half_report = prank_hip(restrict(noisy), cfg)
+    half_out, half_report = apply_filter(restrict(noisy), cfg)
     full_time = runs["hip"][1].total_seconds
     half_time = half_report.total_seconds
     clean_half = restrict(clean)

@@ -22,13 +22,8 @@ from prank import (
     add_noise,
     add_offsets,
     apply_filter,
-    classic_tsvd,
     consist,
     eigen,
-    hankel_filter_dataset,
-    prank_hip,
-    prank_hp,
-    prank_ph,
     prf_tsvd,
     synthesize_direct,
     flatten,
@@ -44,6 +39,14 @@ FULL = FixedRank(10**9)
 
 def rel_err(a, b):
     return np.abs(a.data - b.data).max() / np.abs(b.data).max()
+
+
+def classic_cfg(selector):
+    return PrankConfig(variant=Variant.CLASSIC, prf_selector=selector)
+
+
+def hankel_cfg(selector):
+    return PrankConfig(variant=Variant.HANKEL, hankel_selector=selector)
 
 
 @pytest.fixture(scope="module")
@@ -67,11 +70,9 @@ def noisy_bench(clean_bench):
 
 @pytest.fixture(scope="module")
 def prank_runs(noisy_bench):
-    cfg = PrankConfig()
     out = {}
-    out["ph"] = prank_ph(noisy_bench, cfg)
-    out["hp"] = prank_hp(noisy_bench, cfg)
-    out["hip"] = prank_hip(noisy_bench, cfg)
+    for variant in (Variant.PRANK_PH, Variant.PRANK_HP, Variant.PRANK_HIP):
+        out[variant.value] = apply_filter(noisy_bench, PrankConfig(variant=variant))
     return out
 
 
@@ -89,7 +90,7 @@ def zero_band(clean_bench):
 # ------------------------------------------------------------------ classic
 
 def test_classic_full_rank_identity(clean_bench):
-    out, report = classic_tsvd(clean_bench, FULL)
+    out, report = apply_filter(clean_bench, classic_cfg(FULL))
     assert rel_err(out, clean_bench) <= 1e-12
     assert report.stage("classic").extras["svd_calls"] == clean_bench.n_bins
 
@@ -100,28 +101,26 @@ def test_classic_rank_one_separable_dataset():
     h = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     c = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     ds = ResponseDataset(np.einsum("o,i,k->oik", g, h, c), Domain.FREQUENCY)
-    out, _ = classic_tsvd(ds, FixedRank(1))
+    out, _ = apply_filter(ds, classic_cfg(FixedRank(1)))
     assert rel_err(out, ds) <= 1e-10
 
 
-def test_classic_requires_frequency_and_spatial_extent(clean_bench):
-    with pytest.raises(DomainError):
-        classic_tsvd(to_time(clean_bench), FixedRank(1))
+def test_classic_requires_spatial_extent(clean_bench):
     single = ResponseDataset(np.ones((1, 1, 8)), Domain.FREQUENCY)
     with pytest.raises(ShapeError):
-        classic_tsvd(single, FixedRank(1))
+        apply_filter(single, classic_cfg(FixedRank(1)))
     # under e15 a one-value line spectrum is its own tail: every rank would be 0
     one_input = clean_bench.with_data(clean_bench.data[:, :1])
     with pytest.raises(ShapeError):
-        classic_tsvd(one_input, E15())
-    assert rel_err(classic_tsvd(one_input, FixedRank(1))[0], one_input) <= 1e-12
+        apply_filter(one_input, classic_cfg(E15()))
+    assert rel_err(apply_filter(one_input, classic_cfg(FixedRank(1)))[0], one_input) <= 1e-12
 
 
 def test_classic_nonfinite_data_raises():
     data = np.ones((2, 2, 8), dtype=complex)
     data[1, 0, 3] = np.nan
     with pytest.raises(NonFiniteError):
-        classic_tsvd(ResponseDataset(data, Domain.FREQUENCY), FixedRank(1))
+        apply_filter(ResponseDataset(data, Domain.FREQUENCY), classic_cfg(FixedRank(1)))
 
 
 def test_classic_maps_backend_failure(monkeypatch):
@@ -130,11 +129,11 @@ def test_classic_maps_backend_failure(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(ConvergenceError, match="converge"):
-        classic_tsvd(ResponseDataset(np.ones((2, 2, 8)), Domain.FREQUENCY), FixedRank(1))
+        apply_filter(ResponseDataset(np.ones((2, 2, 8)), Domain.FREQUENCY), classic_cfg(FixedRank(1)))
 
 
 def test_classic_e15_report_keeps_every_line(noisy_bench, tmp_path):
-    out, report = classic_tsvd(noisy_bench, E15())
+    out, report = apply_filter(noisy_bench, classic_cfg(E15()))
     rec = report.stage("classic")
     model = rec.model
     assert model.sigma_n.shape == (noisy_bench.n_bins,)
@@ -183,7 +182,7 @@ def test_classic_rank_sweep_never_denoises():
         OffsetSpec([(1, 0.22), (1, 0.16), (1, 0.18), (1, 0.16)]),
     )
     base = consist(clean, noisy).overall
-    scores = {r: consist(clean, classic_tsvd(noisy, FixedRank(r))[0]).overall for r in (3, 2, 1)}
+    scores = {r: consist(clean, apply_filter(noisy, classic_cfg(FixedRank(r)))[0]).overall for r in (3, 2, 1)}
     assert max(scores.values()) - base <= 0.02
     assert abs(scores[3] - scores[2]) <= 0.05
 
@@ -357,7 +356,7 @@ def test_hp_after_rank_zero_hankel_stage_is_exactly_zero(noisy_bench):
 
 def test_hankel_filter_full_rank_identity(clean_bench):
     irf = to_time(clean_bench)
-    out, report = hankel_filter_dataset(irf, FULL)
+    out, report = apply_filter(irf, hankel_cfg(FULL))
     assert rel_err(out, irf) <= 1e-10
     assert report.stage("hankel").extras["svd_calls"] == 16
 
@@ -373,7 +372,7 @@ def test_hankel_filter_recovers_single_mode_impulse_response():
 
     S = np.linalg.svd(hankelize(irf.data[0, 0].real), compute_uv=False)
     assert S[2] <= 1e-9 * S[0]
-    out, _ = hankel_filter_dataset(irf, FixedRank(2))
+    out, _ = apply_filter(irf, hankel_cfg(FixedRank(2)))
     assert rel_err(out, irf) <= 1e-8
 
 
@@ -381,7 +380,7 @@ def test_hankel_only_keeps_offset_zero_error(clean_bench, noisy_bench, zero_band
     # per-entry Hankel filtering is blind to the spatial outlier: the
     # anti-resonance stays away from its clean location
     lo, hi = zero_band
-    out, _ = apply_filter(noisy_bench, PrankConfig(variant=Variant.HANKEL, hankel_selector=FixedRank(12)))
+    out, _ = apply_filter(noisy_bench, hankel_cfg(FixedRank(12)))
     clean_zero = zero_bin(clean_bench, lo, hi)
     assert abs(zero_bin(out, lo, hi) - clean_zero) >= 2
     # while the random-noise cleaning still helps coherence
@@ -397,21 +396,11 @@ def test_short_time_record_is_shape_error_for_every_hankel_variant(variant):
         apply_filter(ds, PrankConfig(variant=variant))
 
 
-def test_hankel_filter_needs_bins(clean_bench):
-    ds = ResponseDataset(np.ones((2, 2, 3)), Domain.TIME)
-    with pytest.raises(ShapeError):
-        hankel_filter_dataset(ds, FixedRank(1))
-    # an FRF's Hankel matrix is not low rank: spectra go through to_time first
-    with pytest.raises(DomainError):
-        hankel_filter_dataset(clean_bench, FULL)
-
-
 # ---------------------------------------------------------------- pipelines
 
 def test_prank_noiseless_near_identity(clean_bench):
-    cfg = PrankConfig()
-    for runner in (prank_ph, prank_hp):
-        out, _ = runner(clean_bench, cfg)
+    for variant in (Variant.PRANK_PH, Variant.PRANK_HP):
+        out, _ = apply_filter(clean_bench, PrankConfig(variant=variant))
         assert rel_err(out, clean_bench) <= 1e-6
 
 
@@ -449,7 +438,7 @@ def test_hip_hankel_call_count_equals_prf_rank(noisy_bench, prank_runs):
     assert hankel.extras["svd_calls"] == prf_rank
     assert len(hankel.extras["ranks"]) == prf_rank
     # every multi-call stage keeps each call's rank and e15 model
-    classic = classic_tsvd(noisy_bench, E15())[1].stage("classic")
+    classic = apply_filter(noisy_bench, classic_cfg(E15()))[1].stage("classic")
     for rec in (classic, prank_runs["ph"][1].stage("hankel"), hankel):
         calls, ranks = rec.extras["svd_calls"], rec.extras["ranks"]
         assert calls > 0 and len(ranks) == calls
@@ -466,13 +455,13 @@ def test_ph_hankel_call_count_equals_entries(prank_runs):
 
 def test_hip_noiseless_fixed_ranks_identity(clean_bench):
     cfg = PrankConfig(prf_selector=FixedRank(4), hankel_selector=FULL)
-    out, _ = prank_hip(clean_bench, cfg)
+    out, _ = apply_filter(clean_bench, cfg)
     assert rel_err(out, clean_bench) <= 1e-8
 
 
 def test_hip_zero_prf_rank_gives_zero_dataset(clean_bench):
     cfg = PrankConfig(prf_selector=FixedRank(0), hankel_selector=FULL)
-    out, report = prank_hip(clean_bench, cfg)
+    out, report = apply_filter(clean_bench, cfg)
     assert np.all(out.data == 0)
     assert "prf_rank_zero" in report.flags
     assert report.stage("hankel_in_prf").extras["svd_calls"] == 0
@@ -519,9 +508,9 @@ def test_filters_preserve_metadata(noisy_bench, variant):
 
 def test_fixed_rank_filters_scale_linearly(noisy_bench):
     cfg = PrankConfig(prf_selector=FixedRank(5), hankel_selector=FixedRank(12))
-    out1, _ = prank_ph(noisy_bench, cfg)
+    out1, _ = apply_filter(noisy_bench, cfg)
     scaled = noisy_bench.with_data(3.0 * noisy_bench.data)
-    out2, _ = prank_ph(scaled, cfg)
+    out2, _ = apply_filter(scaled, cfg)
     assert np.abs(out2.data - 3.0 * out1.data).max() <= 1e-10 * np.abs(out2.data).max()
 
 
@@ -529,7 +518,7 @@ def test_manual_recipe_restores_zero(clean_bench, noisy_bench, zero_band):
     # fixed ranks 4 (spatial) and 12 (series) pull the anti-resonance back
     lo, hi = zero_band
     cfg = PrankConfig(prf_selector=FixedRank(4), hankel_selector=FixedRank(12))
-    out, _ = prank_ph(noisy_bench, cfg)
+    out, _ = apply_filter(noisy_bench, cfg)
     clean_zero = zero_bin(clean_bench, lo, hi)
     assert abs(zero_bin(out, lo, hi) - clean_zero) <= 3
     assert abs(zero_bin(noisy_bench, lo, hi) - clean_zero) >= 2
@@ -545,8 +534,8 @@ def test_band_restricted_run_is_independent(noisy_bench):
         noisy_bench.unit_label,
     )
     cfg = PrankConfig()
-    out_half, rep_half = prank_hip(half, cfg)
-    out_full, rep_full = prank_hip(noisy_bench, cfg)
+    out_half, rep_half = apply_filter(half, cfg)
+    out_full, rep_full = apply_filter(noisy_bench, cfg)
     assert out_half.n_bins == 101 and out_full.n_bins == 201
     assert rep_half.stage("prf").rank >= 0
     assert rep_full.stage("prf").rank >= 0

@@ -6,9 +6,13 @@ from prank import (
     CoherenceReport,
     Domain,
     DomainError,
+    NoiseModel,
     NonFiniteError,
+    OffsetSpec,
     ResponseDataset,
     ShapeMismatch,
+    add_noise,
+    add_offsets,
     cmif,
     coh,
     consist,
@@ -94,6 +98,23 @@ def test_consist_rejects_nonfinite(bad):
         consist(ds, ds.with_data(data))
     with pytest.raises(NonFiniteError):
         consist(ds.with_data(data), ds)
+    with pytest.raises(NonFiniteError):
+        coh(bad, 1.0)
+
+
+@pytest.mark.parametrize("power", [530, -530])
+def test_consist_is_exactly_scale_free_under_powers_of_two(power):
+    # entries near 1e+-160 square out of range; each entry pair is scaled by one
+    # power of two before squaring, so the scaled pair gives the same coherence
+    clean = synthesize_direct(ChainSystem.uniform(4), np.linspace(0.0, 4.0, 201))
+    noisy = add_offsets(add_noise(clean, NoiseModel(0.003, 0.06, 0.003, 0.05, seed=0)),
+                        OffsetSpec([(1, 0.22), (1, 0.16), (1, 0.18), (1, 0.16)]))
+    rep = consist(clean, noisy)
+    big = consist(clean.with_data(clean.data * 2.0**power), noisy.with_data(noisy.data * 2.0**power))
+    assert big.overall == rep.overall
+    assert np.array_equal(big.per_entry, rep.per_entry) and np.array_equal(big.per_bin, rep.per_bin)
+    x, y = noisy.data[1, 0, 40], clean.data[1, 0, 40]
+    assert coh(x * 2.0**power, y * 2.0**power) == coh(x, y)
 
 
 def test_consist_shape_mismatch():

@@ -22,7 +22,6 @@ from prank import (
     ThresholdMode,
     Variant,
     apply_filter,
-    classic_tsvd,
     dehankelize_ssa,
     e15,
     eigen,
@@ -170,12 +169,13 @@ def test_classic_matches_per_line_loop(n_o, n_i, n_k, seed, selector):
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((n_o, n_i, n_k)) + 1j * rng.standard_normal((n_o, n_i, n_k))
     ds = ResponseDataset(data, Domain.FREQUENCY)
+    cfg = PrankConfig(variant=Variant.CLASSIC, prf_selector=selector)
     if isinstance(selector, E15) and min(n_o, n_i) < 2:
         # a one-value line spectrum is its own e15 tail
         with pytest.raises(ShapeError):
-            classic_tsvd(ds, selector)
+            apply_filter(ds, cfg)
         return
-    out, report = classic_tsvd(ds, selector)
+    out, report = apply_filter(ds, cfg)
     expected, ranks = classic_loop(ds, selector)
     extras = report.stage("classic").extras
     assert (extras["rank_min"], extras["rank_max"]) == (ranks.min(), ranks.max())

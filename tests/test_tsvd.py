@@ -272,7 +272,7 @@ def test_hankel_tsvd_series_recovers_two_sinusoids():
     # oracle: two real damped sinusoids generate a rank-4 Hankel matrix
     S = np.linalg.svd(hankelize(series), compute_uv=False)
     assert S[4] <= 1e-9 * S[0]
-    out, record = hankel_tsvd_series(series, selector=FixedRank(4))
+    out, record = hankel_tsvd_series(series, None, FixedRank(4))
     assert len(out) == len(series)
     assert np.linalg.norm(out - series) <= 1e-8 * np.linalg.norm(series)
     assert record.rank == 4
@@ -282,7 +282,7 @@ def test_hankel_tsvd_series_recovers_two_sinusoids():
 def test_hankel_tsvd_series_full_rank_identity():
     rng = np.random.default_rng(10)
     series = rng.standard_normal(64)
-    out, record = hankel_tsvd_series(series, selector=FixedRank(10 ** 9))
+    out, record = hankel_tsvd_series(series, None, FixedRank(10 ** 9))
     assert np.linalg.norm(out - series) <= 1e-10 * np.linalg.norm(series)
     assert record.rank == min(hankelize(series).shape)
 
@@ -292,7 +292,7 @@ def test_hankel_tsvd_series_e15_rejects_white_noise():
     for seed in range(5):
         rng = np.random.default_rng(seed)
         series = rng.standard_normal(1024)
-        out, record = hankel_tsvd_series(series, selector=E15(0.10))
+        out, record = hankel_tsvd_series(series, None, E15(0.10))
         assert record.rank <= 2
         assert np.sum(np.abs(out) ** 2) < np.sum(series ** 2)
         assert record.model is not None
@@ -322,7 +322,7 @@ def test_hankel_tsvd_series_stack_equals_row_by_row(complex_data, selector):
 
 def test_hankel_tsvd_series_too_short():
     with pytest.raises(WindowError):
-        hankel_tsvd_series(np.ones(3), selector=FixedRank(1))
+        hankel_tsvd_series(np.ones(3), None, FixedRank(1))
 
 
 def test_hankel_tsvd_series_one_row_or_column_is_shape_error_under_e15():
@@ -379,15 +379,15 @@ def test_gram_kernel_keeps_components_above_the_squaring_floor():
     # a component 1e-6 below the dominant one sits well above sqrt(eps) = 1.5e-8
     t = np.arange(400)
     series = np.exp(-0.002 * t) * np.cos(0.3 * t) + 1e-6 * np.exp(-0.001 * t) * np.cos(1.3 * t)
-    out, record = hankel_tsvd_series(series, selector=FixedRank(4))
+    out, record = hankel_tsvd_series(series, None, FixedRank(4))
     assert record.singular_values[3] > 1e-7 * record.singular_values[0]
     assert np.linalg.norm(out - series) <= 1e-8 * np.linalg.norm(series)
 
 
 def test_gram_kernel_deterministic_and_zero_safe():
     series = noisy_series(True, 4)
-    a, rec_a = hankel_tsvd_series(series, selector=E15())
-    b, rec_b = hankel_tsvd_series(series.copy(), selector=E15())
+    a, rec_a = hankel_tsvd_series(series, None, E15())
+    b, rec_b = hankel_tsvd_series(series.copy(), None, E15())
     assert np.array_equal(a, b) and np.array_equal(rec_a.singular_values, rec_b.singular_values)
     with np.errstate(all="raise"):
         filtered, S, rank, model = gram_tsvd(np.zeros((5, 7)), E15())
@@ -399,7 +399,7 @@ def test_gram_kernel_rejects_nonfinite():
     series = noisy_series(False, 0)
     series[17] = np.nan
     with pytest.raises(NonFiniteError):
-        hankel_tsvd_series(series, selector=E15())
+        hankel_tsvd_series(series, None, E15())
     with pytest.raises(NonFiniteError):
         gram_tsvd(np.array([[1.0, np.inf], [0.0, 1.0]]), FixedRank(1))
 
