@@ -45,8 +45,6 @@ def consist(ref: ResponseDataset, other: ResponseDataset) -> CoherenceReport:
         raise ShapeMismatch("datasets live in different spectral domains")
     if ref.axis_start != other.axis_start or ref.axis_step != other.axis_step:
         raise ShapeMismatch("datasets have different spectral axes")
-    if not (np.all(np.isfinite(ref.data)) and np.all(np.isfinite(other.data))):
-        raise NonFiniteError("coherence needs finite data in both datasets")
     field = _coh_field(ref.data, other.data)
     return CoherenceReport(float(field.mean()), field.mean(axis=2), field.mean(axis=(0, 1)))
 

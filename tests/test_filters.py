@@ -507,7 +507,7 @@ def test_filters_preserve_metadata(noisy_bench, variant):
 
 
 def test_fixed_rank_filters_scale_linearly(noisy_bench):
-    cfg = PrankConfig(prf_selector=FixedRank(5), hankel_selector=FixedRank(12))
+    cfg = PrankConfig(variant=Variant.PRANK_PH, prf_selector=FixedRank(5), hankel_selector=FixedRank(12))
     out1, _ = apply_filter(noisy_bench, cfg)
     scaled = noisy_bench.with_data(3.0 * noisy_bench.data)
     out2, _ = apply_filter(scaled, cfg)
@@ -517,7 +517,7 @@ def test_fixed_rank_filters_scale_linearly(noisy_bench):
 def test_manual_recipe_restores_zero(clean_bench, noisy_bench, zero_band):
     # fixed ranks 4 (spatial) and 12 (series) pull the anti-resonance back
     lo, hi = zero_band
-    cfg = PrankConfig(prf_selector=FixedRank(4), hankel_selector=FixedRank(12))
+    cfg = PrankConfig(variant=Variant.PRANK_PH, prf_selector=FixedRank(4), hankel_selector=FixedRank(12))
     out, _ = apply_filter(noisy_bench, cfg)
     clean_zero = zero_bin(clean_bench, lo, hi)
     assert abs(zero_bin(out, lo, hi) - clean_zero) <= 3
