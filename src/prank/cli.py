@@ -27,6 +27,12 @@ _USAGE_ERRORS = 2
 _NUMERIC_ERRORS = 1
 
 
+# every subcommand accepts --config, and _inject_config has spliced the files' lines in before parsing;
+# parsed alone, it finds every use of --config in any spelling argparse accepts (--config=PATH, --conf)
+_CONFIG = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+_CONFIG.add_argument("--config", type=Path, action="append", help="key=value defaults file, repeatable")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prank",
@@ -34,11 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "with truncated-SVD filters.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # every subcommand accepts --config; _inject_config has spliced its lines in before parsing
-    config = argparse.ArgumentParser(add_help=False)
-    config.add_argument("--config", type=Path, default=None, help="key=value defaults file")
 
-    p = sub.add_parser("synth", parents=[config], help="synthesize a chain-system FRF dataset")
+    p = sub.add_parser("synth", parents=[_CONFIG], help="synthesize a chain-system FRF dataset")
     p.set_defaults(run=cmd_synth)
     p.add_argument("--dofs", type=int, default=4)
     p.add_argument("--mass", type=float, default=1.0)
@@ -54,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quantity", choices=["receptance", "accelerance"], default="receptance")
     p.add_argument("-o", "--output", type=Path, required=True)
 
-    p = sub.add_parser("corrupt", parents=[config], help="add seeded noise and row offsets")
+    p = sub.add_parser("corrupt", parents=[_CONFIG], help="add seeded noise and row offsets")
     p.set_defaults(run=cmd_corrupt)
     p.add_argument("input", type=Path)
     p.add_argument("--noise", type=str, default="0,0,0,0", metavar="A,B,C,D",
@@ -65,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "DoF to give per-input values")
     p.add_argument("-o", "--output", type=Path, required=True)
 
-    p = sub.add_parser("filter", parents=[config], help="run a truncation filter or PRANK pipeline")
+    p = sub.add_parser("filter", parents=[_CONFIG], help="run a truncation filter or PRANK pipeline")
     p.set_defaults(run=cmd_filter)
     p.add_argument("input", type=Path)
     p.add_argument("--variant", choices=[v.value for v in filters.Variant], default="hip")
@@ -82,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="prefix for the report text/CSV files (default: output path)")
     p.add_argument("-o", "--output", type=Path, required=True)
 
-    p = sub.add_parser("metrics", parents=[config], help="coherence and diagnostics between two datasets")
+    p = sub.add_parser("metrics", parents=[_CONFIG], help="coherence and diagnostics between two datasets")
     p.set_defaults(run=cmd_metrics)
     p.add_argument("--ref", type=Path, required=True)
     p.add_argument("--test", type=Path, required=True)
@@ -93,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", type=Path, default=None,
                    help="prefix for CSV reports (omit to only print the summary)")
 
-    p = sub.add_parser("convert", parents=[config], help="domain conversion and CSV export")
+    p = sub.add_parser("convert", parents=[_CONFIG], help="domain conversion and CSV export")
     p.set_defaults(run=cmd_convert)
     p.add_argument("input", type=Path)
     group = p.add_mutually_exclusive_group()
@@ -106,21 +109,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _inject_config(argv: list) -> list:
-    """Insert a --config file's key=value lines (a bare key: the flag --key) as
-    flags after the subcommand, so explicit flags keep precedence (last one wins)."""
-    if "--config" not in argv:
+    """Insert the key=value lines (a bare key: the flag --key) of every --config
+    file, in the order given, as flags after the subcommand, so later lines win
+    and explicit flags keep precedence (last one wins)."""
+    try:
+        paths = _CONFIG.parse_known_args(argv[1:])[0].config or []
+    except argparse.ArgumentError:  # --config without a path: the full parse reports it
         return argv
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
-        return argv
-    path = Path(argv[at + 1])
     tokens = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        tokens += [f"--{key.strip()}", value.strip()] if sep else [f"--{key.strip()}"]
+    for path in paths:
+        for line in path.read_text(encoding="utf-8").splitlines():
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, value = line.partition("=")
+            tokens += [f"--{key.strip()}", value.strip()] if sep else [f"--{key.strip()}"]
     return argv[:1] + tokens + argv[1:]
 
 

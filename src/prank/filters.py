@@ -88,8 +88,8 @@ def _classic(ds: ResponseDataset, cfg: PrankConfig):
     if max(n_o, n_i) < 2:
         raise ShapeError("per-line filtering needs 2 outputs or 2 inputs")
     t0 = time.perf_counter()
-    out, S, ranks, model = gram_tsvd(ds.data.transpose(2, 0, 1), cfg.prf_selector)
-    record = StageRecord.of_calls("classic", (n_o, n_i), S, ranks, model, time.perf_counter() - t0)
+    out, *call = gram_tsvd(ds.data.transpose(2, 0, 1), cfg.prf_selector)
+    record = StageRecord.of_calls("classic", (n_o, n_i), [call], time.perf_counter() - t0)
     return ds.with_data(out.transpose(1, 2, 0)), FilterReport([record], record.seconds)
 
 

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Domain, ResponseDataset, _write_csv
-from .errors import DomainError, NonFiniteError, ShapeMismatch
-from .tsvd import _unit_exponent, svd
+from .errors import ConvergenceError, DomainError, NonFiniteError, ShapeMismatch
+from .tsvd import _finite, _unit_exponent
 
 
 @dataclass(frozen=True)
@@ -53,11 +53,15 @@ def cmif(ds: ResponseDataset) -> np.ndarray:
     """Singular values of the n_o x n_i slice per frequency line.
 
     Returns an (n_k, min(n_o, n_i)) array, nonincreasing along each row,
-    from one stacked ``tsvd.svd``; NaN or infinite data raise NonFiniteError.
+    from one stacked values-only SVD; NaN or infinite data raise
+    NonFiniteError, a backend failure ConvergenceError.
     """
     if ds.domain is not Domain.FREQUENCY:
         raise DomainError("CMIF is defined on frequency-domain data")
-    return svd(ds.data.transpose(2, 0, 1)).S
+    try:
+        return np.linalg.svd(_finite(ds.data.transpose(2, 0, 1)), compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(str(exc)) from exc
 
 
 def zero_locations(ds: ResponseDataset, o: int, i: int, prominence: float = 0.9) -> np.ndarray:

@@ -21,7 +21,8 @@ class StageRecord:
     the eigenvalues of each matrix's smaller Gram matrix (``tsvd._gram``),
     where values below about 1.5e-8 of the largest are rounding noise.
     The PRF stage factors one matrix.  Classic and the Hankel stages factor
-    one ``shape`` matrix per call and build their record with ``of_calls``.
+    one ``shape`` matrix per call and hand ``of_calls`` the list of their
+    ``gram_tsvd`` results (classic one stacked call, Hankel one per row).
     ``model.tail_misfit`` is the ``e15_tail_misfit`` of ``to_text``.
     ``seconds`` covers the factorization and rank selection of a PRF stage,
     every call of a multi-call stage; the chain's one domain bridge
@@ -38,17 +39,21 @@ class StageRecord:
     extras: dict = field(default_factory=dict)
 
     @classmethod
-    def of_calls(cls, name, shape, S, ranks, model, seconds):
+    def of_calls(cls, name, shape, calls, seconds):
         """The record of a stage that factors one ``shape`` matrix per call, from
-        every call's spectrum S (calls, p), rank and stacked ``E15Model``: the
-        mean spectrum, the largest rank, the model, and in ``extras``
-        ``svd_calls``, ``ranks`` and their min / max / mean.  No calls give
-        zeros and no model."""
-        calls = len(ranks)
-        lo, hi, mean = (int(ranks.min()), int(ranks.max()), float(ranks.mean())) if calls else (0, 0, 0.0)
-        extras = {"svd_calls": calls, "ranks": ranks.tolist(), "rank_min": lo, "rank_max": hi, "rank_mean": mean}
-        spectrum = S.mean(axis=0) if calls else np.zeros(S.shape[-1])
-        return cls(name, shape, spectrum, hi, model if calls else None, seconds, extras)
+        ``calls``, (S, ranks, model) triples stacked on a leading call axis as
+        ``gram_tsvd`` returns them, concatenated in order: the mean spectrum, the
+        largest rank, the model, and in ``extras`` ``svd_calls``, ``ranks`` and
+        their min / max / mean.  No calls give zeros of width min(shape) and no model."""
+        if not calls:
+            extras = {"svd_calls": 0, "ranks": [], "rank_min": 0, "rank_max": 0, "rank_mean": 0.0}
+            return cls(name, shape, np.zeros(min(shape)), 0, None, seconds, extras)
+        S, ranks, models = zip(*calls)
+        S, ranks = np.concatenate(S), np.concatenate(ranks)
+        model = E15Model(*map(np.concatenate, zip(*(vars(m).values() for m in models)))) if models[0] else None
+        extras = {"svd_calls": len(ranks), "ranks": ranks.tolist(), "rank_min": int(ranks.min()),
+                  "rank_max": int(ranks.max()), "rank_mean": float(ranks.mean())}
+        return cls(name, shape, S.mean(axis=0), int(ranks.max()), model, seconds, extras)
 
 
 @dataclass

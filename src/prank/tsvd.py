@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConvergenceError, NonFiniteError, ShapeError, WindowError
 from .report import StageRecord
-from .selection import E15, E15Model, SelectionStrategy, evaluate
+from .selection import E15, SelectionStrategy, evaluate
 
 
 @dataclass(frozen=True)
@@ -213,7 +213,7 @@ def hankel_tsvd_series(series: np.ndarray, window: Optional[int], selector: Sele
     call per row; e15 selectors use the cleaned singular values.  Returns
     (filtered, record): filtered shaped as ``series``, and the
     ``StageRecord.of_calls`` record "hankel" of every call's spectrum, rank
-    and e15 fields, written into arrays allocated before the loop."""
+    and e15 fields."""
     series = np.asarray(series)
     length = series.shape[-1]
     if length < 4:
@@ -222,17 +222,11 @@ def hankel_tsvd_series(series: np.ndarray, window: Optional[int], selector: Sele
     L = _window(length, window)
     shape = (L, length - L + 1)
     rows = series.reshape(-1, length)
-    n, p = len(rows), min(shape)
-    out, S, ranks = np.empty_like(rows), np.zeros((n, p)), np.zeros(n, dtype=int)
-    model = E15Model(np.zeros(n), np.zeros(n), np.zeros((n, p)), np.zeros((n, p)), np.zeros(n, dtype=int),
-                     np.zeros((n, p)), np.zeros(n)) if isinstance(selector, E15) else None
-    stacks = (S, ranks) + (() if model is None else tuple(vars(model).values()))
+    out, calls = np.empty_like(rows), []
     for j, row in enumerate(rows):
         # a stack of one, so every field comes stacked (cleaned_s zero-padded)
-        filtered, S_j, rank_j, model_j = gram_tsvd(hankelize(row, L)[None], selector)
+        filtered, *call = gram_tsvd(hankelize(row, L)[None], selector)
         out[j] = dehankelize_ssa(filtered[0])
-        values = (S_j, rank_j) + (() if model_j is None else tuple(vars(model_j).values()))
-        for stack, value in zip(stacks, values):
-            stack[j] = value[0]
-    record = StageRecord.of_calls("hankel", shape, S, ranks, model, time.perf_counter() - t0)
+        calls.append(call)
+    record = StageRecord.of_calls("hankel", shape, calls, time.perf_counter() - t0)
     return out.reshape(series.shape), record

@@ -429,7 +429,8 @@ def test_usage_error_exit_code():
                  ["--dofs", "2"], id="synth"),
     pytest.param("corrupt", ["SRC"], "noise=0,0.1,0,0.1\nseed=1\n",
                  ["--noise", "0,0.1,0,0.1", "--seed", "1"], ["--seed", "2"], id="corrupt"),
-    pytest.param("filter", ["SRC"], "variant=ph\nmu=0.08\n", ["--variant", "ph", "--mu", "0.08"],
+    pytest.param("filter", ["SRC"], "variant=ph\nmu=0.08\nwindow=40\n",
+                 ["--variant", "ph", "--mu", "0.08", "--window", "40"],
                  ["--variant", "hankel", "--hankel-rank", "9999"], id="filter"),
     pytest.param("metrics", ["--ref", "SRC", "--test", "SRC"], "cmif\nzeros=2:1\n",
                  ["--cmif", "--zeros", "2:1"], ["--zeros", "1:1"], id="metrics"),
@@ -438,22 +439,42 @@ def test_usage_error_exit_code():
 def test_config_file_defaults_with_flag_precedence(tmp_path, capsys, command, args, config,
                                                    config_flags, flags):
     # a config file acts as its lines spelled out as flags before the explicit
-    # ones, so an explicit flag wins; each case's flag changes the output
+    # ones, so an explicit flag wins; each case's flag changes the output, and
+    # so does each case's config, in every spelling argparse accepts
     src = synth_small(tmp_path)
     args = [str(src) if a == "SRC" else a for a in args]
     cfg = tmp_path / "prank.cfg"
     cfg.write_text(config)
-    assert run([command, *args, "--config", str(cfg), *flags, "-o", str(tmp_path / "a")]) == 0
-    via_config = capsys.readouterr().out
-    assert run([command, *args, *config_flags, *flags, "-o", str(tmp_path / "b")]) == 0
-    assert drop_seconds(capsys.readouterr().out.encode()) == drop_seconds(via_config.encode())
-    written = sorted(tmp_path.glob("a*"))
-    assert written
-    for path in written:
-        twin = tmp_path / ("b" + path.name[1:])
-        assert drop_seconds(twin.read_bytes()) == drop_seconds(path.read_bytes())
+
+    def outputs(name, options):
+        """(stdout lines, {file name: lines}) of one run writing into its own folder."""
+        folder = tmp_path / name
+        folder.mkdir()
+        assert run([command, *args, *options, *flags, "-o", str(folder / "out")]) == 0
+        files = {p.name: drop_seconds(p.read_bytes()) for p in folder.iterdir()}
+        return drop_seconds(capsys.readouterr().out.encode()), files
+
+    expected = outputs("flags", config_flags)
+    assert expected[1]
+    for name, spelling in (("separate", ["--config", str(cfg)]), ("equals", [f"--config={cfg}"]),
+                           ("abbreviated", ["--conf", str(cfg)])):
+        assert outputs(name, spelling) == expected, name
     if command == "filter":  # a hankel-only run has no prf stage
-        assert "stage: hankel" in via_config and "stage: prf" not in via_config
+        assert b"stage: hankel" in expected[0] and b"stage: prf" not in expected[0]
+
+
+def test_config_files_apply_in_order_under_explicit_flags(tmp_path, capsys):
+    # every --config file is read in the order given, so a later file's line
+    # wins, and an explicit flag wins over every file wherever it stands
+    src = synth_small(tmp_path)
+    first, second = tmp_path / "first.cfg", tmp_path / "second.cfg"
+    first.write_text("variant=prf\nprf-rank=2\n")
+    second.write_text("prf-rank=3\n")
+    files = ["--config", str(first), "--config", str(second)]
+    for flags, rank in (([], 3), (["--prf-rank", "4"], 4)):
+        assert run(["filter", str(src), *flags, *files, "-o", str(tmp_path / "x.prnk")]) == 0
+        out = capsys.readouterr().out
+        assert "stage: prf\n" in out and "stage: hankel" not in out and f"  rank: {rank}\n" in out
 
 
 def drop_seconds(data):

@@ -27,6 +27,7 @@ from prank import (
     prf_tsvd,
     synthesize_direct,
     flatten,
+    gram_tsvd,
     svd,
     to_time,
     unflatten,
@@ -156,6 +157,27 @@ def test_classic_e15_report_keeps_every_line(noisy_bench, tmp_path):
     assert np.array_equal(table[:, 1], rec.singular_values)
     assert np.array_equal(table[:, 2], model.mp_curve.mean(axis=0))
     assert np.array_equal(table[:, 3], model.cleanliness.mean(axis=0))
+
+
+@pytest.mark.parametrize("selector", [E15(), FixedRank(2)], ids=["e15", "fixed"])
+def test_of_calls_stacks_split_calls_like_one(noisy_bench, selector):
+    # classic's lines handed over as two calls give the record of its one stacked call
+    whole = apply_filter(noisy_bench, classic_cfg(selector))[1].stage("classic")
+    lines = noisy_bench.data.transpose(2, 0, 1)
+    calls = [gram_tsvd(part, selector)[1:] for part in (lines[:80], lines[80:])]
+    split = StageRecord.of_calls("classic", whole.shape, calls, whole.seconds)
+    assert (split.rank, split.extras) == (whole.rank, whole.extras)
+    assert split.extras["svd_calls"] == noisy_bench.n_bins
+    assert np.array_equal(split.singular_values, whole.singular_values)
+    assert (split.model is None) == (whole.model is None) == (not isinstance(selector, E15))
+    if whole.model is not None:
+        for name, value in vars(whole.model).items():
+            assert np.array_equal(getattr(split.model, name), value, equal_nan=True), name
+    # no calls: a zero spectrum of width min(shape), rank 0 and no model
+    empty = StageRecord.of_calls("hankel", (5, 3), [], 0.5)
+    assert (empty.name, empty.shape, empty.rank, empty.model, empty.seconds) == ("hankel", (5, 3), 0, None, 0.5)
+    assert np.array_equal(empty.singular_values, np.zeros(3))
+    assert empty.extras == {"svd_calls": 0, "ranks": [], "rank_min": 0, "rank_max": 0, "rank_mean": 0.0}
 
 
 def test_report_sv_csv_golden_text(tmp_path):

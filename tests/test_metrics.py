@@ -4,6 +4,7 @@ import pytest
 from prank import (
     ChainSystem,
     CoherenceReport,
+    ConvergenceError,
     Domain,
     DomainError,
     NoiseModel,
@@ -17,6 +18,7 @@ from prank import (
     coh,
     consist,
     eigen,
+    svd,
     synthesize_direct,
     zero_locations,
 )
@@ -170,6 +172,21 @@ def test_cmif_rejects_nonfinite():
     data = np.ones((2, 3, 5), dtype=complex)
     data[0, 2, 3] = np.nan
     with pytest.raises(NonFiniteError):
+        cmif(make_ds(data))
+
+
+def test_cmif_matches_dense_svd_and_maps_backend_failure(monkeypatch):
+    # the values-only SVD gives the singular values of the dense reference
+    rng = np.random.default_rng(8)
+    data = rng.standard_normal((4, 3, 20)) + 1j * rng.standard_normal((4, 3, 20))
+    ref = svd(data.transpose(2, 0, 1)).S
+    assert np.all(np.abs(cmif(make_ds(data)) - ref) <= 1e-13 * ref[:, :1])
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(ConvergenceError, match="converge"):
         cmif(make_ds(data))
 
 
