@@ -108,10 +108,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _inject_config(argv: list) -> list:
+def _inject_config(parser: argparse.ArgumentParser, argv: list) -> list:
     """Insert the key=value lines (a bare key: the flag --key) of every --config
     file, in the order given, as flags after the subcommand, so later lines win
-    and explicit flags keep precedence (last one wins)."""
+    and explicit flags keep precedence (last one wins).
+
+    The subcommand's parser first classifies every token before ``--`` as its
+    own parse will, so an abbreviation that is ambiguous among all its options
+    (``metrics --c``: --config or --cmif) exits 2 before any file is read."""
+    commands = parser._subparsers._group_actions[0].choices  # argparse offers no public handle
+    command = commands.get(argv[0]) if argv else None
+    if command is None:  # no subcommand: the full parse reports it
+        return argv
+    for token in argv[1:argv.index("--") if "--" in argv else None]:
+        command._parse_optional(token)
     try:
         paths = _CONFIG.parse_known_args(argv[1:])[0].config or []
     except argparse.ArgumentError:  # --config without a path: the full parse reports it
@@ -245,7 +255,8 @@ def cmd_convert(args) -> int:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(_inject_config(argv))
+        parser = build_parser()
+        args = parser.parse_args(_inject_config(parser, argv))
         return args.run(args)
     except (ConvergenceError, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,14 +14,14 @@ result back once.  All but classic use two stages:
 
 - the PRF stage (``_unfolded``): unfolding, one eigendecomposition of the
   smaller Gram matrix (``tsvd._gram``, shared with ``gram_tsvd``), rank
-  selection, rank-r rebuild by projection;
+  selection, and the factors of the rank-r rebuild (lhs * scale) @ rhs;
 - the Hankel row stage (``tsvd.hankel_tsvd_series``): one Hankel TSVD per
   row, i.e. per (o, i) series or per retained PRF left singular vector.
 
-PH and HP run the two in turn; PRANK_HiP runs the Hankel row stage on the
-PRF left vectors inside the PRF stage, cutting the number of Hankel
-factorizations (``svd_calls`` in the reports) from n_o*n_i to the PRF
-rank.
+PH and HP run the two in turn.  PRANK_HiP calls the PRF stage, runs the
+Hankel row stage on the unit columns of lhs and rebuilds from the filtered
+columns, cutting the number of Hankel factorizations (``svd_calls`` in the
+reports) from n_o*n_i to the PRF rank.
 """
 
 from __future__ import annotations
@@ -93,56 +93,39 @@ def _classic(ds: ResponseDataset, cfg: PrankConfig):
     return ds.with_data(out.transpose(1, 2, 0)), FilterReport([record], record.seconds)
 
 
-def _unfolded(ds: ResponseDataset, selector: SelectionStrategy, hankel=None):
+def _unfolded(ds: ResponseDataset, selector: SelectionStrategy):
     """The PRF stage: one Gram TSVD (``tsvd._gram``) of the spectrally-unfolded
-    n_k x n_o*n_i matrix A.
+    n_k x n_o*n_i matrix A, as the factors of its rank-r rebuild
+    (lhs * scale) @ rhs.
 
-    The Gram side gives V_r when A is tall and U_r when it is wide; the
-    prfs U_r S_r are A V_r or U_r S_r, with ``_pivot_phase``'s convention.
-    The rebuild is the projection A V_r diag(c / s) V_r^H, or
-    U_r diag(c / s) U_r^H A, with c the e15-cleaned values and c / s = 1 for
-    every other selector, so a full rank gives A back without dividing by s.
-    ``hankel = (window, selector)`` runs the Hankel row stage on the unit
-    left vectors U_r (the normalised columns of A V_r when tall, a zero
-    column where A v = 0) before the rebuild (PRANK_HiP).  Returns (filtered, report, prfs), prfs taken
-    before any Hankel stage.
+    Column j of lhs lies along the left singular vector u_j (the multiple
+    depends on the Gram side, which only ``_gram`` knows) with
+    ``_pivot_phase``'s convention; row j of rhs carries the conjugate phase,
+    so the product is unchanged.  scale is c / s, with c the e15-cleaned
+    values and c / s = 1 for every other selector, so a full rank gives A
+    back without dividing by s.  Returns (lhs, rhs, scale, report).
     """
     n_o, n_i = ds.n_outputs, ds.n_inputs
     if n_o * n_i < 2:
         raise ShapeError("unfolded filtering needs at least 2 spatial entries")
     matrix = flatten(ds)
     t0 = time.perf_counter()
-    S, rank, model, Q, scale, left = _gram(matrix, selector)
+    S, rank, model, lhs, rhs, scale = _gram(matrix, selector)
     report = FilterReport([StageRecord("prf", matrix.shape, S, rank, model, time.perf_counter() - t0)])
     if rank == 0:
         report.flags.append("prf_rank_zero")
-    s = S[:rank]
-    if left:  # Q = U_r
-        Q = Q * _pivot_phase(Q)
-        prfs = Q * s
-        lhs, rhs = Q, Q.conj().T @ matrix
-    else:  # Q = V_r, and A V_r = U_r diag(s)
-        prfs = matrix @ Q
-        rot = _pivot_phase(prfs)
-        prfs, Q = prfs * rot, Q * rot
-        lhs, rhs = prfs, Q.conj().T
-    if hankel is not None:
-        if left:
-            U, norm = Q, 1.0
-        else:
-            # unit columns of A V_r: below the squaring floor s is rounding noise, not ||A v||;
-            # each column is normalised by a power of two first, so its squares cannot overflow
-            unit = np.ldexp(1.0, _unit_exponent(prfs, 0))
-            norm = np.linalg.norm(prfs * unit, axis=0) / unit
-            U = np.divide(prfs, norm, out=np.zeros_like(prfs), where=norm > 0)
-        rows, record = hankel_tsvd_series(U.T, *hankel)
-        record.name = "hankel_in_prf"
-        lhs = rows.T * norm
-        report.stages.append(record)
-    filtered = (lhs * scale) @ rhs
-    result = ds.with_data(unflatten(filtered, n_o, n_i))
-    report.total_seconds = time.perf_counter() - t0
-    return result, report, prfs
+    rot = _pivot_phase(lhs)
+    return lhs * rot, rhs * rot.conj().T, scale, report
+
+
+def _unit_columns(M: np.ndarray):
+    """(unit columns of M, a zero column where M's is zero; their norms).
+    Below the squaring floor s is rounding noise, not ||A v||, so the norms
+    are taken here, each column first normalised by a power of two so its
+    squares cannot overflow."""
+    unit = np.ldexp(1.0, _unit_exponent(M, 0))
+    norm = np.linalg.norm(M * unit, axis=0) / unit
+    return np.divide(M, norm, out=np.zeros_like(M), where=norm > 0), norm
 
 
 def prf_tsvd(ds: ResponseDataset, selector: SelectionStrategy):
@@ -152,7 +135,11 @@ def prf_tsvd(ds: ResponseDataset, selector: SelectionStrategy):
     singular vectors scaled by their singular values, one column per
     retained component.
     """
-    return _unfolded(ds, selector)
+    t0 = time.perf_counter()
+    lhs, rhs, scale, report = _unfolded(ds, selector)
+    result = ds.with_data(unflatten((lhs * scale) @ rhs, ds.n_outputs, ds.n_inputs))
+    report.total_seconds = time.perf_counter() - t0
+    return result, report, _unit_columns(lhs)[0] * report.stages[0].singular_values[:lhs.shape[1]]
 
 
 def _check_hankel_input(ds: ResponseDataset):
@@ -162,7 +149,8 @@ def _check_hankel_input(ds: ResponseDataset):
 
 
 def _prf(ds: ResponseDataset, cfg: PrankConfig):
-    return _unfolded(ds, cfg.prf_selector)[:2]
+    lhs, rhs, scale, report = _unfolded(ds, cfg.prf_selector)
+    return ds.with_data(unflatten((lhs * scale) @ rhs, ds.n_outputs, ds.n_inputs)), report
 
 
 def _hankel(ds: ResponseDataset, cfg: PrankConfig):
@@ -175,12 +163,19 @@ def _hankel(ds: ResponseDataset, cfg: PrankConfig):
 def _hip(ds: ResponseDataset, cfg: PrankConfig):
     """Mixed pipeline: Hankel-filter only the retained PRF left vectors.
 
-    The Hankel stage runs once per retained component instead of once per
-    spatial entry; the PRF singular values (e15-cleaned when applicable)
-    and right vectors are reused in the reconstruction.
+    The Hankel row stage runs on the unit columns of the PRF stage's lhs,
+    once per retained component instead of once per spatial entry; the
+    filtered rows, times the columns' norms, replace lhs in the PRF rebuild,
+    so the PRF singular values (e15-cleaned when applicable) and right
+    vectors are reused.
     """
     _check_hankel_input(ds)
-    return _unfolded(ds, cfg.prf_selector, (cfg.hankel_window, cfg.hankel_selector))[:2]
+    lhs, rhs, scale, report = _unfolded(ds, cfg.prf_selector)
+    unit, norm = _unit_columns(lhs)
+    rows, record = hankel_tsvd_series(unit.T, cfg.hankel_window, cfg.hankel_selector)
+    record.name = "hankel_in_prf"
+    report.stages.append(record)
+    return ds.with_data(unflatten((rows.T * norm * scale) @ rhs, ds.n_outputs, ds.n_inputs)), report
 
 
 # every variant as its domain and its stages, run in order; each maps (ds, cfg) to (ds, report)

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from numbers import Integral
 from typing import Union
 
 import numpy as np
@@ -40,6 +41,10 @@ class ThresholdMode(Enum):
 @dataclass(frozen=True)
 class FixedRank:
     r: int
+
+    def __post_init__(self):
+        if isinstance(self.r, bool) or not isinstance(self.r, Integral) or self.r < 0:
+            raise ValueError(f"rank must be a nonnegative integer, got {self.r!r}")
 
 
 @dataclass(frozen=True)
@@ -295,8 +300,6 @@ def _select(S: np.ndarray, shape: tuple, strategy: SelectionStrategy):
     """Ranks (n,) and stacked model for the rows of S (n, p)."""
     p = S.shape[-1]
     if isinstance(strategy, FixedRank):
-        if strategy.r < 0:
-            raise ValueError("rank must be nonnegative")
         return np.full(len(S), min(strategy.r, p)), None
     if isinstance(strategy, AbsoluteThreshold):
         if strategy.mode is ThresholdMode.PER_VALUE:

@@ -4,14 +4,15 @@ averaging) inversion.
 
 Truncation does not run a dense SVD: ``_gram`` takes the singular values
 and one side's singular vectors of a matrix, or of every matrix of a stack,
-from one eigendecomposition of the smaller Gram matrix and selects the
-ranks.  ``gram_tsvd`` reconstructs from it by projection for the Hankel and
-the per-line classic filters; the PRF stage (``filters._unfolded``) builds
-its principal responses and its rebuild from it.  Squaring costs the
-components below about sqrt(eps) * sigma_1 (1.5e-8 of each matrix's norm);
-everything above that matches the dense SVD, which only ``svd`` runs.  Each
-matrix is normalised by a power of two before it is squared, so finite data
-of any magnitude is taken.
+from one eigendecomposition of the smaller Gram matrix, selects the ranks
+and returns the truncation as factors, (lhs * scale) @ rhs on either side.
+``gram_tsvd`` forms that product for the Hankel and the per-line classic
+filters; the PRF stage (``filters._unfolded``) returns the factors, and the
+PRF filter, HiP and ``prf_tsvd`` each rebuild from them.  Squaring costs
+the components below about sqrt(eps) * sigma_1 (1.5e-8 of each matrix's
+norm); everything above that matches the dense SVD, which only ``svd``
+runs.  Each matrix is normalised by a power of two before it is squared,
+so finite data of any magnitude is taken.
 """
 
 from __future__ import annotations
@@ -151,8 +152,9 @@ def _gram(A: np.ndarray, selector: SelectionStrategy):
     S itself (an absolute threshold is not scale-free).  NaN or infinite
     entries raise NonFiniteError, a backend failure ConvergenceError.
 
-    Returns (S, rank, model, Q_r, scale, left): Q_r the first r vectors,
-    scale of shape (..., 1, r), and left True when Q_r are left vectors.
+    Returns (S, rank, model, lhs, rhs, scale), the truncation being
+    (lhs * scale) @ rhs, scale of shape (..., 1, r): lhs = U_r and
+    rhs = U_r^H A when m <= n, else lhs = A V_r and rhs = V_r^H.
     """
     A = np.asarray(A)
     if isinstance(selector, E15) and min(A.shape[-2:]) < 2:
@@ -180,18 +182,21 @@ def _gram(A: np.ndarray, selector: SelectionStrategy):
         scale = (np.arange(r) < np.expand_dims(rank, -1)) * 1.0
     else:
         scale = np.divide(model.cleaned_s[..., :r], s, out=np.zeros(s.shape), where=s > 0)
-    return S, rank, model, Q[..., ::-1][..., :r], scale[..., None, :], left
+    Qr = Q[..., ::-1][..., :r]
+    Qrh = np.swapaxes(Qr.conj(), -1, -2)
+    lhs, rhs = (Qr, Qrh @ A) if left else (A @ Qr, Qrh)
+    return S, rank, model, lhs, rhs, scale[..., None, :]
 
 
 def gram_tsvd(A: np.ndarray, selector: SelectionStrategy):
     """Selector-truncated reconstruction of a matrix, or of each matrix of a
     stack (..., m, n), from its smaller Gram matrix (``_gram``).
 
-    Each rank-r result is the projection Q_r diag(c / s) Q_r^H A, or
-    A Q_r diag(c / s) Q_r^H, where c are the e15-cleaned values (c <= s) and
-    c / s = 1 for every other selector; c / s = 0 where s = 0.  A stack
-    projects every matrix onto its first max(rank) vectors, with scale 0
-    beyond its own rank.  The scale never exceeds 1, so small singular
+    Each rank-r result is ``_gram``'s (lhs * scale) @ rhs, the projection
+    Q_r diag(c / s) Q_r^H A, or A Q_r diag(c / s) Q_r^H, where c are the
+    e15-cleaned values (c <= s) and c / s = 1 for every other selector;
+    c / s = 0 where s = 0.  A stack projects every matrix onto its first
+    max(rank) vectors, with scale 0 beyond its own rank.  The scale never exceeds 1, so small singular
     values amplify nothing.  Finite data of any magnitude is taken, since
     each matrix is normalised by a power of two before it is squared.
     Squaring costs the components below about sqrt(eps) = 1.5e-8 of each
@@ -200,11 +205,8 @@ def gram_tsvd(A: np.ndarray, selector: SelectionStrategy):
     Returns (filtered, S, rank, model): rank an int and model the E15Model
     or None; for a stack, ranks of shape A.shape[:-2] and the stacked model.
     """
-    A = np.asarray(A)
-    S, rank, model, Qr, scale, left = _gram(A, selector)
-    Qrh = np.swapaxes(Qr.conj(), -1, -2)
-    filtered = (Qr * scale) @ (Qrh @ A) if left else ((A @ Qr) * scale) @ Qrh
-    return filtered, S, rank, model
+    S, rank, model, lhs, rhs, scale = _gram(A, selector)
+    return (lhs * scale) @ rhs, S, rank, model
 
 
 def hankel_tsvd_series(series: np.ndarray, window: Optional[int], selector: SelectionStrategy):

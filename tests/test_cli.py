@@ -170,6 +170,16 @@ def test_filter_frequency_working_domain_is_usage_error(tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--prf-rank", "--hankel-rank"])
+def test_filter_negative_fixed_rank_is_usage_error(tmp_path, capsys, flag):
+    # rejected even where the variant never runs that stage
+    src = synth_small(tmp_path)
+    out = tmp_path / "x.prnk"
+    assert run(["filter", str(src), "--variant", "prf", flag, "-1", "-o", str(out)]) == 2
+    assert "nonnegative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_filter_classic_e15_on_single_input_is_usage_error(tmp_path, capsys):
     # one input leaves one singular value per line, its own e15 noise tail
     src = synth_small(tmp_path)
@@ -509,6 +519,29 @@ def test_config_bare_key_sets_flag(tmp_path, capsys):
     cfg.write_text("cmif\n")
     assert run(["metrics", "--ref", str(src), "--test", str(src), "--config", str(cfg)]) == 0
     assert "cmif_first_line_max: " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("exists", [False, True], ids=["missing", "existing"])
+def test_ambiguous_config_abbreviation_is_usage_error_before_any_read(tmp_path, capsys, monkeypatch, exists):
+    # metrics --c could be --config or --cmif: a usage error, whether or not the
+    # file exists, and raised before the file is opened
+    src = synth_small(tmp_path)
+    cfg = tmp_path / "prank.cfg"
+    if exists:
+        cfg.write_text("cmif\n")
+    reads, read_text = [], Path.read_text
+    monkeypatch.setattr(Path, "read_text", lambda self, *a, **k: reads.append(self) or read_text(self, *a, **k))
+    with pytest.raises(SystemExit) as err:
+        main(["metrics", "--ref", str(src), "--test", str(src), "--c", str(cfg)])
+    assert err.value.code == 2 and reads == []
+    assert "ambiguous option: --c could match --config, --cmif" in capsys.readouterr().err
+
+
+def test_unknown_command_is_usage_error_before_any_config_read(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["bogus", "--config", str(tmp_path / "nope.cfg")])
+    assert err.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def test_config_flag_without_path_is_usage_error(tmp_path):

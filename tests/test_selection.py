@@ -114,6 +114,9 @@ def test_strategy_validation():
         E15(tail_fraction=1.0)
     with pytest.raises(ValueError, match="nonnegative"):
         evaluate(np.ones(4), (4, 4), FixedRank(-1))
+    for r in (-1, 2.5, True):  # rejected when built, not floored or cast when evaluated
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            FixedRank(r)
     with pytest.raises(TypeError):
         evaluate(np.ones(4), (4, 4), "e15")
 
