@@ -159,8 +159,12 @@ def _atomic_write(path, data) -> None:
 
 
 def write_dataset(ds: ResponseDataset, path) -> None:
-    """Write the little-endian binary container (atomically, see ``_atomic_write``)."""
+    """Write the little-endian binary container (atomically, see ``_atomic_write``).
+    A unit label over 65535 bytes in UTF-8, more than its u16 length holds,
+    raises FormatError before anything is written."""
     label = ds.unit_label.encode("utf-8")
+    if len(label) > 0xFFFF:
+        raise FormatError(f"unit label is {len(label)} bytes in UTF-8, the format holds at most 65535")
     header = MAGIC + _HEADER.pack(ds.n_outputs, ds.n_inputs, ds.n_bins, ds.domain.value,
                                   ds.axis_start, ds.axis_step, len(label))
     _atomic_write(path, header + label + ds.data.astype("<c16").tobytes())

@@ -3,12 +3,13 @@
 ``apply_filter(ds, cfg)`` runs every ``Variant``; ``prf_tsvd`` runs the PRF
 stage alone, in the domain of its input, and returns the principal
 response functions.  Both return the filtered dataset and its
-``FilterReport``; shape, domain tag and axis metadata of the input are
-always preserved.  Every variant is a chain of stages (``_CHAINS``) and
-each stage has one domain: classic runs on spectral lines, the Hankel
-stages on the real time record (an impulse response is a sum of damped
-exponentials, so its Hankel matrix is low rank; an FRF's is not), and the
-PRF stage on whatever it is handed.  ``apply_filter`` holds the single
+``FilterReport``, and are the only builders of one; shape, domain tag and
+axis metadata of the input are always preserved.  Every variant is a chain
+of stages (``_CHAINS``), each handing back its ``StageRecord``s, and each
+stage has one domain: classic runs on spectral lines, the Hankel stages on
+the real time record (an impulse response is a sum of damped exponentials,
+so its Hankel matrix is low rank; an FRF's is not), and the PRF stage on
+whatever it is handed.  ``apply_filter`` holds the single
 bridge (``_working``): the input goes to the chain's domain once, the
 result back once.  All but classic use two stages:
 
@@ -29,15 +30,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
 
 from .dataset import Domain, ResponseDataset, flatten, to_frequency, to_time, unflatten
-from .errors import AxisError, DomainError, ShapeError
+from .errors import AxisError, DomainError, ShapeError, WindowError
 from .report import FilterReport, StageRecord
-from .selection import E15, SelectionStrategy
-from .tsvd import _gram, _pivot_phase, _unit_exponent, gram_tsvd, hankel_tsvd_series
+from .selection import E15, SelectionStrategy, _unit_exponent
+from .tsvd import _gram, _pivot_phase, gram_tsvd, hankel_tsvd_series
 
 
 class Variant(Enum):
@@ -51,7 +53,8 @@ class Variant(Enum):
 
 @dataclass(frozen=True)
 class PrankConfig:
-    """Pipeline selection; ``domain`` accepts only ``Domain.TIME``, as stage domains are fixed."""
+    """Pipeline selection, checked when built; ``domain`` accepts only
+    ``Domain.TIME``, as stage domains are fixed."""
 
     variant: Variant = Variant.PRANK_HIP
     domain: Domain = Domain.TIME
@@ -64,6 +67,12 @@ class PrankConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.domain is not Domain.TIME:
             raise DomainError(f"unsupported working domain {self.domain!r}: stage domains are fixed")
+        for name in ("prf_selector", "hankel_selector"):
+            if not isinstance(getattr(self, name), SelectionStrategy):
+                raise ValueError(f"{name} must be a selection strategy, got {getattr(self, name)!r}")
+        window = self.hankel_window
+        if window is not None and (isinstance(window, bool) or not isinstance(window, Integral) or window < 1):
+            raise WindowError(f"hankel_window must be None or a positive integer, got {window!r}")
 
 
 def _working(ds: ResponseDataset, domain: Domain):
@@ -90,7 +99,7 @@ def _classic(ds: ResponseDataset, cfg: PrankConfig):
     t0 = time.perf_counter()
     out, *call = gram_tsvd(ds.data.transpose(2, 0, 1), cfg.prf_selector)
     record = StageRecord.of_calls("classic", (n_o, n_i), [call], time.perf_counter() - t0)
-    return ds.with_data(out.transpose(1, 2, 0)), FilterReport([record], record.seconds)
+    return ds.with_data(out.transpose(1, 2, 0)), [record]
 
 
 def _unfolded(ds: ResponseDataset, selector: SelectionStrategy):
@@ -98,12 +107,11 @@ def _unfolded(ds: ResponseDataset, selector: SelectionStrategy):
     n_k x n_o*n_i matrix A, as the factors of its rank-r rebuild
     (lhs * scale) @ rhs.
 
-    Column j of lhs lies along the left singular vector u_j (the multiple
-    depends on the Gram side, which only ``_gram`` knows) with
-    ``_pivot_phase``'s convention; row j of rhs carries the conjugate phase,
-    so the product is unchanged.  scale is c / s, with c the e15-cleaned
-    values and c / s = 1 for every other selector, so a full rank gives A
-    back without dividing by s.  Returns (lhs, rhs, scale, report).
+    Column j of lhs lies along the left singular vector u_j, in ``_gram``'s
+    phase (the multiple depends on the Gram side, which only ``_gram``
+    knows).  scale is c / s, with c the e15-cleaned values and c / s = 1 for
+    every other selector, so a full rank gives A back without dividing by
+    s.  Returns (lhs, rhs, scale, record).
     """
     n_o, n_i = ds.n_outputs, ds.n_inputs
     if n_o * n_i < 2:
@@ -111,11 +119,7 @@ def _unfolded(ds: ResponseDataset, selector: SelectionStrategy):
     matrix = flatten(ds)
     t0 = time.perf_counter()
     S, rank, model, lhs, rhs, scale = _gram(matrix, selector)
-    report = FilterReport([StageRecord("prf", matrix.shape, S, rank, model, time.perf_counter() - t0)])
-    if rank == 0:
-        report.flags.append("prf_rank_zero")
-    rot = _pivot_phase(lhs)
-    return lhs * rot, rhs * rot.conj().T, scale, report
+    return lhs, rhs, scale, StageRecord("prf", matrix.shape, S, rank, model, time.perf_counter() - t0)
 
 
 def _unit_columns(M: np.ndarray):
@@ -133,13 +137,13 @@ def prf_tsvd(ds: ResponseDataset, selector: SelectionStrategy):
 
     Returns (filtered, report, prfs) where prfs are the retained left
     singular vectors scaled by their singular values, one column per
-    retained component.
+    retained component, each phased as ``svd``'s (``_pivot_phase``).
     """
     t0 = time.perf_counter()
-    lhs, rhs, scale, report = _unfolded(ds, selector)
+    lhs, rhs, scale, record = _unfolded(ds, selector)
     result = ds.with_data(unflatten((lhs * scale) @ rhs, ds.n_outputs, ds.n_inputs))
-    report.total_seconds = time.perf_counter() - t0
-    return result, report, _unit_columns(lhs)[0] * report.stages[0].singular_values[:lhs.shape[1]]
+    report = FilterReport([record], time.perf_counter() - t0)
+    return result, report, _unit_columns(lhs * _pivot_phase(lhs))[0] * record.singular_values[:lhs.shape[1]]
 
 
 def _check_hankel_input(ds: ResponseDataset):
@@ -149,15 +153,15 @@ def _check_hankel_input(ds: ResponseDataset):
 
 
 def _prf(ds: ResponseDataset, cfg: PrankConfig):
-    lhs, rhs, scale, report = _unfolded(ds, cfg.prf_selector)
-    return ds.with_data(unflatten((lhs * scale) @ rhs, ds.n_outputs, ds.n_inputs)), report
+    lhs, rhs, scale, record = _unfolded(ds, cfg.prf_selector)
+    return ds.with_data(unflatten((lhs * scale) @ rhs, ds.n_outputs, ds.n_inputs)), [record]
 
 
 def _hankel(ds: ResponseDataset, cfg: PrankConfig):
     """Hankel-TSVD every (o, i) time series independently; blind to the rest."""
     _check_hankel_input(ds)
     out, record = hankel_tsvd_series(ds.data, cfg.hankel_window, cfg.hankel_selector)
-    return ds.with_data(out), FilterReport([record], record.seconds)
+    return ds.with_data(out), [record]
 
 
 def _hip(ds: ResponseDataset, cfg: PrankConfig):
@@ -170,15 +174,14 @@ def _hip(ds: ResponseDataset, cfg: PrankConfig):
     vectors are reused.
     """
     _check_hankel_input(ds)
-    lhs, rhs, scale, report = _unfolded(ds, cfg.prf_selector)
+    lhs, rhs, scale, prf = _unfolded(ds, cfg.prf_selector)
     unit, norm = _unit_columns(lhs)
     rows, record = hankel_tsvd_series(unit.T, cfg.hankel_window, cfg.hankel_selector)
     record.name = "hankel_in_prf"
-    report.stages.append(record)
-    return ds.with_data(unflatten((rows.T * norm * scale) @ rhs, ds.n_outputs, ds.n_inputs)), report
+    return ds.with_data(unflatten((rows.T * norm * scale) @ rhs, ds.n_outputs, ds.n_inputs)), [prf, record]
 
 
-# every variant as its domain and its stages, run in order; each maps (ds, cfg) to (ds, report)
+# every variant as its domain and its stages, run in order; each maps (ds, cfg) to (ds, [StageRecord, ...])
 _CHAINS = {
     Variant.CLASSIC: (Domain.FREQUENCY, (_classic,)),
     Variant.PRF: (Domain.TIME, (_prf,)),
@@ -198,11 +201,9 @@ def apply_filter(ds: ResponseDataset, cfg: PrankConfig):
                         f"starts at 0, got axis_start = {ds.axis_start}; for a cut band use classic or prf_tsvd")
     t0 = time.perf_counter()
     work, restore = _working(ds, domain)
-    report = FilterReport()
+    records = []
     for stage in stages:
-        work, stage_report = stage(work, cfg)
-        report.stages += stage_report.stages
-        report.flags += stage_report.flags
+        work, stage_records = stage(work, cfg)
+        records += stage_records
     result = restore(work)
-    report.total_seconds = time.perf_counter() - t0
-    return result, report
+    return result, FilterReport(records, time.perf_counter() - t0)

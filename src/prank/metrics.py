@@ -8,7 +8,8 @@ import numpy as np
 
 from .dataset import Domain, ResponseDataset, _write_csv
 from .errors import ConvergenceError, DomainError, NonFiniteError, ShapeMismatch
-from .tsvd import _finite, _unit_exponent
+from .selection import _unit_exponent
+from .tsvd import _finite
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,9 @@ class StageRecord:
     ``seconds`` covers the factorization and rank selection of a PRF stage,
     every call of a multi-call stage; the chain's one domain bridge
     (``filters.apply_filter``) and the PRF rebuild count only toward
-    ``FilterReport.total_seconds``.
+    ``FilterReport.total_seconds``.  Each stage of a chain hands back its
+    records (HiP's "prf" and "hankel_in_prf"); only ``filters.apply_filter``
+    and ``filters.prf_tsvd`` gather them into a ``FilterReport``.
     """
 
     name: str
@@ -60,7 +62,11 @@ class StageRecord:
 class FilterReport:
     stages: list = field(default_factory=list)
     total_seconds: float = 0.0
-    flags: list = field(default_factory=list)
+
+    @property
+    def flags(self) -> list:
+        """Failure signatures read off the records: ``prf_rank_zero``, a PRF stage kept no component."""
+        return ["prf_rank_zero"] if any(rec.name == "prf" and rec.rank == 0 for rec in self.stages) else []
 
     def stage(self, name: str) -> StageRecord:
         for rec in self.stages:

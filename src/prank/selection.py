@@ -24,7 +24,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyError
+from .errors import DimensionMismatch, EmptyError, NonFiniteError
 
 CORR_GRID = tuple(np.arange(1.0, 4.0 + 1e-9, 0.25))
 # Tail residuals closer than this fraction of the tail's energy are a tie.
@@ -55,6 +55,8 @@ class AbsoluteThreshold:
     def __post_init__(self):
         if not self.eps >= 0:
             raise ValueError(f"threshold must be nonnegative, got {self.eps}")
+        if not isinstance(self.mode, ThresholdMode):
+            raise ValueError(f"unknown threshold mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,8 @@ class RelativeThreshold:
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
             raise ValueError("relative threshold must lie in (0, 1)")
+        if not isinstance(self.mode, ThresholdMode):
+            raise ValueError(f"unknown threshold mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -223,7 +227,7 @@ def _fit(S: np.ndarray, shape: tuple, tail_fraction: float) -> tuple:
 
 
 def mp_fit(S: np.ndarray, shape: tuple, tail_fraction: float = 0.5) -> tuple:
-    """Estimate (sigma_n, corr) from the tail of a singular-value vector.
+    """(sigma_n, corr) of ``e15(S, shape, tail_fraction=tail_fraction)``: the noise fit.
 
     Grid search over corr in {1.0, 1.25, ..., 4.0}; for each candidate the
     scale sigma follows from closed-form least squares of the tail (last
@@ -231,16 +235,31 @@ def mp_fit(S: np.ndarray, shape: tuple, tail_fraction: float = 0.5) -> tuple:
     unit-sigma quantile curve.  Smallest-residual pair wins; ties, residuals
     within 1e-12 of the tail's energy, resolve to the smallest corr.  An
     all-zero tail yields (0.0, 1.0); a ``tail_fraction`` outside (0, 1)
-    raises ValueError.
+    raises ValueError.  Exact at any finite magnitude, as ``e15``.
     """
-    if not 0.0 < tail_fraction < 1.0:
-        raise ValueError("tail_fraction must lie in (0, 1)")
-    sigma, corr, _, _ = _fit(_spectra(S, shape)[None, :], shape, tail_fraction)
-    return float(sigma[0]), float(corr[0])
+    model = e15(S, shape, tail_fraction=tail_fraction)
+    return model.sigma_n, model.corr
+
+
+def _unit_exponent(A: np.ndarray, axis) -> np.ndarray:
+    """Exponents e, one per slice of A over ``axis``, such that 2^e times the
+    slice has its largest |entry| in [1, 2): an exact scaling under which
+    squaring neither overflows nor underflows.  e is capped at 1023 so 2^e
+    stays finite; a subnormal peak lands at 2^-51 or above.  NaN or infinite
+    entries raise NonFiniteError."""
+    peak = np.max(np.abs(A), axis=axis, initial=0.0)
+    if not np.all(np.isfinite(peak)):
+        raise NonFiniteError("matrix entries must be finite")
+    return np.minimum(1 - np.frexp(peak)[1], 1023)
 
 
 def _e15(S: np.ndarray, shape: tuple, mu: float, tail_fraction: float) -> E15Model:
-    """e15 on every row of S (n, p); the stacked E15Model."""
+    """e15 on every row of S (n, p); the stacked E15Model.  The fit and the
+    cleaning square S, so each row runs at the power of two that brings its
+    peak into [1, 2) (``_unit_exponent``) and sigma_n, mp_curve and
+    cleaned_s are scaled back: exact at any finite magnitude."""
+    e = _unit_exponent(S, -1)
+    S = S * np.ldexp(1.0, e)[:, None]
     sigma_n, corr, curve, misfit = _fit(S, shape, tail_fraction)
     with np.errstate(divide="ignore", invalid="ignore"):
         cleanliness = np.where(S > 0.0, 1.0 - curve / np.where(S > 0.0, S, 1.0), 0.0)
@@ -249,7 +268,8 @@ def _e15(S: np.ndarray, shape: tuple, mu: float, tail_fraction: float) -> E15Mod
     rank = np.where(above.all(axis=-1), S.shape[-1], np.argmin(above, axis=-1))
     kept = np.arange(S.shape[-1]) < rank[:, None]
     cleaned = np.where(kept, np.sqrt(np.maximum(S**2 - curve**2, 0.0)), 0.0)
-    return E15Model(sigma_n, corr, curve, cleanliness, rank, cleaned, misfit)
+    back = np.ldexp(1.0, -e)[:, None]
+    return E15Model(sigma_n * back[:, 0], corr, curve * back, cleanliness, rank, cleaned * back, misfit)
 
 
 def _first_row(model: E15Model) -> E15Model:

@@ -18,14 +18,15 @@ so finite data of any magnitude is taken.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConvergenceError, NonFiniteError, ShapeError, WindowError
 from .report import StageRecord
-from .selection import E15, SelectionStrategy, evaluate
+from .selection import E15, SelectionStrategy, _unit_exponent, evaluate
 
 
 @dataclass(frozen=True)
@@ -74,18 +75,6 @@ def _finite(A) -> np.ndarray:
     return A
 
 
-def _unit_exponent(A: np.ndarray, axis) -> np.ndarray:
-    """Exponents e, one per slice of A over ``axis``, such that 2^e times the
-    slice has its largest |entry| in [1, 2): an exact scaling under which
-    squaring neither overflows nor underflows.  e is capped at 1023 so 2^e
-    stays finite; a subnormal peak lands at 2^-51 or above.  NaN or infinite
-    entries raise NonFiniteError."""
-    peak = np.max(np.abs(A), axis=axis, initial=0.0)
-    if not np.all(np.isfinite(peak)):
-        raise NonFiniteError("matrix entries must be finite")
-    return np.minimum(1 - np.frexp(peak)[1], 1023)
-
-
 def auto_window(n: int) -> int:
     """Near-square default: maximizes min(L, K) to maximize separable rank."""
     return n // 2 + 1
@@ -104,7 +93,10 @@ def hankelize(series: np.ndarray, window: Optional[int] = None) -> np.ndarray:
 
 
 def _window(n: int, window: Optional[int]) -> int:
-    """The window length L of an n-sample series: ``window`` or ``auto_window(n)``, in [1, n]."""
+    """The window length L of an n-sample series: ``window`` or ``auto_window(n)``, in [1, n].
+    A ``window`` that is not an integer (a bool or a float) raises WindowError, never floored."""
+    if window is not None and (isinstance(window, bool) or not isinstance(window, Integral)):
+        raise WindowError(f"window must be an integer, got {window!r}")
     L = auto_window(n) if window is None else int(window)
     if not 1 <= L <= n:
         raise WindowError(f"window {L} outside [1, {n}]")
@@ -146,11 +138,11 @@ def _gram(A: np.ndarray, selector: SelectionStrategy):
 
     Finite data of any magnitude is taken: squaring would overflow above
     about 1e154 and underflow below about 1e-154, so each matrix is first
-    normalised by a power of two (``_unit_exponent``), and S, sigma_n,
-    mp_curve and cleaned_s are scaled back, all exactly.  e15, which
-    squares S too, runs on the normalised spectrum; the other selectors see
-    S itself (an absolute threshold is not scale-free).  NaN or infinite
-    entries raise NonFiniteError, a backend failure ConvergenceError.
+    normalised by a power of two (``_unit_exponent``) and S is scaled back,
+    exactly.  Every selector sees S itself (e15 normalises what it squares;
+    an absolute threshold is not scale-free); only e15's shape rule is
+    checked here, before the eigendecomposition.  NaN or infinite entries
+    raise NonFiniteError, a backend failure ConvergenceError.
 
     Returns (S, rank, model, lhs, rhs, scale), the truncation being
     (lhs * scale) @ rhs, scale of shape (..., 1, r): lhs = U_r and
@@ -167,15 +159,8 @@ def _gram(A: np.ndarray, selector: SelectionStrategy):
         w, Q = np.linalg.eigh(An @ Anh if left else Anh @ An)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(str(exc)) from exc
-    Sn = np.sqrt(np.maximum(w[..., ::-1], 0.0))
-    S = np.ldexp(Sn, -e[..., None])
-    if isinstance(selector, E15):
-        rank, model = evaluate(Sn, A.shape[-2:], selector)
-        model = replace(model, sigma_n=np.ldexp(model.sigma_n, -e),
-                        mp_curve=np.ldexp(model.mp_curve, -e[..., None]),
-                        cleaned_s=np.ldexp(model.cleaned_s, -e[..., None]))
-    else:
-        rank, model = evaluate(S, A.shape[-2:], selector)
+    S = np.ldexp(np.sqrt(np.maximum(w[..., ::-1], 0.0)), -e[..., None])
+    rank, model = evaluate(S, A.shape[-2:], selector)
     r = int(np.max(rank, initial=0))
     s = S[..., :r]
     if model is None:

@@ -341,6 +341,16 @@ def test_convert_needs_destination(tmp_path):
     assert run(["convert", str(src)]) == 2
 
 
+def test_convert_overlong_unit_label_is_format_error_and_writes_nothing(tmp_path, capsys):
+    # the header holds the label's UTF-8 length in a u16
+    as_time = tmp_path / "t.prnk"
+    assert run(["convert", str(synth_small(tmp_path)), "--to-time", "-o", str(as_time)]) == 0
+    before = sorted(tmp_path.iterdir())
+    assert run(["convert", str(as_time), "--to-freq", "--unit", "x" * 70000, "-o", str(tmp_path / "f.prnk")]) == 2
+    assert "70000 bytes" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 # ------------------------------------------------------- errors and config
 
 def test_bad_magic_is_format_error(tmp_path):

@@ -283,6 +283,18 @@ def test_malformed_unit_label_is_format_error(tmp_path):
         read_dataset(path)
 
 
+def test_unit_label_longer_than_its_u16_length_is_format_error(tmp_path):
+    # 65535 UTF-8 bytes round-trip; one more raises before any file is made
+    path = tmp_path / "ds.prnk"
+    label = "é" * 32767 + "x"
+    write_dataset(make_ds(np.ones((1, 1, 4)), unit_label=label), path)
+    assert read_dataset(path).unit_label == label
+    path.unlink()
+    with pytest.raises(FormatError, match="65536 bytes"):
+        write_dataset(make_ds(np.ones((1, 1, 4)), unit_label="é" * 32768), path)
+    assert not list(tmp_path.iterdir())
+
+
 def test_trailing_bytes_rejected(tmp_path):
     ds = make_ds(np.ones((1, 1, 4)))
     path = tmp_path / "ds.prnk"

@@ -19,6 +19,7 @@ from prank import (
     ShapeError,
     StageRecord,
     Variant,
+    WindowError,
     add_noise,
     add_offsets,
     apply_filter,
@@ -243,6 +244,12 @@ def test_prf_zero_rank_flags_report(clean_bench):
     assert "prf_rank_zero" in report.flags
     assert np.all(out.data == 0)
     assert prfs.shape == (clean_bench.n_bins, 0)
+    # the flag is read off the records, whatever the chain and the stage's place in it
+    for variant in (Variant.PRF, Variant.PRANK_PH, Variant.PRANK_HP):
+        out, report = apply_filter(clean_bench, PrankConfig(variant, prf_selector=FixedRank(0), hankel_selector=FULL))
+        assert report.flags == ["prf_rank_zero"], variant
+        assert np.all(out.data == 0)
+    assert apply_filter(clean_bench, PrankConfig(Variant.PRF, prf_selector=FixedRank(1)))[1].flags == []
 
 
 def test_prf_rejects_single_entry():
@@ -515,6 +522,19 @@ def test_config_rejects_frequency_working_domain():
     # stage domains are fixed; only the time value of the field remains
     with pytest.raises(DomainError):
         PrankConfig(domain=Domain.FREQUENCY)
+
+
+@pytest.mark.parametrize("window", [40.9, True, 0, -3, "40"])
+def test_config_rejects_a_window_that_is_not_a_positive_integer(window):
+    # checked when built: never floored, and True is not a window of 1
+    with pytest.raises(WindowError, match="hankel_window"):
+        PrankConfig(hankel_window=window)
+
+
+@pytest.mark.parametrize("field", ["prf_selector", "hankel_selector"])
+def test_config_rejects_a_selector_that_is_not_a_strategy(field):
+    with pytest.raises(ValueError, match=f"{field} must be a selection strategy"):
+        PrankConfig(**{field: "e15"})
 
 
 @pytest.mark.parametrize("variant", list(Variant))

@@ -119,6 +119,9 @@ def test_strategy_validation():
             FixedRank(r)
     with pytest.raises(TypeError):
         evaluate(np.ones(4), (4, 4), "e15")
+    for strategy in (AbsoluteThreshold, RelativeThreshold):  # the mode's value string is not a mode
+        with pytest.raises(ValueError, match="unknown threshold mode 'per_value'"):
+            strategy(0.5, "per_value")
 
 
 @pytest.mark.parametrize("kw", [{"mu": 5.0}, {"mu": 0.0}, {"tail_fraction": 2.0}])
@@ -214,6 +217,15 @@ def test_mp_fit_homogeneity():
     assert c1 == c2
 
 
+def test_mp_fit_is_exact_where_the_tail_squares_to_subnormals():
+    # each column twice: rank 100, so the fitted tail is rounding noise near
+    # 1e-15; at 2^-600 its squares would underflow unless the fit normalises
+    rng = np.random.default_rng(3)
+    S = np.linalg.svd(np.repeat(complex_noise(rng, 200, 100), 2, axis=1), compute_uv=False)
+    sigma, corr = mp_fit(S, (200, 200))
+    assert mp_fit(2.0**-600 * S, (200, 200)) == (2.0**-600 * sigma, corr)
+
+
 # -------------------------------------------------------------------- e15
 
 def test_e15_noiseless_low_rank():
@@ -251,14 +263,19 @@ def test_e15_planted_signal_cleaned_values():
     assert model.cleaned_s[0] == pytest.approx(signal_s[0], rel=0.05)
 
 
-@pytest.mark.parametrize("tail_fraction", [0.5, 0.25])
-def test_e15_tail_misfit_covers_the_fitted_tail(tail_fraction):
+def rank3_spectrum():
+    """The spectrum of three planted components over 201 x 200 unit noise, and that shape."""
     rng = np.random.default_rng(14)
     m, n = 201, 200
     qu, _ = np.linalg.qr(complex_noise(rng, m, 3))
     qv, _ = np.linalg.qr(complex_noise(rng, n, 3))
     A = (qu * [300.0, 200.0, 100.0]) @ qv.conj().T + complex_noise(rng, m, n)
-    S = np.linalg.svd(A, compute_uv=False)
+    return np.linalg.svd(A, compute_uv=False), (m, n)
+
+
+@pytest.mark.parametrize("tail_fraction", [0.5, 0.25])
+def test_e15_tail_misfit_covers_the_fitted_tail(tail_fraction):
+    S, (m, n) = rank3_spectrum()
     _, model = evaluate(S, (m, n), E15(0.10, tail_fraction))
     tail = slice(int(n * (1.0 - tail_fraction)), None)
     expected = np.linalg.norm(S[tail] - model.mp_curve[tail]) / np.linalg.norm(S[tail])
@@ -267,15 +284,24 @@ def test_e15_tail_misfit_covers_the_fitted_tail(tail_fraction):
     assert f"e15_tail_misfit: {expected:.4f}" in text
 
 
-def test_e15_homogeneity():
-    rng = np.random.default_rng(12)
-    S = np.linalg.svd(complex_noise(rng, 80, 80), compute_uv=False) + np.linspace(40, 0, 80)
-    m1 = e15(S, (80, 80), 0.10)
-    m2 = e15(7.0 * S, (80, 80), 0.10)
-    assert m2.rank == m1.rank
-    assert np.allclose(m2.cleanliness, m1.cleanliness, atol=1e-12)
-    assert m2.sigma_n == pytest.approx(7.0 * m1.sigma_n, rel=1e-12)
-    assert np.allclose(m2.cleaned_s, 7.0 * m1.cleaned_s, rtol=1e-12)
+@pytest.mark.parametrize("factor", [7.0, 2.0**-600, 2.0**-3, 2.0**520, 2.0**600],
+                         ids=["7", "2^-600", "2^-3", "2^520", "2^600"])
+def test_e15_homogeneity(factor):
+    # a power of two scales every field exactly, at any finite magnitude,
+    # though the fit squares S (2^520 S overflows, 2^-600 S underflows)
+    S, shape = rank3_spectrum()
+    m1 = e15(S, shape, 0.10)
+    m2 = e15(factor * S, shape, 0.10)
+    assert m1.rank == 3 and m2.rank == m1.rank
+    if factor == 7.0:
+        assert np.allclose(m2.cleanliness, m1.cleanliness, atol=1e-12)
+        assert m2.sigma_n == pytest.approx(7.0 * m1.sigma_n, rel=1e-12)
+        assert np.allclose(m2.cleaned_s, 7.0 * m1.cleaned_s, rtol=1e-12)
+        return
+    assert np.array_equal(m2.cleanliness, m1.cleanliness) and m2.tail_misfit == m1.tail_misfit
+    assert m2.sigma_n == factor * m1.sigma_n
+    assert np.array_equal(m2.cleaned_s, factor * m1.cleaned_s)
+    assert np.array_equal(m2.mp_curve, factor * m1.mp_curve)
 
 
 def test_e15_invariants():

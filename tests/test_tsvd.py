@@ -216,6 +216,10 @@ def test_hankelize_window_errors():
         hankelize(np.arange(5.0), window=0)
     with pytest.raises(WindowError):
         hankelize(np.arange(5.0), window=6)
+    for window in (2.9, 3.0, True):  # not floored or cast
+        with pytest.raises(WindowError, match="integer"):
+            hankelize(np.arange(6.0), window)
+    assert hankelize(np.arange(6.0), np.int64(2)).shape == (2, 5)
 
 
 def test_dehankelize_inverts_hankelize():
