@@ -81,8 +81,10 @@ class ChainSystem:
 
 @dataclass(frozen=True)
 class ModalModel:
-    """Eigenfrequencies (rad/s, nondecreasing), mass-normalized shapes and
-    per-mode viscous damping ratios."""
+    """Eigenfrequencies (rad/s, nondecreasing), mass-normalized shapes (one
+    column per mode) and per-mode viscous damping ratios.  Built only from
+    finite values, nonnegative frequencies and damping, one of each per
+    mode; anything else raises ValueError."""
 
     frequencies: np.ndarray
     shapes: np.ndarray
@@ -91,8 +93,16 @@ class ModalModel:
 
     def __post_init__(self):
         w = np.asarray(self.frequencies, dtype=float)
+        shapes, damping = np.asarray(self.shapes), np.asarray(self.damping, dtype=float)
+        if w.ndim != 1 or not np.all(np.isfinite(w)):
+            raise ValueError("frequencies must be a finite 1-D array")
         if np.any(np.diff(w) < 0) or np.any(w < 0):
             raise ValueError("frequencies must be nonnegative and nondecreasing")
+        if shapes.ndim != 2 or shapes.shape[1] != len(w) or not np.all(np.isfinite(shapes)):
+            raise ValueError(f"shapes must be finite, one column per mode: {len(w)} modes, shape {shapes.shape}")
+        if damping.shape != w.shape or not np.all(np.isfinite(damping)) or np.any(damping < 0):
+            raise ValueError(f"damping must be finite and nonnegative, one value per mode: {len(w)} modes, "
+                             f"shape {damping.shape}")
 
     @property
     def n_modes(self) -> int:
@@ -207,7 +217,8 @@ def eigen(sys: ChainSystem) -> ModalModel:
     vecs = w[:, None] * y
     vecs = vecs * _pivot_phase(vecs)
     freqs = np.sqrt(np.clip(vals, 0.0, None))
-    modal_damp = np.einsum("ij,ij->j", vecs, D @ vecs)
+    # v^T D v of a semidefinite D: a negative value is rounding (a rigid-body mode)
+    modal_damp = np.maximum(np.einsum("ij,ij->j", vecs, D @ vecs), 0.0)
     flexible = freqs > _RIGID_TOL
     damping = np.zeros_like(freqs)
     damping[flexible] = modal_damp[flexible] / (2.0 * freqs[flexible])

@@ -92,12 +92,12 @@ class ResponseDataset:
         return ResponseDataset(data, self.domain, self.axis_start, self.axis_step, self.unit_label)
 
 
-def flatten(ds: ResponseDataset) -> np.ndarray:
-    """Unfold (n_o, n_i, n_k) data into an n_k x (n_o*n_i) array whose
+def flatten(data: np.ndarray) -> np.ndarray:
+    """Unfold an (n_o, n_i, n_k) array into an n_k x (n_o*n_i) array whose
     column j holds entry (o, i) = (j % n_o, j // n_o): output index fastest."""
-    n_o, n_i, n_k = ds.data.shape
+    n_o, n_i, n_k = data.shape
     # transpose to (k, i, o); C-order reshape gives column index j = i*n_o + o
-    return ds.data.transpose(2, 1, 0).reshape(n_k, n_o * n_i)
+    return data.transpose(2, 1, 0).reshape(n_k, n_o * n_i)
 
 
 def unflatten(matrix: np.ndarray, n_o: int, n_i: int) -> np.ndarray:

@@ -5,12 +5,13 @@ stage alone, in the domain of its input, and returns the principal
 response functions.  Both return the filtered dataset and its
 ``FilterReport``, and are the only builders of one; shape, domain tag and
 axis metadata of the input are always preserved.  Every variant is a chain
-of stages (``_CHAINS``), each handing back its ``StageRecord``s, and each
-stage has one domain: classic runs on spectral lines, the Hankel stages on
-the real time record (an impulse response is a sum of damped exponentials,
-so its Hankel matrix is low rank; an FRF's is not), and the PRF stage on
-whatever it is handed.  ``apply_filter`` holds the single
-bridge (``_working``): the input goes to the chain's domain once, the
+of stages (``_CHAINS``); a stage maps the (n_o, n_i, n_k) array to a new
+one and hands back its ``StageRecord``s.  Each stage has one domain:
+classic runs on spectral lines, the Hankel stages on the real time record
+(an impulse response is a sum of damped exponentials, so its Hankel matrix
+is low rank; an FRF's is not), and the PRF stage on whatever it is handed.
+``apply_filter`` holds the chain's only dataset: it bridges the input to the
+chain's domain once, folds the stages over its array, and bridges the
 result back once.  All but classic use two stages:
 
 - the PRF stage (``_unfolded``): unfolding, one eigendecomposition of the
@@ -75,16 +76,7 @@ class PrankConfig:
             raise WindowError(f"hankel_window must be None or a positive integer, got {window!r}")
 
 
-def _working(ds: ResponseDataset, domain: Domain):
-    """The one domain bridge, called by ``apply_filter`` only: ``ds`` in ``domain``,
-    and a restore that maps a dataset in ``domain`` back to the tag and axes of ``ds``."""
-    if domain is ds.domain:
-        return ds, lambda out: out
-    there, back = (to_time, to_frequency) if domain is Domain.TIME else (to_frequency, to_time)
-    return there(ds), lambda out: ds.with_data(back(out).data)
-
-
-def _classic(ds: ResponseDataset, cfg: PrankConfig):
+def _classic(data: np.ndarray, cfg: PrankConfig):
     """Independent TSVD of the n_o x n_i slice at every spectral line.
 
     One stacked ``gram_tsvd`` call truncates all n_k slices: one stacked
@@ -93,19 +85,19 @@ def _classic(ds: ResponseDataset, cfg: PrankConfig):
     projection.  Each line is one call of the record (``StageRecord.of_calls``).
     Under e15 a line needs 2 outputs and 2 inputs (``tsvd._gram``).
     """
-    n_o, n_i = ds.n_outputs, ds.n_inputs
+    n_o, n_i, _ = data.shape
     if max(n_o, n_i) < 2:
         raise ShapeError("per-line filtering needs 2 outputs or 2 inputs")
     t0 = time.perf_counter()
-    out, *call = gram_tsvd(ds.data.transpose(2, 0, 1), cfg.prf_selector)
+    out, *call = gram_tsvd(data.transpose(2, 0, 1), cfg.prf_selector)
     record = StageRecord.of_calls("classic", (n_o, n_i), [call], time.perf_counter() - t0)
-    return ds.with_data(out.transpose(1, 2, 0)), [record]
+    return out.transpose(1, 2, 0), [record]
 
 
-def _unfolded(ds: ResponseDataset, selector: SelectionStrategy):
-    """The PRF stage: one Gram TSVD (``tsvd._gram``) of the spectrally-unfolded
-    n_k x n_o*n_i matrix A, as the factors of its rank-r rebuild
-    (lhs * scale) @ rhs.
+def _unfolded(data: np.ndarray, selector: SelectionStrategy):
+    """The PRF stage: one Gram TSVD (``tsvd._gram``) of the n_k x n_o*n_i
+    matrix A that ``flatten`` unfolds from the (n_o, n_i, n_k) array
+    ``data``, as the factors of its rank-r rebuild (lhs * scale) @ rhs.
 
     Column j of lhs lies along the left singular vector u_j, in ``_gram``'s
     phase (the multiple depends on the Gram side, which only ``_gram``
@@ -113,10 +105,10 @@ def _unfolded(ds: ResponseDataset, selector: SelectionStrategy):
     every other selector, so a full rank gives A back without dividing by
     s.  Returns (lhs, rhs, scale, record).
     """
-    n_o, n_i = ds.n_outputs, ds.n_inputs
+    n_o, n_i, _ = data.shape
     if n_o * n_i < 2:
         raise ShapeError("unfolded filtering needs at least 2 spatial entries")
-    matrix = flatten(ds)
+    matrix = flatten(data)
     t0 = time.perf_counter()
     S, rank, model, lhs, rhs, scale = _gram(matrix, selector)
     return lhs, rhs, scale, StageRecord("prf", matrix.shape, S, rank, model, time.perf_counter() - t0)
@@ -140,31 +132,31 @@ def prf_tsvd(ds: ResponseDataset, selector: SelectionStrategy):
     retained component, each phased as ``svd``'s (``_pivot_phase``).
     """
     t0 = time.perf_counter()
-    lhs, rhs, scale, record = _unfolded(ds, selector)
+    lhs, rhs, scale, record = _unfolded(ds.data, selector)
     result = ds.with_data(unflatten((lhs * scale) @ rhs, ds.n_outputs, ds.n_inputs))
     report = FilterReport([record], time.perf_counter() - t0)
     return result, report, _unit_columns(lhs * _pivot_phase(lhs))[0] * record.singular_values[:lhs.shape[1]]
 
 
-def _check_hankel_input(ds: ResponseDataset):
-    """The one dataset check of both Hankel stages: at least 4 samples."""
-    if ds.n_bins < 4:
+def _check_hankel_input(data: np.ndarray):
+    """The one input check of both Hankel stages: at least 4 samples."""
+    if data.shape[-1] < 4:
         raise ShapeError("Hankel filtering needs at least 4 samples")
 
 
-def _prf(ds: ResponseDataset, cfg: PrankConfig):
-    lhs, rhs, scale, record = _unfolded(ds, cfg.prf_selector)
-    return ds.with_data(unflatten((lhs * scale) @ rhs, ds.n_outputs, ds.n_inputs)), [record]
+def _prf(data: np.ndarray, cfg: PrankConfig):
+    lhs, rhs, scale, record = _unfolded(data, cfg.prf_selector)
+    return unflatten((lhs * scale) @ rhs, *data.shape[:2]), [record]
 
 
-def _hankel(ds: ResponseDataset, cfg: PrankConfig):
+def _hankel(data: np.ndarray, cfg: PrankConfig):
     """Hankel-TSVD every (o, i) time series independently; blind to the rest."""
-    _check_hankel_input(ds)
-    out, record = hankel_tsvd_series(ds.data, cfg.hankel_window, cfg.hankel_selector)
-    return ds.with_data(out), [record]
+    _check_hankel_input(data)
+    out, record = hankel_tsvd_series(data, cfg.hankel_window, cfg.hankel_selector)
+    return out, [record]
 
 
-def _hip(ds: ResponseDataset, cfg: PrankConfig):
+def _hip(data: np.ndarray, cfg: PrankConfig):
     """Mixed pipeline: Hankel-filter only the retained PRF left vectors.
 
     The Hankel row stage runs on the unit columns of the PRF stage's lhs,
@@ -173,15 +165,15 @@ def _hip(ds: ResponseDataset, cfg: PrankConfig):
     so the PRF singular values (e15-cleaned when applicable) and right
     vectors are reused.
     """
-    _check_hankel_input(ds)
-    lhs, rhs, scale, prf = _unfolded(ds, cfg.prf_selector)
+    _check_hankel_input(data)
+    lhs, rhs, scale, prf = _unfolded(data, cfg.prf_selector)
     unit, norm = _unit_columns(lhs)
     rows, record = hankel_tsvd_series(unit.T, cfg.hankel_window, cfg.hankel_selector)
     record.name = "hankel_in_prf"
-    return ds.with_data(unflatten((rows.T * norm * scale) @ rhs, ds.n_outputs, ds.n_inputs)), [prf, record]
+    return unflatten((rows.T * norm * scale) @ rhs, *data.shape[:2]), [prf, record]
 
 
-# every variant as its domain and its stages, run in order; each maps (ds, cfg) to (ds, [StageRecord, ...])
+# every variant as its domain and its stages, run in order; each maps (data, cfg) to (data, [StageRecord, ...])
 _CHAINS = {
     Variant.CLASSIC: (Domain.FREQUENCY, (_classic,)),
     Variant.PRF: (Domain.TIME, (_prf,)),
@@ -194,16 +186,19 @@ _CHAINS = {
 
 def apply_filter(ds: ResponseDataset, cfg: PrankConfig):
     """Run the configured variant on a dataset in either domain: bridge ``ds``
-    to the variant's domain, run its stages, bridge back."""
+    to the variant's domain once, fold its stages over the array, and build
+    the one output dataset, bridged back onto the tag and axes of ``ds``."""
     domain, stages = _CHAINS[cfg.variant]
     if domain is Domain.TIME and ds.domain is Domain.FREQUENCY and ds.axis_start != 0.0:
         raise AxisError(f"variant {cfg.variant.value} runs on the time record, so it needs a spectrum that "
                         f"starts at 0, got axis_start = {ds.axis_start}; for a cut band use classic or prf_tsvd")
     t0 = time.perf_counter()
-    work, restore = _working(ds, domain)
-    records = []
+    work = ds if domain is ds.domain else (to_time if domain is Domain.TIME else to_frequency)(ds)
+    data, records = work.data, []
     for stage in stages:
-        work, stage_records = stage(work, cfg)
+        data, stage_records = stage(data, cfg)
         records += stage_records
-    result = restore(work)
+    result = work.with_data(data)
+    if domain is not ds.domain:
+        result = ds.with_data((to_time if ds.domain is Domain.TIME else to_frequency)(result).data)
     return result, FilterReport(records, time.perf_counter() - t0)

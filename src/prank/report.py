@@ -27,9 +27,9 @@ class StageRecord:
     ``seconds`` covers the factorization and rank selection of a PRF stage,
     every call of a multi-call stage; the chain's one domain bridge
     (``filters.apply_filter``) and the PRF rebuild count only toward
-    ``FilterReport.total_seconds``.  Each stage of a chain hands back its
-    records (HiP's "prf" and "hankel_in_prf"); only ``filters.apply_filter``
-    and ``filters.prf_tsvd`` gather them into a ``FilterReport``.
+    ``FilterReport.total_seconds``.  Each chain stage maps an array to an
+    array and hands back its records (HiP's "prf" and "hankel_in_prf"); only
+    ``filters.apply_filter`` and ``filters.prf_tsvd`` build datasets and reports.
     """
 
     name: str

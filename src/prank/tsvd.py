@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, NonFiniteError, ShapeError, WindowError
+from .errors import ConvergenceError, DimensionMismatch, NonFiniteError, ShapeError, WindowError
 from .report import StageRecord
 from .selection import E15, SelectionStrategy, _unit_exponent, evaluate
 
@@ -44,10 +44,10 @@ def svd(A: np.ndarray) -> SVDFactorization:
 
     ``_pivot_phase`` rotates each left vector so its largest-magnitude entry
     is real and positive, and the matching right vector alike, so U diag(S)
-    V^H is unchanged.  NaN or infinite entries raise NonFiniteError, a
-    backend failure ConvergenceError.
+    V^H is unchanged.  Fewer than 2 dimensions raise DimensionMismatch, NaN
+    or infinite entries NonFiniteError, a backend failure ConvergenceError.
     """
-    A = _finite(A)
+    A = _finite(_matrices(A))
     try:
         U, S, Vh = np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -68,6 +68,14 @@ def _pivot_phase(U: np.ndarray) -> np.ndarray:
     return np.divide(np.conj(pivots), mag, out=np.ones_like(pivots), where=mag > 0)
 
 
+def _matrices(A) -> np.ndarray:
+    """``A`` as an array, one matrix or a stack (..., m, n); fewer than 2 dimensions raise DimensionMismatch."""
+    A = np.asarray(A)
+    if A.ndim < 2:
+        raise DimensionMismatch(f"expected a matrix or a stack of matrices, got ndim={A.ndim}")
+    return A
+
+
 def _finite(A) -> np.ndarray:
     A = np.asarray(A)
     if not np.all(np.isfinite(A)):
@@ -82,8 +90,11 @@ def auto_window(n: int) -> int:
 
 def hankelize(series: np.ndarray, window: Optional[int] = None) -> np.ndarray:
     """The L x (n - L + 1) array H[a, b] = series[a + b], L = ``window`` or
-    ``auto_window(n)``; n and L are H.shape[0] + H.shape[1] - 1 and H.shape[0]."""
+    ``auto_window(n)``; n and L are H.shape[0] + H.shape[1] - 1 and H.shape[0].
+    A series that is not 1-D raises DimensionMismatch."""
     series = np.asarray(series)
+    if series.ndim != 1:
+        raise DimensionMismatch(f"hankelize takes a 1-D series, got ndim={series.ndim}")
     n = len(series)
     if n < 2:
         raise WindowError(f"series too short ({n} samples)")
@@ -109,8 +120,11 @@ def dehankelize_ssa(M: np.ndarray) -> np.ndarray:
     Real and imaginary parts are averaged independently.  The mean is taken
     around each anti-diagonal's first element so a matrix that is exactly
     Hankel inverts bit-exactly (deviations are identically zero there).
+    A matrix that is not 2-D raises DimensionMismatch.
     """
     M = np.asarray(M)
+    if M.ndim != 2:
+        raise DimensionMismatch(f"dehankelize_ssa takes a 2-D matrix, got ndim={M.ndim}")
     L, K = M.shape
     n = L + K - 1
     idx = np.arange(L)[:, None] + np.arange(K)[None, :]
@@ -141,14 +155,15 @@ def _gram(A: np.ndarray, selector: SelectionStrategy):
     normalised by a power of two (``_unit_exponent``) and S is scaled back,
     exactly.  Every selector sees S itself (e15 normalises what it squares;
     an absolute threshold is not scale-free); only e15's shape rule is
-    checked here, before the eigendecomposition.  NaN or infinite entries
-    raise NonFiniteError, a backend failure ConvergenceError.
+    checked here, before the eigendecomposition.  Fewer than 2 dimensions
+    raise DimensionMismatch, NaN or infinite entries NonFiniteError, a
+    backend failure ConvergenceError.
 
     Returns (S, rank, model, lhs, rhs, scale), the truncation being
     (lhs * scale) @ rhs, scale of shape (..., 1, r): lhs = U_r and
     rhs = U_r^H A when m <= n, else lhs = A V_r and rhs = V_r^H.
     """
-    A = np.asarray(A)
+    A = _matrices(A)
     if isinstance(selector, E15) and min(A.shape[-2:]) < 2:
         raise ShapeError(f"e15 on a {A.shape[-2]} x {A.shape[-1]} matrix: one value is its own noise tail")
     e = _unit_exponent(A, (-2, -1))

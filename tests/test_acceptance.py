@@ -260,7 +260,7 @@ def test_criterion_8_identities(tmp_path):
     checks.append(consist(ds, ds).overall == 1.0)
     checks.append(consist(ds, ds.with_data(-ds.data)).overall == 0.0)
     checks.append(coh(1.7 - 0.3j, 0.0) == 0.5)
-    back = unflatten(flatten(ds), 3, 2)
+    back = unflatten(flatten(ds.data), 3, 2)
     checks.append(np.array_equal(back, ds.data))
     path = tmp_path / "ds.prnk"
     write_dataset(ds, path)

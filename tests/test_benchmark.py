@@ -231,6 +231,32 @@ def test_modal_model_rejects_decreasing_frequencies():
         ModalModel(np.array([2.0, 1.0]), np.eye(2), np.zeros(2))
 
 
+@pytest.mark.parametrize("frequencies,shapes,damping,message", [
+    ([np.nan], [[1.0]], [0.01], "frequencies must be a finite"),
+    ([1.0, np.inf], np.eye(2), [0.01, 0.01], "frequencies must be a finite"),
+    ([[1.0]], [[1.0]], [0.01], "frequencies must be a finite 1-D"),
+    ([1.0], [[np.nan]], [0.01], "shapes must be finite"),
+    ([1.0, 2.0], [[1.0], [1.0]], [0.01, 0.01], "one column per mode"),
+    ([1.0], [1.0], [0.01], "one column per mode"),
+    ([1.0], [[1.0]], [np.nan], "damping must be finite"),
+    ([1.0], [[1.0]], [np.inf], "damping must be finite"),
+    ([1.0], [[1.0]], [-0.5], "nonnegative"),
+    ([1.0, 2.0], np.eye(2), [0.01], "one value per mode"),
+    ([1.0, 2.0], np.eye(2), 0.01, "one value per mode"),
+], ids=["nan-frequency", "inf-frequency", "2d-frequencies", "nan-shape", "too-few-columns", "1d-shapes",
+        "nan-damping", "inf-damping", "negative-damping", "one-damping-two-modes", "scalar-damping"])
+def test_modal_model_rejects_invalid_fields(frequencies, shapes, damping, message):
+    with pytest.raises(ValueError, match=message):
+        ModalModel(np.array(frequencies), np.array(shapes), np.array(damping))
+
+
+def test_eigen_rigid_mode_damping_is_never_negative():
+    # the rigid-body mode's v^T D v rounds to about -1e-17 here, at a
+    # rounding-level frequency above the rigid-body tolerance
+    sys_ = ChainSystem(np.full(3, 1e-3), np.full(2, 1e-3), np.array([1.0, 1e3]), Boundary.FREE_FREE)
+    assert np.all(eigen(sys_).damping >= 0.0)
+
+
 def test_modal_matches_direct_synthesis():
     # uniform chain damping is exactly proportional, so mode superposition
     # with the projected damping ratios reproduces the direct inversion

@@ -429,12 +429,22 @@ def test_metrics_nonfinite_test_file_is_numeric_error(tmp_path, capsys, extra):
     ("--mass", "nan", "direct"),
     ("--stiff", "inf", "direct"),
     ("--damp", "nan", "modal"),
+    ("--modal-damping", "nan", "modal"),
+    ("--modal-damping", "inf", "modal"),
 ])
 def test_synth_nonfinite_parameter_is_usage_error(tmp_path, capsys, flag, value, method):
     out = tmp_path / "x.prnk"
     args = ["synth", "--fmax", "2.0", "--df", "0.02", flag, value, "--method", method, "-o", str(out)]
     assert run(args) == 2
     assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_negative_modal_damping_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.prnk"
+    args = ["synth", "--fmax", "2.0", "--df", "0.5", "--method", "modal", "--modal-damping", "-0.5", "-o", str(out)]
+    assert run(args) == 2
+    assert "nonnegative" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -603,5 +613,24 @@ def test_console_entry_point_subprocess(tmp_path):
 def test_cli_import_does_not_load_scipy():
     # numpy is the only runtime dependency
     code = "import prank.cli, sys; assert 'scipy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_commands_do_not_load_numpy_ma(tmp_path):
+    # np.median and friends import numpy.ma, tens of milliseconds of every CLI process
+    clean, noisy = tmp_path / "clean.prnk", tmp_path / "noisy.prnk"
+    commands = [
+        ["synth", "--dofs", "4", "--fmax", "4.0", "--df", "0.02", "-o", str(clean)],
+        ["corrupt", str(clean), "--noise", "0.003,0.06,0.003,0.05", "--seed", "0", "--offset", "2:0.2",
+         "-o", str(noisy)],
+    ] + [["filter", str(noisy), "--variant", v.value, "-o", str(tmp_path / f"{v.value}.prnk")]
+         for v in prank.Variant]
+    code = ("import contextlib, io, sys\n"
+            "from prank.cli import main\n"
+            f"for args in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(args) == 0, args\n"
+            "    assert 'numpy.ma' not in sys.modules, args[0] + ' ' + args[-1]\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr

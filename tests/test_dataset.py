@@ -78,7 +78,7 @@ def test_time_domain_stays_float64_through_bridge_flatten_and_io(tmp_path):
     spec = rng.standard_normal((2, 3, 9)) + 1j * rng.standard_normal((2, 3, 9))
     t = to_time(make_ds(spec))
     assert t.data.dtype == np.float64
-    back = unflatten(flatten(t), 2, 3)
+    back = unflatten(flatten(t.data), 2, 3)
     assert back.dtype == np.float64 and np.array_equal(back, t.data)
     assert to_time(to_frequency(t)).data.dtype == np.float64
     path = tmp_path / "t.prnk"
@@ -118,7 +118,7 @@ def test_construction_leaves_the_callers_array_writeable(domain, dtype):
 def test_flatten_single_entry_is_identity_column():
     values = np.arange(6.0) + 1j
     ds = make_ds(values.reshape(1, 1, 6))
-    flat = flatten(ds)
+    flat = flatten(ds.data)
     assert flat.shape == (6, 1)
     assert np.array_equal(flat[:, 0], values)
 
@@ -127,7 +127,7 @@ def test_flatten_column_order_output_major():
     # column 1 of a 4x4 dataset holds entry (o=1, i=0)
     rng = np.random.default_rng(0)
     data = rng.standard_normal((4, 4, 7)) + 1j * rng.standard_normal((4, 4, 7))
-    flat = flatten(make_ds(data))
+    flat = flatten(make_ds(data).data)
     assert np.array_equal(flat[:, 1], data[1, 0, :])
     assert np.array_equal(flat[:, 4], data[0, 1, :])
 
@@ -139,7 +139,7 @@ def test_flatten_index_map_by_hand():
         for i in range(3):
             for k in range(5):
                 data[o, i, k] = 100 * o + 10 * i + k
-    flat = flatten(make_ds(data))
+    flat = flatten(make_ds(data).data)
     assert flat[4, 5] == 100 * 1 + 10 * 2 + 4
 
 
@@ -148,11 +148,11 @@ def test_unflatten_round_trip_bit_exact():
     for n_o, n_i, n_k in [(1, 1, 2), (4, 4, 9), (3, 5, 4), (7, 2, 3)]:
         data = rng.standard_normal((n_o, n_i, n_k)) + 1j * rng.standard_normal((n_o, n_i, n_k))
         ds = make_ds(data, axis_start=0.5, axis_step=0.25)
-        assert np.array_equal(unflatten(flatten(ds), n_o, n_i), ds.data)
+        assert np.array_equal(unflatten(flatten(ds.data), n_o, n_i), ds.data)
 
 
 def test_unflatten_dimension_mismatch():
-    flat = flatten(make_ds(np.ones((4, 4, 3))))
+    flat = flatten(make_ds(np.ones((4, 4, 3))).data)
     with pytest.raises(DimensionMismatch):
         unflatten(flat, 3, 5)
 

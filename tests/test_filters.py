@@ -274,7 +274,7 @@ def modal_dataset(n_o, n_i, n_k, complex_data, seed):
 
 def dense_prf(ds, selector):
     """The PRF stage on a dense SVD: (filtered data, S, rank, prfs)."""
-    A = flatten(ds)
+    A = flatten(ds.data)
     f = svd(A)
     rank, model = evaluate(f.S, A.shape, selector)
     s_used = model.cleaned_s if model is not None else f.S[:rank]

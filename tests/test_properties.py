@@ -373,7 +373,7 @@ def test_write_read_round_trip_is_bit_exact(tmp_path_factory, ds):
 @SETTINGS
 @given(file_datasets())
 def test_unflatten_inverts_flatten_bit_exactly(ds):
-    back = unflatten(flatten(ds), ds.n_outputs, ds.n_inputs)
+    back = unflatten(flatten(ds.data), ds.n_outputs, ds.n_inputs)
     assert back.dtype == ds.data.dtype
     assert back.tobytes() == ds.data.tobytes()
 

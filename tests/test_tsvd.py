@@ -4,6 +4,7 @@ import pytest
 from prank import (
     E15,
     ConvergenceError,
+    DimensionMismatch,
     FixedRank,
     NonFiniteError,
     RelativeThreshold,
@@ -220,6 +221,19 @@ def test_hankelize_window_errors():
         with pytest.raises(WindowError, match="integer"):
             hankelize(np.arange(6.0), window)
     assert hankelize(np.arange(6.0), np.int64(2)).shape == (2, 5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hankelize(np.ones((3, 5))),
+    lambda: hankelize(np.float64(1.0)),
+    lambda: dehankelize_ssa(np.ones(5)),
+    lambda: dehankelize_ssa(np.ones((2, 3, 4))),
+    lambda: gram_tsvd(np.ones(5), FixedRank(1)),
+    lambda: svd(np.ones(5)),
+], ids=["hankelize-2d", "hankelize-0d", "dehankelize-1d", "dehankelize-3d", "gram_tsvd-1d", "svd-1d"])
+def test_kernels_reject_arrays_of_the_wrong_dimension(call):
+    with pytest.raises(DimensionMismatch, match="ndim="):
+        call()
 
 
 def test_dehankelize_inverts_hankelize():
