@@ -13,8 +13,6 @@ from .dataset import Domain, ResponseDataset
 from .errors import AxisError, DomainError
 from .tsvd import _pivot_phase
 
-_RIGID_TOL = 1e-8
-
 
 class Boundary(Enum):
     FIXED_FREE = "fixed-free"
@@ -216,10 +214,16 @@ def eigen(sys: ChainSystem) -> ModalModel:
     vals, y = np.linalg.eigh(w[:, None] * K * w)
     vecs = w[:, None] * y
     vecs = vecs * _pivot_phase(vecs)
-    freqs = np.sqrt(np.clip(vals, 0.0, None))
+    # Springs are positive, so a free-free chain has exactly one rigid-body
+    # mode, the smallest, and a fixed-free one none.  Its eigenvalue is rounding
+    # of 0, up to about n eps max(vals), where the smallest flexible eigenvalue of
+    # a 30-DoF chain with masses and springs of 1e-3 and 1e3 lies too, so no
+    # tolerance tells them apart.  A rigid-body mode gets exactly 0.
+    rigid = np.arange(len(vals)) < (sys.boundary is Boundary.FREE_FREE)
+    freqs = np.where(rigid, 0.0, np.sqrt(np.clip(vals, 0.0, None)))
+    flexible = freqs > 0.0
     # v^T D v of a semidefinite D: a negative value is rounding (a rigid-body mode)
     modal_damp = np.maximum(np.einsum("ij,ij->j", vecs, D @ vecs), 0.0)
-    flexible = freqs > _RIGID_TOL
     damping = np.zeros_like(freqs)
     damping[flexible] = modal_damp[flexible] / (2.0 * freqs[flexible])
     return ModalModel(freqs, vecs, damping)
@@ -231,9 +235,10 @@ def modal_frf(model: ModalModel, axis: np.ndarray,
     """Mode-superposition synthesis over the given frequency grid.
 
     Receptance: Y_oi = sum_j phi_oj phi_ij / (w_j^2 - w^2 + 2i*eps_j*w_j*w).
-    Accelerance multiplies by -w^2; rigid-body modes contribute their finite
-    mass-line limit at w = 0 (receptance drops them at exactly w = 0,
-    matching the pseudoinverse convention of synthesize_direct).
+    Accelerance multiplies by -w^2; rigid-body modes, those at frequency 0
+    (as ``eigen`` returns them), contribute their finite mass-line limit at
+    w = 0 (receptance drops them at exactly w = 0, matching the pseudoinverse
+    convention of synthesize_direct).
     """
     axis, start, step = _axis_checked(axis)
     n = model.shapes.shape[0]
@@ -243,7 +248,7 @@ def modal_frf(model: ModalModel, axis: np.ndarray,
     eps = model.damping
     w = axis[:, None]
     denom = wj[None, :] ** 2 - w ** 2 + 2j * eps[None, :] * wj[None, :] * w
-    rigid = wj < _RIGID_TOL
+    rigid = wj == 0.0
     safe = np.where(denom != 0, denom, 1.0)
     if model.quantity is Quantity.ACCELERANCE:
         frac = np.where(denom != 0, -(w ** 2) / safe, 0.0)

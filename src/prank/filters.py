@@ -18,7 +18,11 @@ result back once.  All but classic use two stages:
   smaller Gram matrix (``tsvd._gram``, shared with ``gram_tsvd``), rank
   selection, and the factors of the rank-r rebuild (lhs * scale) @ rhs;
 - the Hankel row stage (``tsvd.hankel_tsvd_series``): one Hankel TSVD per
-  row, i.e. per (o, i) series or per retained PRF left singular vector.
+  row, i.e. per (o, i) series or per retained PRF left singular vector,
+  each averaged back to a series from its rank-r factors.  Rows of up to
+  a 256-sided Gram matrix (Table 1's 201 x 200) run one per thread with
+  OpenBLAS held at one thread, so a Hankel stage also holds BLAS calls from
+  other threads at one thread while it runs.
 
 PH and HP run the two in turn.  PRANK_HiP calls the PRF stage, runs the
 Hankel row stage on the unit columns of lhs and rebuilds from the filtered
@@ -150,7 +154,8 @@ def _prf(data: np.ndarray, cfg: PrankConfig):
 
 
 def _hankel(data: np.ndarray, cfg: PrankConfig):
-    """Hankel-TSVD every (o, i) time series independently; blind to the rest."""
+    """Hankel-TSVD every (o, i) time series independently; blind to the rest
+    (the series are split over threads by ``hankel_tsvd_series``)."""
     _check_hankel_input(data)
     out, record = hankel_tsvd_series(data, cfg.hankel_window, cfg.hankel_selector)
     return out, [record]

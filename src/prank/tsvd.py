@@ -13,20 +13,31 @@ the components below about sqrt(eps) * sigma_1 (1.5e-8 of each matrix's
 norm); everything above that matches the dense SVD, which only ``svd``
 runs.  Each matrix is normalised by a power of two before it is squared,
 so finite data of any magnitude is taken.
+
+The Hankel row stage (``hankel_tsvd_series``) runs the same three steps,
+``_eig``, selection and ``_rebuild``, on each row's Hankel matrix, read as a
+window view of the row, and averages the anti-diagonals straight from the
+rank-r factors with FFTs; ``hankelize`` and ``dehankelize_ssa`` remain as
+the reference forms.  It spends the BLAS thread budget on rows rather than
+inside each ``eigh`` where that is faster (``_each_row``).
 """
 
 from __future__ import annotations
 
+import ctypes
+import threading
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from numbers import Integral
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConvergenceError, DimensionMismatch, NonFiniteError, ShapeError, WindowError
 from .report import StageRecord
-from .selection import E15, SelectionStrategy, _unit_exponent, evaluate
+from .selection import E15, SelectionStrategy, _select, _unit_exponent, evaluate
 
 
 @dataclass(frozen=True)
@@ -140,15 +151,56 @@ def dehankelize_ssa(M: np.ndarray) -> np.ndarray:
     return anchor.real + real / counts
 
 
-def _gram(A: np.ndarray, selector: SelectionStrategy):
-    """The one Gram path of ``gram_tsvd`` and the PRF stage.
+def _check_e15_shape(shape, selector: SelectionStrategy):
+    """e15's shape rule, checked before the eigendecomposition: a 1 x n or n
+    x 1 matrix has one value, its own noise tail, so it raises ShapeError."""
+    if isinstance(selector, E15) and min(shape) < 2:
+        raise ShapeError(f"e15 on a {shape[0]} x {shape[1]} matrix: one value is its own noise tail")
 
-    One ``eigh`` of G = A A^H (m <= n) or A^H A, stacked for a stack (..., m,
-    n), gives the singular values S = sqrt(max(w, 0)) of each matrix,
-    nonincreasing, and the singular vectors of that side; one ``evaluate``
-    selects every rank.  The scale c / s of each of the first r = max(rank)
-    values is the e15-cleaned value over s (c <= s), 1 for every other
-    selector, and 0 beyond a matrix's own rank or where s = 0.
+
+def _eig(A: np.ndarray, e: np.ndarray):
+    """(S, Q) of a matrix or stack (..., m, n) from one ``eigh`` of the smaller
+    Gram matrix of each A * 2^e: G = An An^H (m <= n) or An^H An.
+
+    ``e`` holds one exponent per matrix (``_unit_exponent``), so squaring
+    neither overflows nor underflows; S = sqrt(max(w, 0)) * 2^-e is
+    nonincreasing and Q holds G's eigenvectors in ``eigh``'s ascending
+    order.  The normalised copy is dropped before ``eigh`` runs.  A backend
+    failure raises ConvergenceError.
+    """
+    An = A * np.ldexp(1.0, e)[..., None, None]
+    Anh = np.swapaxes(An.conj(), -1, -2)
+    G = An @ Anh if A.shape[-2] <= A.shape[-1] else Anh @ An
+    del An, Anh
+    try:
+        w, Q = np.linalg.eigh(G)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(str(exc)) from exc
+    return np.ldexp(np.sqrt(np.maximum(w[..., ::-1], 0.0)), -e[..., None]), Q
+
+
+def _rebuild(A: np.ndarray, S: np.ndarray, Q: np.ndarray, rank, model):
+    """The factors (lhs, rhs, scale) of the rank-r truncation (lhs * scale) @ rhs
+    of A, from ``_eig``'s S and Q and a selection's ranks and model, r =
+    max(rank).  scale, of shape (..., 1, r), is the e15-cleaned value over s
+    (c <= s), 1 for every other selector, and 0 beyond a matrix's own rank or
+    where s = 0.  lhs = U_r and rhs = U_r^H A when m <= n, else lhs = A V_r
+    and rhs = V_r^H."""
+    r = int(np.max(rank, initial=0))
+    s = S[..., :r]
+    if model is None:
+        scale = (np.arange(r) < np.expand_dims(rank, -1)) * 1.0
+    else:
+        scale = np.divide(model.cleaned_s[..., :r], s, out=np.zeros(s.shape), where=s > 0)
+    Qr = Q[..., ::-1][..., :r]
+    Qrh = np.swapaxes(Qr.conj(), -1, -2)
+    lhs, rhs = (Qr, Qrh @ A) if A.shape[-2] <= A.shape[-1] else (A @ Qr, Qrh)
+    return lhs, rhs, scale[..., None, :]
+
+
+def _gram(A: np.ndarray, selector: SelectionStrategy):
+    """The one Gram path of ``gram_tsvd`` and the PRF stage: ``_eig``, one
+    ``evaluate`` over every matrix's spectrum, then ``_rebuild``.
 
     Finite data of any magnitude is taken: squaring would overflow above
     about 1e154 and underflow below about 1e-154, so each matrix is first
@@ -160,32 +212,13 @@ def _gram(A: np.ndarray, selector: SelectionStrategy):
     backend failure ConvergenceError.
 
     Returns (S, rank, model, lhs, rhs, scale), the truncation being
-    (lhs * scale) @ rhs, scale of shape (..., 1, r): lhs = U_r and
-    rhs = U_r^H A when m <= n, else lhs = A V_r and rhs = V_r^H.
+    (lhs * scale) @ rhs.
     """
     A = _matrices(A)
-    if isinstance(selector, E15) and min(A.shape[-2:]) < 2:
-        raise ShapeError(f"e15 on a {A.shape[-2]} x {A.shape[-1]} matrix: one value is its own noise tail")
-    e = _unit_exponent(A, (-2, -1))
-    An = A * np.ldexp(1.0, e)[..., None, None]
-    Anh = np.swapaxes(An.conj(), -1, -2)
-    left = A.shape[-2] <= A.shape[-1]
-    try:
-        w, Q = np.linalg.eigh(An @ Anh if left else Anh @ An)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(str(exc)) from exc
-    S = np.ldexp(np.sqrt(np.maximum(w[..., ::-1], 0.0)), -e[..., None])
+    _check_e15_shape(A.shape[-2:], selector)
+    S, Q = _eig(A, _unit_exponent(A, (-2, -1)))
     rank, model = evaluate(S, A.shape[-2:], selector)
-    r = int(np.max(rank, initial=0))
-    s = S[..., :r]
-    if model is None:
-        scale = (np.arange(r) < np.expand_dims(rank, -1)) * 1.0
-    else:
-        scale = np.divide(model.cleaned_s[..., :r], s, out=np.zeros(s.shape), where=s > 0)
-    Qr = Q[..., ::-1][..., :r]
-    Qrh = np.swapaxes(Qr.conj(), -1, -2)
-    lhs, rhs = (Qr, Qrh @ A) if left else (A @ Qr, Qrh)
-    return S, rank, model, lhs, rhs, scale[..., None, :]
+    return (S, rank, model) + _rebuild(A, S, Q, rank, model)
 
 
 def gram_tsvd(A: np.ndarray, selector: SelectionStrategy):
@@ -209,13 +242,137 @@ def gram_tsvd(A: np.ndarray, selector: SelectionStrategy):
     return (lhs * scale) @ rhs, S, rank, model
 
 
+def _antidiagonal_means(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``dehankelize_ssa(lhs @ rhs)`` for a stack of L x r and r x K factors,
+    without forming the product: anti-diagonal t of lhs @ rhs sums to
+    sum_i conv(lhs[:, i], rhs[i])[t], taken with one batched FFT of length
+    2^ceil(log2 n), n = L + K - 1, and divided by the anti-diagonal's length."""
+    L, K = lhs.shape[-2], rhs.shape[-1]
+    n = L + K - 1
+    size = 1 << (n - 1).bit_length()
+    real = not (np.iscomplexobj(lhs) or np.iscomplexobj(rhs))
+    fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
+    spectrum = np.sum(fft(np.swapaxes(lhs, -1, -2), size) * fft(rhs, size), axis=-2)
+    t = np.arange(n)
+    return ifft(spectrum, size)[..., :n] / np.minimum(np.minimum(t + 1, n - t), min(L, K))
+
+
+def _hankel_row(row: np.ndarray, L: int, selector: SelectionStrategy):
+    """One row of ``hankel_tsvd_series``: (the filtered row, its (S, ranks,
+    model) as a stack of one call).  The L x K Hankel matrix is a window view
+    of the row, normalised by the row's own power of two; the truncation
+    stays in its rank-r factors, which ``_antidiagonal_means`` averages.
+    Calls no public function, so it may run on any thread."""
+    A = sliding_window_view(row, len(row) - L + 1)[None]
+    _check_e15_shape(A.shape[-2:], selector)
+    S, Q = _eig(A, _unit_exponent(row[None], -1))
+    rank, model = _select(S, A.shape[-2:], selector)
+    lhs, rhs, scale = _rebuild(A, S, Q, rank, model)
+    lhs, rhs = lhs * scale, np.array(rhs)  # own copies, so Q is freed before the FFTs
+    del Q
+    return _antidiagonal_means(lhs, rhs)[0], (S, rank, model)
+
+
+_BLAS_LOCK = threading.Lock()  # held by every row stage that changes the BLAS thread count
+# Rows whose Gram matrix has at most this side run with BLAS held at one thread: there one
+# eigh is about as fast on one thread as on two (2 cores, numpy's OpenBLAS: 3.5 against
+# 4.3 ms real and 8.9 against 9.3 ms complex at side 200, equal at 256), and 1.3-1.7 times
+# slower above it (side 300 to 512), where a row keeps the full pool.
+_ONE_THREAD_SIDE = 256
+
+
+@lru_cache(maxsize=None)
+def _openblas():
+    """The (get, set) thread-count functions of the OpenBLAS this process
+    has loaded, found once with ctypes among the libraries in
+    /proc/self/maps: numpy's wheel exports the scipy_openblas ...64_ pair, a
+    system OpenBLAS the plain one.  None where there is none."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get, set_ in (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                          ("openblas_get_num_threads", "openblas_set_num_threads")):
+            if hasattr(lib, get) and hasattr(lib, set_):
+                getter, setter = getattr(lib, get), getattr(lib, set_)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return getter, setter
+    return None
+
+
+def _each_row(count: int, run, side: int):
+    """Call run(j) for every j in range(count), for rows whose Gram matrix
+    has side ``side``.
+
+    Up to ``_ONE_THREAD_SIDE`` the rows run with OpenBLAS held at one
+    thread, one row per thread on min(BLAS threads, count) threads, the
+    caller's among them, and the count is restored afterwards; a module lock
+    serialises such stages.  A lone row is held at one thread too: OpenBLAS
+    results can differ in the last bits between thread counts, and a row's
+    result must not depend on how many rows share its stage.  Larger
+    rows, or a process without OpenBLAS, run serially and leave BLAS alone.
+    After every thread has joined, the first error in row order is raised
+    on the caller.
+    """
+    blas = _openblas() if count and side <= _ONE_THREAD_SIDE else None
+    if blas is None:
+        for j in range(count):
+            run(j)
+        return
+    get_threads, set_threads = blas
+    todo, errors = iter(range(count)), {}
+
+    def work():
+        for j in todo:  # one shared iterator: each row is taken once, in order
+            if errors:
+                return
+            try:
+                run(j)
+            except BaseException as exc:
+                errors[j] = exc
+                return
+
+    with _BLAS_LOCK:
+        threads = get_threads()
+        set_threads(1)
+        try:
+            pool = [threading.Thread(target=work) for _ in range(min(threads, count) - 1)]
+            for thread in pool:
+                thread.start()
+            work()
+            for thread in pool:
+                thread.join()
+        finally:
+            set_threads(threads)
+    if errors:
+        raise errors[min(errors)]
+
+
 def hankel_tsvd_series(series: np.ndarray, window: Optional[int], selector: SelectionStrategy):
     """Hankelize, truncate by the selector, SSA back to a same-length series,
-    for one series or each row of a stack (..., length), one ``gram_tsvd``
-    call per row; e15 selectors use the cleaned singular values.  Returns
-    (filtered, record): filtered shaped as ``series``, and the
-    ``StageRecord.of_calls`` record "hankel" of every call's spectrum, rank
-    and e15 fields."""
+    for one series or each row of a stack (..., length); e15 selectors use
+    the cleaned singular values.  Returns (filtered, record): filtered shaped
+    as ``series``, and the ``StageRecord.of_calls`` record "hankel" of every
+    row's spectrum, rank and e15 fields, one call per row.
+
+    Each row takes the ``_gram`` path on its Hankel matrix, a window view of
+    the row, and its SSA average comes from the rank-r factors
+    (``_antidiagonal_means``): no L x K matrix is formed but the normalised
+    copy that the Gram product reads.  Rows whose Gram matrix has side at
+    most 256 share the BLAS thread budget: they run one per thread, with
+    OpenBLAS held at one thread until the stage ends, so BLAS calls from
+    other threads run single-threaded meanwhile; a lone such row runs at one
+    BLAS thread too.  Larger rows, or a process without OpenBLAS, run
+    serially on the full BLAS pool (``_each_row``).  Either way a row's
+    result does not depend on the other rows of its stack.
+    """
     series = np.asarray(series)
     length = series.shape[-1]
     if length < 4:
@@ -224,11 +381,11 @@ def hankel_tsvd_series(series: np.ndarray, window: Optional[int], selector: Sele
     L = _window(length, window)
     shape = (L, length - L + 1)
     rows = series.reshape(-1, length)
-    out, calls = np.empty_like(rows), []
-    for j, row in enumerate(rows):
-        # a stack of one, so every field comes stacked (cleaned_s zero-padded)
-        filtered, *call = gram_tsvd(hankelize(row, L)[None], selector)
-        out[j] = dehankelize_ssa(filtered[0])
-        calls.append(call)
+    out, calls = np.empty_like(rows), [None] * len(rows)
+
+    def run(j):
+        out[j], calls[j] = _hankel_row(rows[j], L, selector)
+
+    _each_row(len(rows), run, min(shape))
     record = StageRecord.of_calls("hankel", shape, calls, time.perf_counter() - t0)
     return out.reshape(series.shape), record

@@ -251,8 +251,7 @@ def test_modal_model_rejects_invalid_fields(frequencies, shapes, damping, messag
 
 
 def test_eigen_rigid_mode_damping_is_never_negative():
-    # the rigid-body mode's v^T D v rounds to about -1e-17 here, at a
-    # rounding-level frequency above the rigid-body tolerance
+    # the rigid-body mode's v^T D v rounds to about -1e-17 here
     sys_ = ChainSystem(np.full(3, 1e-3), np.full(2, 1e-3), np.array([1.0, 1e3]), Boundary.FREE_FREE)
     assert np.all(eigen(sys_).damping >= 0.0)
 
@@ -285,11 +284,19 @@ def test_modal_zero_modes_gives_zero_dataset():
 
 
 def test_modal_accelerance_rigid_mode_mass_line():
-    model = eigen(ChainSystem.uniform(2, boundary=Boundary.FREE_FREE))
-    acc = modal_frf(model.with_quantity(Quantity.ACCELERANCE), np.array([0.0, 0.1]))
-    # two unit masses: rigid-body accelerance tends to 1/(m1+m2) = 0.5
-    flexible = model.frequencies[1]
-    assert acc.data[0, 0, 0].real == pytest.approx(0.5 + (0.0 / flexible**2), abs=1e-9)
+    for sys_ in (
+        ChainSystem.uniform(2, boundary=Boundary.FREE_FREE),
+        # stiff and light: the rigid eigenvalue rounds to 1.2e-10, 1.1e-5 rad/s,
+        # which an absolute 1e-8 rad/s tolerance took for a flexible mode
+        ChainSystem(np.full(3, 1e-3), np.full(2, 1e-3), np.array([1.0, 1e3]), Boundary.FREE_FREE),
+    ):
+        model = eigen(sys_)
+        assert model.frequencies[0] == 0.0 and np.all(model.frequencies[1:] > 0.0)
+        acc = modal_frf(model.with_quantity(Quantity.ACCELERANCE), np.array([0.0, 0.1]))
+        # rigid-body accelerance tends to the mass line 1 / sum(m) at every entry
+        assert np.allclose(acc.data[..., 0], 1.0 / np.sum(sys_.masses), rtol=1e-9, atol=0.0)
+        # receptance drops the rigid mode at w = 0, leaving the flexible modes' finite compliance
+        assert np.abs(modal_frf(model, np.array([0.0, 0.1])).data[..., 0]).max() < 1e3
 
 
 # -------------------------------------------------------------------- noise

@@ -520,6 +520,17 @@ def test_eigen_shapes_have_positive_pivots(sys_):
     assert np.all(pivots > 0.0)
 
 
+@SETTINGS
+@given(chains(max_dofs=30))
+def test_eigen_classifies_the_rigid_body_mode_by_boundary(sys_):
+    # a free-free chain has one rigid-body mode, at exactly 0 rad/s with no
+    # damping; every other mode, and every mode of a fixed-free chain, is flexible
+    model = eigen(sys_)
+    rigid = int(sys_.boundary is Boundary.FREE_FREE)
+    assert np.all(model.frequencies[:rigid] == 0.0) and np.all(model.damping[:rigid] == 0.0)
+    assert np.all(model.frequencies[rigid:] > 0.0)
+
+
 def zero_scan_loop(mag, prominence):
     """Reference: every strict local minimum checked against the maxima
     of the whole curve on its two sides, recomputed per bin."""

@@ -1,3 +1,7 @@
+import inspect
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,9 @@ from prank import (
     hankelize,
     svd,
 )
+from prank import filters, selection, tsvd
+from prank.dataset import Domain, ResponseDataset
+from prank.filters import PrankConfig, Variant
 from prank.selection import evaluate
 
 
@@ -262,6 +269,20 @@ def test_dehankelize_linearity():
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("L, K, r", [(5, 9, 3), (7, 7, 7), (12, 4, 2), (1, 6, 1), (6, 1, 1), (8, 8, 0)])
+def test_antidiagonal_means_of_factors_match_dehankelize(kind, L, K, r):
+    # the FFT sums every anti-diagonal to rounding of the largest term, so the
+    # tolerance is a few eps times the factors' product norm
+    rng = np.random.default_rng(L * 100 + K * 10 + r)
+    make = (lambda shape: random_complex(rng, shape)) if kind == "complex" else rng.standard_normal
+    lhs, rhs = make((L, r)), make((r, K))
+    out = tsvd._antidiagonal_means(lhs[None], rhs[None])[0]
+    ref = dehankelize_ssa(lhs @ rhs)
+    assert out.shape == (L + K - 1,) and np.iscomplexobj(out) == (kind == "complex")
+    assert np.max(np.abs(out - ref), initial=0.0) <= 1e-14 * max(1.0, np.linalg.norm(lhs) * np.linalg.norm(rhs))
+
+
 def test_hankel_rank_oracle_complex_exponentials():
     rng = np.random.default_rng(8)
     n = 120
@@ -336,6 +357,117 @@ def test_hankel_tsvd_series_stack_equals_row_by_row(complex_data, selector):
     assert empty.shape == (0, rows.shape[1]) and empty.dtype == rows.dtype
     assert (record.extras["svd_calls"], record.extras["ranks"], record.rank) == (0, [], 0)
     assert record.model is None and not record.singular_values.any()
+
+
+@pytest.mark.parametrize("complex_data", [False, True])
+@pytest.mark.parametrize("selector", [FixedRank(6), E15()])
+def test_hankel_tsvd_series_stack_equals_row_by_row_without_openblas(monkeypatch, complex_data, selector):
+    # where no OpenBLAS is found, every row runs serially on the calling thread
+    monkeypatch.setattr(tsvd, "_openblas", lambda: None)
+    test_hankel_tsvd_series_stack_equals_row_by_row(complex_data, selector)
+
+
+class CountingBlas:
+    """A stand-in for OpenBLAS's thread-count pair that records every set."""
+
+    def __init__(self, threads):
+        self.threads, self.sets = threads, []
+
+    def pair(self):
+        return self.get, self.set
+
+    def get(self):
+        return self.threads
+
+    def set(self, threads):
+        self.sets.append(threads)
+        self.threads = threads
+
+
+def test_hankel_stage_restores_the_blas_thread_count():
+    blas = tsvd._openblas()
+    if blas is None:
+        pytest.skip("no OpenBLAS in this process")
+    get_threads = blas[0]
+    before = get_threads()
+    rows = np.stack([noisy_series(False, seed) for seed in range(4)])
+    hankel_tsvd_series(rows, 150, E15())
+    assert get_threads() == before
+    rows[-1, 17] = np.nan
+    with pytest.raises(NonFiniteError):
+        hankel_tsvd_series(rows, 150, E15())
+    assert get_threads() == before
+
+
+def test_hankel_stage_holds_blas_at_one_thread_only_for_small_rows(monkeypatch):
+    blas = CountingBlas(3)
+    monkeypatch.setattr(tsvd, "_openblas", blas.pair)
+    rows = np.stack([noisy_series(False, seed) for seed in range(4)])  # 150 x 250 Hankel matrices
+    hankel_tsvd_series(rows, 150, E15())
+    assert blas.sets == [1, 3]
+    rows[-1, 17] = np.nan  # the last row fails on a worker or the caller; the caller raises
+    with pytest.raises(NonFiniteError):
+        hankel_tsvd_series(rows, 150, E15())
+    assert blas.sets == [1, 3, 1, 3]
+    # a lone row of that size runs at one BLAS thread too, so its bits match a stack's
+    hankel_tsvd_series(rows[0], 150, E15())
+    assert blas.sets == [1, 3, 1, 3, 1, 3]
+    # Gram matrices above 256 x 256 keep the full pool, alone or stacked, and never set the count
+    long_rows = np.stack([damped_sinusoids(n=796, seed=seed) for seed in range(2)])  # 399 x 398
+    hankel_tsvd_series(long_rows[0], None, E15())
+    hankel_tsvd_series(long_rows, None, E15())
+    assert blas.sets == [1, 3, 1, 3, 1, 3] and blas.threads == 3
+
+
+def test_worker_threads_call_no_public_function(monkeypatch):
+    # a tracer that wraps the public functions of these namespaces keeps one
+    # span stack, so every wrapped call must run on the calling thread
+    calls = []
+
+    def wrap(fn):
+        def traced(*args, **kwargs):
+            calls.append((fn.__name__, threading.get_ident()))
+            return fn(*args, **kwargs)
+        return traced
+
+    for module in (tsvd, filters, selection):
+        for name, obj in list(vars(module).items()):
+            if not name.startswith("_") and inspect.isfunction(obj) and obj.__module__.startswith("prank."):
+                monkeypatch.setattr(module, name, wrap(obj))
+    blas = CountingBlas(4)
+    monkeypatch.setattr(tsvd, "_openblas", blas.pair)
+    rows = np.stack([noisy_series(False, seed) for seed in range(16)])
+    tsvd.hankel_tsvd_series(rows, None, E15())
+    _, report = filters.apply_filter(ResponseDataset(rows.reshape(4, 4, -1), Domain.TIME),
+                                     PrankConfig(variant=Variant.PRANK_HIP))
+    assert report.stage("hankel_in_prf").extras["svd_calls"] > 1
+    assert blas.sets == [1, 4, 1, 4]  # both stages took the threaded path
+    assert {name for name, _ in calls} >= {"hankel_tsvd_series", "apply_filter", "evaluate"}
+    assert {ident for _, ident in calls} == {threading.get_ident()}
+
+
+def test_hankel_stage_on_more_threads_than_cores_equals_row_by_row(monkeypatch):
+    # eight threads over 48 short rows, switching as often as the interpreter
+    # allows: a row taken twice or a result written to the wrong slot breaks the
+    # bit-for-bit match with each row run alone
+    blas = tsvd._openblas()
+    if blas is None:
+        pytest.skip("no OpenBLAS in this process")
+    get_threads, set_threads = blas
+    before = get_threads()
+    monkeypatch.setattr(tsvd, "_openblas", lambda: (lambda: 8, lambda n: set_threads(before if n == 8 else n)))
+    rng = np.random.default_rng(11)
+    rows = rng.standard_normal((48, 40)) + np.sin(0.3 * np.arange(40))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out, record = hankel_tsvd_series(rows, None, E15())
+    finally:
+        sys.setswitchinterval(interval)
+    alone = [hankel_tsvd_series(row, None, E15()) for row in rows]
+    assert np.array_equal(out, np.stack([a for a, _ in alone]))
+    assert record.extras["ranks"] == [rec.rank for _, rec in alone]
+    assert get_threads() == before
 
 
 def test_hankel_tsvd_series_too_short():
