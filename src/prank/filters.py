@@ -18,9 +18,11 @@ result back once.  All but classic use two stages:
   smaller Gram matrix (``tsvd._gram``, shared with ``gram_tsvd``), rank
   selection, and the factors of the rank-r rebuild (lhs * scale) @ rhs;
 - the Hankel row stage (``tsvd.hankel_tsvd_series``): one Hankel TSVD per
-  row, i.e. per (o, i) series or per retained PRF left singular vector,
-  each averaged back to a series from its rank-r factors.  Rows of up to
-  a 256-sided Gram matrix (Table 1's 201 x 200) run one per thread with
+  row, i.e. per (o, i) series or per retained PRF left singular vector:
+  one tridiagonal reduction of the row's Gram matrix gives every singular
+  value for the selection and then only the kept vectors, and the row is
+  averaged back to a series from its rank-r factors.  Rows of up to a
+  384-sided Gram matrix (Table 1's 201 x 200) run one per thread with
   OpenBLAS held at one thread, so a Hankel stage also holds BLAS calls from
   other threads at one thread while it runs.
 

@@ -14,12 +14,16 @@ norm); everything above that matches the dense SVD, which only ``svd``
 runs.  Each matrix is normalised by a power of two before it is squared,
 so finite data of any magnitude is taken.
 
-The Hankel row stage (``hankel_tsvd_series``) runs the same three steps,
-``_eig``, selection and ``_rebuild``, on each row's Hankel matrix, read as a
-window view of the row, and averages the anti-diagonals straight from the
-rank-r factors with FFTs; ``hankelize`` and ``dehankelize_ssa`` remain as
-the reference forms.  It spends the BLAS thread budget on rows rather than
-inside each ``eigh`` where that is faster (``_each_row``).
+The Hankel row stage (``hankel_tsvd_series``) runs the same three steps on
+each row's Hankel matrix, read as a window view of the row, but splits the
+eigendecomposition around the selection (``_split_eig``): one tridiagonal
+reduction of the Gram matrix gives every singular value, and only the r
+kept vectors are computed from it, through the LAPACKE routines of numpy's
+OpenBLAS (``_lapack``; ``_eig`` where they are missing).  It averages the
+anti-diagonals straight from the rank-r factors with FFTs; ``hankelize``
+and ``dehankelize_ssa`` remain as the reference forms.  It spends the BLAS
+thread budget on rows rather than inside each row where that is faster
+(``_each_row``).
 """
 
 from __future__ import annotations
@@ -158,30 +162,39 @@ def _check_e15_shape(shape, selector: SelectionStrategy):
         raise ShapeError(f"e15 on a {shape[0]} x {shape[1]} matrix: one value is its own noise tail")
 
 
-def _eig(A: np.ndarray, e: np.ndarray):
-    """(S, Q) of a matrix or stack (..., m, n) from one ``eigh`` of the smaller
-    Gram matrix of each A * 2^e: G = An An^H (m <= n) or An^H An.
-
-    ``e`` holds one exponent per matrix (``_unit_exponent``), so squaring
-    neither overflows nor underflows; S = sqrt(max(w, 0)) * 2^-e is
-    nonincreasing and Q holds G's eigenvectors in ``eigh``'s ascending
-    order.  The normalised copy is dropped before ``eigh`` runs.  A backend
-    failure raises ConvergenceError.
-    """
+def _normal_gram(A: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The smaller Gram matrix of each A * 2^e of a stack (..., m, n): An An^H
+    (m <= n) or An^H An.  ``e`` holds one exponent per matrix
+    (``_unit_exponent``), so squaring neither overflows nor underflows; the
+    normalised copy is dropped on return."""
     An = A * np.ldexp(1.0, e)[..., None, None]
     Anh = np.swapaxes(An.conj(), -1, -2)
-    G = An @ Anh if A.shape[-2] <= A.shape[-1] else Anh @ An
-    del An, Anh
+    return An @ Anh if A.shape[-2] <= A.shape[-1] else Anh @ An
+
+
+def _singular_values(w: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """S = sqrt(max(w, 0)) * 2^-e, nonincreasing, from the ascending eigenvalues w of ``_normal_gram``."""
+    return np.ldexp(np.sqrt(np.maximum(w[..., ::-1], 0.0)), -e[..., None])
+
+
+def _eig(A: np.ndarray, e: np.ndarray):
+    """(S, Q) of a matrix or stack (..., m, n) from one ``eigh`` of each
+    ``_normal_gram``: S nonincreasing and Q the Gram eigenvectors in S's
+    order (a reversed view of ``eigh``'s).  A backend failure raises
+    ConvergenceError.
+    """
+    G = _normal_gram(A, e)
     try:
         w, Q = np.linalg.eigh(G)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(str(exc)) from exc
-    return np.ldexp(np.sqrt(np.maximum(w[..., ::-1], 0.0)), -e[..., None]), Q
+    return _singular_values(w, e), Q[..., ::-1]
 
 
 def _rebuild(A: np.ndarray, S: np.ndarray, Q: np.ndarray, rank, model):
     """The factors (lhs, rhs, scale) of the rank-r truncation (lhs * scale) @ rhs
-    of A, from ``_eig``'s S and Q and a selection's ranks and model, r =
+    of A, from S, the Gram eigenvectors Q in S's order (at least r of them:
+    ``_eig``'s or ``_split_eig``'s) and a selection's ranks and model, r =
     max(rank).  scale, of shape (..., 1, r), is the e15-cleaned value over s
     (c <= s), 1 for every other selector, and 0 beyond a matrix's own rank or
     where s = 0.  lhs = U_r and rhs = U_r^H A when m <= n, else lhs = A V_r
@@ -192,7 +205,7 @@ def _rebuild(A: np.ndarray, S: np.ndarray, Q: np.ndarray, rank, model):
         scale = (np.arange(r) < np.expand_dims(rank, -1)) * 1.0
     else:
         scale = np.divide(model.cleaned_s[..., :r], s, out=np.zeros(s.shape), where=s > 0)
-    Qr = Q[..., ::-1][..., :r]
+    Qr = Q[..., :r]
     Qrh = np.swapaxes(Qr.conj(), -1, -2)
     lhs, rhs = (Qr, Qrh @ A) if A.shape[-2] <= A.shape[-1] else (A @ Qr, Qrh)
     return lhs, rhs, scale[..., None, :]
@@ -257,46 +270,102 @@ def _antidiagonal_means(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return ifft(spectrum, size)[..., :n] / np.minimum(np.minimum(t + 1, n - t), min(L, K))
 
 
+def _split_eig(A: np.ndarray, e: np.ndarray):
+    """(S, vectors) of a stack of one matrix A (1, m, n): S as ``_eig`` gives
+    it, and vectors(r), the first r Gram eigenvectors in S's order, (1, side, r).
+
+    With LAPACK at hand (``_lapack``), one tridiagonal reduction of the
+    ``_normal_gram`` G (?sytrd/?hetrd) yields every eigenvalue (dsterf), so
+    a selector sees the whole spectrum, while only the r kept vectors are
+    found, by inverse iteration on the tridiagonal (?stein, O(side * r)),
+    and carried back through the reduction's reflectors (?ormtr/?unmtr,
+    O(side^2 * r)): no full eigenvector matrix and no divide-and-conquer
+    workspace.  LAPACK reads the C-ordered G as its column-major transpose
+    conj(G), so complex vectors come back conjugated.  Without LAPACK,
+    ``_eig`` runs and vectors(r) hands back all of its Q.  A nonzero LAPACK
+    info raises ConvergenceError.
+    """
+    lapack = _lapack()
+    if lapack is None:
+        S, Q = _eig(A, e)
+        return S, lambda r: Q
+    G = _normal_gram(A, e)[0]
+    reduce, values, inverse_iteration, back_transform = lapack[G.dtype]
+    n = len(G)
+    # the off-diagonal and tau need n - 1 entries; LAPACKE's NaN check of
+    # ?stein reads n entries of the shifts, so every buffer has n
+    d, off, tau = np.empty(n), np.empty(n), np.empty(n, G.dtype)
+    _lapack_call(reduce, _COL_MAJOR, b"L", n, G, n, d, off, tau)
+    w, work = d.copy(), off.copy()  # dsterf overwrites both; ?stein needs the tridiagonal
+    _lapack_call(values, n, w, work)
+
+    def vectors(r):
+        Z = np.eye(r, n, dtype=G.dtype)  # column-major side x r: row k is vector k
+        if r and w[-1] > 0:  # a zero G (an all-zero row) has unit vectors; ?stein would give NaN
+            shifts = np.zeros(n)
+            shifts[:r] = w[n - r:]  # ascending, as ?stein expects
+            block, split, fail = np.ones(n, np.int64), np.full(n, n, np.int64), np.empty(n, np.int64)
+            _lapack_call(inverse_iteration, _COL_MAJOR, n, d, off, r, shifts, block, split, Z, n, fail)
+            Z = np.ascontiguousarray(Z[::-1])  # S's order
+            _lapack_call(back_transform, _COL_MAJOR, b"L", b"L", b"N", n, r, G, n, tau, Z, n)
+            np.conjugate(Z, out=Z)  # vectors of conj(G), as LAPACK read it, back to G's
+        return Z.T[None]
+
+    return _singular_values(w, e), vectors
+
+
 def _hankel_row(row: np.ndarray, L: int, selector: SelectionStrategy):
     """One row of ``hankel_tsvd_series``: (the filtered row, its (S, ranks,
     model) as a stack of one call).  The L x K Hankel matrix is a window view
-    of the row, normalised by the row's own power of two; the truncation
-    stays in its rank-r factors, which ``_antidiagonal_means`` averages.
-    Calls no public function, so it may run on any thread."""
+    of the row, normalised by the row's own power of two; ``_split_eig``
+    gives its whole spectrum for the selector and then only the kept
+    vectors, and the truncation stays in its rank-r factors, which
+    ``_antidiagonal_means`` averages.  Calls no public function, so it may
+    run on any thread."""
     A = sliding_window_view(row, len(row) - L + 1)[None]
     _check_e15_shape(A.shape[-2:], selector)
-    S, Q = _eig(A, _unit_exponent(row[None], -1))
+    S, vectors = _split_eig(A, _unit_exponent(row[None], -1))
     rank, model = _select(S, A.shape[-2:], selector)
-    lhs, rhs, scale = _rebuild(A, S, Q, rank, model)
-    lhs, rhs = lhs * scale, np.array(rhs)  # own copies, so Q is freed before the FFTs
-    del Q
+    lhs, rhs, scale = _rebuild(A, S, vectors(int(np.max(rank, initial=0))), rank, model)
+    lhs, rhs = lhs * scale, np.array(rhs)  # own copies, so the Gram matrix and Q are freed before the FFTs
+    del vectors
     return _antidiagonal_means(lhs, rhs)[0], (S, rank, model)
 
 
 _BLAS_LOCK = threading.Lock()  # held by every row stage that changes the BLAS thread count
-# Rows whose Gram matrix has at most this side run with BLAS held at one thread: there one
-# eigh is about as fast on one thread as on two (2 cores, numpy's OpenBLAS: 3.5 against
-# 4.3 ms real and 8.9 against 9.3 ms complex at side 200, equal at 256), and 1.3-1.7 times
-# slower above it (side 300 to 512), where a row keeps the full pool.
-_ONE_THREAD_SIDE = 256
+# Rows whose Gram matrix has at most this side run with BLAS held at one thread.  Measured on
+# the split kernel (2 cores, numpy's OpenBLAS, median per row): a lone row takes as long on
+# one thread as on two up to side 300 (3.2 against 3.6 ms real, 6.5 against 6.8 ms complex at
+# side 200) and 1.04-1.14 times longer at 384, while a stack of eight rows runs 5-30 % faster
+# one row per thread than serially on two threads.  At 512 a lone complex row takes 1.25
+# times longer on one thread, so larger rows keep the full pool.
+_ONE_THREAD_SIDE = 384
 
 
 @lru_cache(maxsize=None)
-def _openblas():
-    """The (get, set) thread-count functions of the OpenBLAS this process
-    has loaded, found once with ctypes among the libraries in
-    /proc/self/maps: numpy's wheel exports the scipy_openblas ...64_ pair, a
-    system OpenBLAS the plain one.  None where there is none."""
+def _openblas_libraries():
+    """The OpenBLAS libraries this process has loaded, opened once with
+    ctypes from the paths in /proc/self/maps; empty where there is none."""
     try:
         with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
             paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line.lower()})
     except OSError:
-        return None
+        return ()
+    libs = []
     for path in paths:
         try:
-            lib = ctypes.CDLL(path)
+            libs.append(ctypes.CDLL(path))
         except OSError:
             continue
+    return tuple(libs)
+
+
+@lru_cache(maxsize=None)
+def _openblas():
+    """The (get, set) thread-count functions of the loaded OpenBLAS: numpy's
+    wheel exports the scipy_openblas ...64_ pair, a system OpenBLAS the plain
+    one.  None where there is none."""
+    for lib in _openblas_libraries():
         for get, set_ in (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
                           ("openblas_get_num_threads", "openblas_set_num_threads")):
             if hasattr(lib, get) and hasattr(lib, set_):
@@ -305,6 +374,52 @@ def _openblas():
                 setter.argtypes, setter.restype = [ctypes.c_int], None
                 return getter, setter
     return None
+
+
+_COL_MAJOR = 102  # LAPACKE's LAPACK_COL_MAJOR
+
+
+@lru_cache(maxsize=None)
+def _lapack():
+    """``_split_eig``'s routines, {dtype: (?sytrd/?hetrd, dsterf, ?stein,
+    ?ormtr/?unmtr)} for float64 and complex128, from the ILP64 LAPACKE
+    symbols (scipy_LAPACKE_..64_) of numpy's OpenBLAS wheel.  None where no
+    loaded OpenBLAS exports them (a system OpenBLAS; MKL is never found)."""
+    c_int, c_char, i64 = ctypes.c_int, ctypes.c_char, ctypes.c_int64
+    real, ints = _buffer(np.float64), _buffer(np.int64)
+    for lib in _openblas_libraries():
+        table = {}
+        try:
+            for dtype, (reduce, stein, back) in ((np.float64, ("dsytrd", "dstein", "dormtr")),
+                                                 (np.complex128, ("zhetrd", "zstein", "zunmtr"))):
+                mat = _buffer(dtype)
+                table[np.dtype(dtype)] = (
+                    _routine(lib, reduce, [c_int, c_char, i64, mat, i64, real, real, mat]),
+                    _routine(lib, "dsterf", [i64, real, real]),
+                    _routine(lib, stein, [c_int, i64, real, real, i64, real, ints, ints, mat, i64, ints]),
+                    _routine(lib, back, [c_int, c_char, c_char, c_char, i64, i64, mat, i64, mat, mat, i64]))
+        except AttributeError:
+            continue
+        return table
+    return None
+
+
+def _buffer(dtype):
+    """A ctypes argument type that takes only C-contiguous arrays of ``dtype``."""
+    return np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
+
+
+def _routine(lib, name: str, argtypes):
+    fn = getattr(lib, f"scipy_LAPACKE_{name}64_")
+    fn.argtypes, fn.restype = argtypes, ctypes.c_int64
+    return fn
+
+
+def _lapack_call(routine, *args):
+    """Call a LAPACKE routine; a nonzero info raises ConvergenceError."""
+    info = routine(*args)
+    if info:
+        raise ConvergenceError(f"LAPACK {routine.__name__} failed with info {info}")
 
 
 def _each_row(count: int, run, side: int):
@@ -362,11 +477,16 @@ def hankel_tsvd_series(series: np.ndarray, window: Optional[int], selector: Sele
     as ``series``, and the ``StageRecord.of_calls`` record "hankel" of every
     row's spectrum, rank and e15 fields, one call per row.
 
-    Each row takes the ``_gram`` path on its Hankel matrix, a window view of
-    the row, and its SSA average comes from the rank-r factors
+    Rows are taken as float64 or complex128 (``np.result_type(series,
+    float)``), so integer or single-precision input is neither truncated
+    nor rounded on output.  Each row's Hankel matrix is a window view of the
+    row; one tridiagonal reduction of its Gram matrix gives the whole
+    spectrum for the selector and then only the r kept vectors
+    (``_split_eig``; ``eigh`` where numpy's OpenBLAS exports no LAPACKE
+    symbols), and its SSA average comes from the rank-r factors
     (``_antidiagonal_means``): no L x K matrix is formed but the normalised
     copy that the Gram product reads.  Rows whose Gram matrix has side at
-    most 256 share the BLAS thread budget: they run one per thread, with
+    most 384 share the BLAS thread budget: they run one per thread, with
     OpenBLAS held at one thread until the stage ends, so BLAS calls from
     other threads run single-threaded meanwhile; a lone such row runs at one
     BLAS thread too.  Larger rows, or a process without OpenBLAS, run
@@ -380,7 +500,7 @@ def hankel_tsvd_series(series: np.ndarray, window: Optional[int], selector: Sele
     t0 = time.perf_counter()
     L = _window(length, window)
     shape = (L, length - L + 1)
-    rows = series.reshape(-1, length)
+    rows = series.reshape(-1, length).astype(np.result_type(series, float), copy=False)
     out, calls = np.empty_like(rows), [None] * len(rows)
 
     def run(j):

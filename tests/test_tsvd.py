@@ -7,6 +7,7 @@ import pytest
 
 from prank import (
     E15,
+    AbsoluteThreshold,
     ConvergenceError,
     DimensionMismatch,
     FixedRank,
@@ -412,7 +413,7 @@ def test_hankel_stage_holds_blas_at_one_thread_only_for_small_rows(monkeypatch):
     # a lone row of that size runs at one BLAS thread too, so its bits match a stack's
     hankel_tsvd_series(rows[0], 150, E15())
     assert blas.sets == [1, 3, 1, 3, 1, 3]
-    # Gram matrices above 256 x 256 keep the full pool, alone or stacked, and never set the count
+    # Gram matrices above 384 x 384 keep the full pool, alone or stacked, and never set the count
     long_rows = np.stack([damped_sinusoids(n=796, seed=seed) for seed in range(2)])  # 399 x 398
     hankel_tsvd_series(long_rows[0], None, E15())
     hankel_tsvd_series(long_rows, None, E15())
@@ -561,3 +562,95 @@ def test_gram_kernel_maps_backend_failure(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(ConvergenceError, match="converge"):
         gram_tsvd(np.eye(3), FixedRank(1))
+
+
+# ------------------------------------------------------------- split kernel
+
+needs_lapack = pytest.mark.skipif(tsvd._lapack() is None, reason="the loaded BLAS exports no LAPACKE symbols")
+
+
+def kernel_rows(complex_data, side):
+    """Three rows of 2 * side samples: (side + 1) x side Hankel matrices of
+    two damped sinusoids in noise, whose smallest singular value stays above
+    about 1e-2 sigma_1 (a 2 x 2 one is just noise)."""
+    rng = np.random.default_rng(side)
+    t = np.arange(2 * side)
+    clean = np.exp(-0.004 * t) * np.sin(0.3 * t) + 0.7 * np.exp(-0.002 * t) * np.cos(1.1 * t)
+    rows = clean + 0.3 * rng.standard_normal((3, 2 * side))
+    if complex_data:
+        rows = rows + 1j * (np.exp(-0.003 * t) * np.sin(0.7 * t) + 0.3 * rng.standard_normal((3, 2 * side)))
+    return rows
+
+
+def split_and_eigh(monkeypatch, rows, selector):
+    """hankel_tsvd_series on the split kernel and on the ``_eig`` path: each a
+    (filtered stack, ranks, spectrum of each row run alone)."""
+    def run():
+        out, record = hankel_tsvd_series(rows, None, selector)
+        spectra = [hankel_tsvd_series(row, None, selector)[1].singular_values for row in rows]
+        return out, record.extras["ranks"], np.array(spectra)
+
+    split = run()
+    with monkeypatch.context() as m:
+        m.setattr(tsvd, "_lapack", lambda: None)
+        return split, run()
+
+
+@needs_lapack
+@pytest.mark.parametrize("complex_data", [False, True])
+@pytest.mark.parametrize("side", [2, 200, 300])  # 200 runs one row per thread, 300 serially
+@pytest.mark.parametrize("selector", [E15(), FixedRank(4), AbsoluteThreshold(5.0), RelativeThreshold(0.05),
+                                      FixedRank(300), FixedRank(10 ** 6)])  # the last two keep r = side
+def test_split_kernel_matches_eigh_path(monkeypatch, complex_data, side, selector):
+    rows = kernel_rows(complex_data, side)
+    (out, ranks, S), (ref, ref_ranks, ref_S) = split_and_eigh(monkeypatch, rows, selector)
+    assert ranks == ref_ranks
+    if isinstance(selector, FixedRank):
+        assert ranks == [min(selector.r, side)] * 3
+    # both solve the same tridiagonal to eps * sigma_1^2 in the Gram eigenvalues,
+    # so S differs by eps * sigma_1^2 / S, within 1e-13 sigma_1 at S >= 1e-2 sigma_1
+    assert S.shape == (3, side) and np.all(np.abs(S - ref_S) <= 1e-13 * ref_S[:, :1])
+    assert np.iscomplexobj(out) == complex_data
+    assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@needs_lapack
+@pytest.mark.parametrize("selector", [E15(), FixedRank(4), FixedRank(10 ** 6), AbsoluteThreshold(0.0),
+                                      RelativeThreshold(1e-9)])
+def test_split_kernel_on_a_zero_row(monkeypatch, selector):
+    # rank 0, or unit vectors of the zero Gram matrix: zeros either way, never NaN
+    rows = np.zeros((2, 400))
+    rows[1] = kernel_rows(False, 200)[0]
+    (out, ranks, S), (ref, ref_ranks, _) = split_and_eigh(monkeypatch, rows, selector)
+    assert ranks[0] == ref_ranks[0] == (0 if not isinstance(selector, FixedRank) else min(selector.r, 200))
+    assert np.array_equal(out[0], np.zeros(400)) and np.array_equal(ref[0], np.zeros(400))
+    assert not S[0].any()
+    assert np.linalg.norm(out[1] - ref[1]) <= 1e-12 * np.linalg.norm(ref[1])
+
+
+@needs_lapack
+@pytest.mark.parametrize("routine", [0, 1, 2, 3])
+def test_split_kernel_maps_lapack_failure(monkeypatch, routine):
+    def failing(fn):
+        def call(*args):
+            fn(*args)
+            return 3
+        call.__name__ = fn.__name__
+        return call
+
+    table = {dtype: tuple(failing(fn) if k == routine else fn for k, fn in enumerate(fns))
+             for dtype, fns in tsvd._lapack().items()}
+    monkeypatch.setattr(tsvd, "_lapack", lambda: table)
+    for complex_data in (False, True):
+        with pytest.raises(ConvergenceError, match="info 3"):
+            hankel_tsvd_series(kernel_rows(complex_data, 20), None, FixedRank(4))
+
+
+def test_hankel_tsvd_series_takes_integer_rows_as_float():
+    series = np.array([3, 1, 4, 1, 5, 9, 2, 6, 5, 3])
+    out, record = hankel_tsvd_series(series, None, FixedRank(1))
+    ref, _ = hankel_tsvd_series(series.astype(float), None, FixedRank(1))
+    assert out.dtype == np.float64 and record.rank == 1
+    assert np.array_equal(out, ref) and not np.array_equal(out, np.round(out))
+    low, _ = hankel_tsvd_series(series.astype(np.complex64), None, FixedRank(1))
+    assert low.dtype == np.complex128 and np.allclose(low, ref, rtol=0, atol=1e-12)
