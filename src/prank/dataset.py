@@ -148,14 +148,19 @@ def to_frequency(ds: ResponseDataset, unit_label: str = "Hz") -> ResponseDataset
 
 def _atomic_write(path, data) -> None:
     """Write ``data`` (text as UTF-8, or bytes) to ``path`` through a temp
-    file beside it and a rename, so readers never see a partial file."""
+    file beside it and a rename, so readers never see a partial file.  On
+    any failure the temp file is removed and the error re-raised."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    if isinstance(data, str):
-        tmp.write_text(data, encoding="utf-8")
-    else:
-        tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        if isinstance(data, str):
+            tmp.write_text(data, encoding="utf-8")
+        else:
+            tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_dataset(ds: ResponseDataset, path) -> None:

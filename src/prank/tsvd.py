@@ -22,8 +22,8 @@ kept vectors are computed from it, through the LAPACKE routines of numpy's
 OpenBLAS (``_lapack``; ``_eig`` where they are missing).  It averages the
 anti-diagonals straight from the rank-r factors with FFTs; ``hankelize``
 and ``dehankelize_ssa`` remain as the reference forms.  It spends the BLAS
-thread budget on rows rather than inside each row where that is faster
-(``_each_row``).
+thread budget on rows rather than inside each row, one row per thread with
+OpenBLAS held at one thread (``_each_row``).
 """
 
 from __future__ import annotations
@@ -333,13 +333,6 @@ def _hankel_row(row: np.ndarray, L: int, selector: SelectionStrategy):
 
 
 _BLAS_LOCK = threading.Lock()  # held by every row stage that changes the BLAS thread count
-# Rows whose Gram matrix has at most this side run with BLAS held at one thread.  Measured on
-# the split kernel (2 cores, numpy's OpenBLAS, median per row): a lone row takes as long on
-# one thread as on two up to side 300 (3.2 against 3.6 ms real, 6.5 against 6.8 ms complex at
-# side 200) and 1.04-1.14 times longer at 384, while a stack of eight rows runs 5-30 % faster
-# one row per thread than serially on two threads.  At 512 a lone complex row takes 1.25
-# times longer on one thread, so larger rows keep the full pool.
-_ONE_THREAD_SIDE = 384
 
 
 @lru_cache(maxsize=None)
@@ -422,21 +415,20 @@ def _lapack_call(routine, *args):
         raise ConvergenceError(f"LAPACK {routine.__name__} failed with info {info}")
 
 
-def _each_row(count: int, run, side: int):
-    """Call run(j) for every j in range(count), for rows whose Gram matrix
-    has side ``side``.
+def _each_row(count: int, run):
+    """Call run(j) for every j in range(count).
 
-    Up to ``_ONE_THREAD_SIDE`` the rows run with OpenBLAS held at one
-    thread, one row per thread on min(BLAS threads, count) threads, the
-    caller's among them, and the count is restored afterwards; a module lock
-    serialises such stages.  A lone row is held at one thread too: OpenBLAS
-    results can differ in the last bits between thread counts, and a row's
-    result must not depend on how many rows share its stage.  Larger
-    rows, or a process without OpenBLAS, run serially and leave BLAS alone.
-    After every thread has joined, the first error in row order is raised
-    on the caller.
+    With OpenBLAS's thread controls at hand (``_openblas``), the rows run
+    one per thread on min(BLAS threads, count) threads, the caller's among
+    them, with OpenBLAS held at one thread; the count is restored
+    afterwards, and a module lock serialises such stages.  A lone row is
+    held at one thread too: OpenBLAS results can differ in the last bits
+    between thread counts, and a row's result must not depend on how many
+    rows share its stage.  A process without OpenBLAS runs the rows
+    serially and leaves BLAS alone.  After every thread has joined, the
+    first error in row order is raised on the caller.
     """
-    blas = _openblas() if count and side <= _ONE_THREAD_SIDE else None
+    blas = _openblas() if count else None
     if blas is None:
         for j in range(count):
             run(j)
@@ -485,13 +477,13 @@ def hankel_tsvd_series(series: np.ndarray, window: Optional[int], selector: Sele
     (``_split_eig``; ``eigh`` where numpy's OpenBLAS exports no LAPACKE
     symbols), and its SSA average comes from the rank-r factors
     (``_antidiagonal_means``): no L x K matrix is formed but the normalised
-    copy that the Gram product reads.  Rows whose Gram matrix has side at
-    most 384 share the BLAS thread budget: they run one per thread, with
-    OpenBLAS held at one thread until the stage ends, so BLAS calls from
-    other threads run single-threaded meanwhile; a lone such row runs at one
-    BLAS thread too.  Larger rows, or a process without OpenBLAS, run
-    serially on the full BLAS pool (``_each_row``).  Either way a row's
-    result does not depend on the other rows of its stack.
+    copy that the Gram product reads.  The rows share the BLAS thread budget
+    (``_each_row``): they run one per thread, with OpenBLAS held at one
+    thread until the stage ends, so BLAS calls from other threads run
+    single-threaded meanwhile, and a lone row runs at one BLAS thread too.
+    A process without OpenBLAS runs them serially on the full BLAS pool.
+    Either way a row's result does not depend on the other rows of its
+    stack.
     """
     series = np.asarray(series)
     length = series.shape[-1]
@@ -506,6 +498,6 @@ def hankel_tsvd_series(series: np.ndarray, window: Optional[int], selector: Sele
     def run(j):
         out[j], calls[j] = _hankel_row(rows[j], L, selector)
 
-    _each_row(len(rows), run, min(shape))
+    _each_row(len(rows), run)
     record = StageRecord.of_calls("hankel", shape, calls, time.perf_counter() - t0)
     return out.reshape(series.shape), record

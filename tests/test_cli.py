@@ -163,6 +163,14 @@ def test_filter_full_rank_is_near_identity(tmp_path):
     assert np.abs(a - b).max() <= 1e-10 * np.abs(a).max()
 
 
+def test_filter_onto_a_directory_exits_1_and_leaves_no_temp_file(tmp_path, capsys):
+    src = synth_small(tmp_path)
+    out = tmp_path / "outdir"
+    out.mkdir()
+    assert run(["filter", str(src), "--variant", "classic", "-o", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out.is_dir() and not list(tmp_path.glob("*.tmp"))
+
 def test_filter_frequency_working_domain_is_usage_error(tmp_path):
     src = synth_small(tmp_path)
     with pytest.raises(SystemExit) as err:

@@ -252,6 +252,14 @@ def test_file_round_trip_bit_exact(tmp_path):
     assert back.unit_label == ds.unit_label
 
 
+def test_write_onto_a_directory_raises_and_leaves_no_temp_file(tmp_path):
+    # the rename fails after the temp file is written; the temp file must go with it
+    target = tmp_path / "out"
+    target.mkdir()
+    with pytest.raises(OSError):
+        write_dataset(make_ds(np.ones((1, 1, 4))), target)
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad.prnk"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)

@@ -339,23 +339,31 @@ def test_hankel_tsvd_series_e15_rejects_white_noise():
         assert record.model.sigma_n > 0
 
 
+def long_series(complex_data, seed):
+    """796 samples: a 399 x 398 Hankel matrix at the default window."""
+    out = damped_sinusoids(n=796, seed=seed)
+    return out + 1j * damped_sinusoids(n=796, freqs=(0.21,), seed=seed + 100) if complex_data else out
+
+
 @pytest.mark.parametrize("complex_data", [False, True])
 @pytest.mark.parametrize("selector", [FixedRank(6), E15()])
 def test_hankel_tsvd_series_stack_equals_row_by_row(complex_data, selector):
-    rows = np.stack([noisy_series(complex_data, seed) for seed in range(3)])
-    out, record = hankel_tsvd_series(rows, 150, selector)
-    alone = [hankel_tsvd_series(row, 150, selector) for row in rows]
-    assert np.array_equal(out, np.stack([a for a, _ in alone]))
-    assert record.extras["ranks"] == [rec.rank for _, rec in alone]
-    assert record.extras["svd_calls"] == 3 and record.rank == max(record.extras["ranks"])
-    assert np.array_equal(record.singular_values, np.mean([rec.singular_values for _, rec in alone], axis=0))
-    if record.model is not None:
-        for name, value in vars(record.model).items():
-            assert np.array_equal(value, np.concatenate([getattr(rec.model, name) for _, rec in alone]),
-                                  equal_nan=True), name
+    short = np.stack([noisy_series(complex_data, seed) for seed in range(3)])  # 150 x 250 Hankel matrices
+    long = np.stack([long_series(complex_data, seed) for seed in range(3)])
+    for rows, window in ((short, 150), (long, None)):
+        out, record = hankel_tsvd_series(rows, window, selector)
+        alone = [hankel_tsvd_series(row, window, selector) for row in rows]
+        assert np.array_equal(out, np.stack([a for a, _ in alone]))
+        assert record.extras["ranks"] == [rec.rank for _, rec in alone]
+        assert record.extras["svd_calls"] == 3 and record.rank == max(record.extras["ranks"])
+        assert np.array_equal(record.singular_values, np.mean([rec.singular_values for _, rec in alone], axis=0))
+        if record.model is not None:
+            for name, value in vars(record.model).items():
+                assert np.array_equal(value, np.concatenate([getattr(rec.model, name) for _, rec in alone]),
+                                      equal_nan=True), name
     # no rows, as HiP hands over at PRF rank 0: no calls and an empty result
-    empty, record = hankel_tsvd_series(rows[:0], 150, selector)
-    assert empty.shape == (0, rows.shape[1]) and empty.dtype == rows.dtype
+    empty, record = hankel_tsvd_series(short[:0], 150, selector)
+    assert empty.shape == (0, short.shape[1]) and empty.dtype == short.dtype
     assert (record.extras["svd_calls"], record.extras["ranks"], record.rank) == (0, [], 0)
     assert record.model is None and not record.singular_values.any()
 
@@ -385,22 +393,43 @@ class CountingBlas:
         self.threads = threads
 
 
-def test_hankel_stage_restores_the_blas_thread_count():
+def test_hankel_stage_restores_the_blas_thread_count(monkeypatch):
     blas = tsvd._openblas()
     if blas is None:
         pytest.skip("no OpenBLAS in this process")
     get_threads = blas[0]
     before = get_threads()
-    rows = np.stack([noisy_series(False, seed) for seed in range(4)])
-    hankel_tsvd_series(rows, 150, E15())
-    assert get_threads() == before
-    rows[-1, 17] = np.nan
+    short = np.stack([noisy_series(False, seed) for seed in range(4)])  # 150 x 250 Hankel matrices
+    long = np.stack([long_series(False, seed) for seed in range(3)])  # 399 x 398
+    for rows, window in ((short, 150), (long, None)):
+        hankel_tsvd_series(rows, window, E15())
+        assert get_threads() == before
+        rows[-1, 17] = np.nan
+        with pytest.raises(NonFiniteError):
+            hankel_tsvd_series(rows, window, E15())
+        assert get_threads() == before
+    if before < 2:
+        return  # a one-thread stage has no worker to fail on
+    # every long row is NaN, and the caller starts its row only once a worker's
+    # row has run, so a worker raises first
+    long[:, 17] = np.nan
+    caller, worker_failed, row = threading.current_thread(), threading.Event(), tsvd._hankel_row
+
+    def hankel_row(*args):
+        if threading.current_thread() is caller:
+            assert worker_failed.wait(timeout=60)
+        try:
+            return row(*args)
+        finally:
+            worker_failed.set()
+
+    monkeypatch.setattr(tsvd, "_hankel_row", hankel_row)
     with pytest.raises(NonFiniteError):
-        hankel_tsvd_series(rows, 150, E15())
-    assert get_threads() == before
+        hankel_tsvd_series(long, None, E15())
+    assert worker_failed.is_set() and get_threads() == before
 
 
-def test_hankel_stage_holds_blas_at_one_thread_only_for_small_rows(monkeypatch):
+def test_hankel_stage_holds_blas_at_one_thread(monkeypatch):
     blas = CountingBlas(3)
     monkeypatch.setattr(tsvd, "_openblas", blas.pair)
     rows = np.stack([noisy_series(False, seed) for seed in range(4)])  # 150 x 250 Hankel matrices
@@ -409,15 +438,19 @@ def test_hankel_stage_holds_blas_at_one_thread_only_for_small_rows(monkeypatch):
     rows[-1, 17] = np.nan  # the last row fails on a worker or the caller; the caller raises
     with pytest.raises(NonFiniteError):
         hankel_tsvd_series(rows, 150, E15())
-    assert blas.sets == [1, 3, 1, 3]
-    # a lone row of that size runs at one BLAS thread too, so its bits match a stack's
+    assert blas.sets == [1, 3] * 2
+    # a lone row runs at one BLAS thread too, so its bits match a stack's
     hankel_tsvd_series(rows[0], 150, E15())
-    assert blas.sets == [1, 3, 1, 3, 1, 3]
-    # Gram matrices above 384 x 384 keep the full pool, alone or stacked, and never set the count
-    long_rows = np.stack([damped_sinusoids(n=796, seed=seed) for seed in range(2)])  # 399 x 398
-    hankel_tsvd_series(long_rows[0], None, E15())
-    hankel_tsvd_series(long_rows, None, E15())
-    assert blas.sets == [1, 3, 1, 3, 1, 3] and blas.threads == 3
+    assert blas.sets == [1, 3] * 3
+    # so do rows of any size, alone or stacked
+    long = np.stack([long_series(False, seed) for seed in range(2)])  # 399 x 398
+    hankel_tsvd_series(long[0], None, E15())
+    assert blas.sets == [1, 3] * 4
+    hankel_tsvd_series(long, None, E15())
+    assert blas.sets == [1, 3] * 5 and blas.threads == 3
+    # an empty stack runs nothing and leaves the count alone
+    hankel_tsvd_series(long[:0], None, E15())
+    assert blas.sets == [1, 3] * 5
 
 
 def test_worker_threads_call_no_public_function(monkeypatch):
@@ -598,7 +631,7 @@ def split_and_eigh(monkeypatch, rows, selector):
 
 @needs_lapack
 @pytest.mark.parametrize("complex_data", [False, True])
-@pytest.mark.parametrize("side", [2, 200, 300])  # 200 runs one row per thread, 300 serially
+@pytest.mark.parametrize("side", [2, 200, 300])
 @pytest.mark.parametrize("selector", [E15(), FixedRank(4), AbsoluteThreshold(5.0), RelativeThreshold(0.05),
                                       FixedRank(300), FixedRank(10 ** 6)])  # the last two keep r = side
 def test_split_kernel_matches_eigh_path(monkeypatch, complex_data, side, selector):
