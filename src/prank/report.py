@@ -17,12 +17,12 @@ class StageRecord:
     """One filtering stage: shape seen by the factorization, its spectrum, chosen rank.
 
     Each stage runs in one domain: classic on spectral lines, Hankel on time
-    samples, PRF on what it is handed.  Every stage takes its spectrum from
-    the eigenvalues of each matrix's smaller Gram matrix (``tsvd._gram``),
-    where values below about 1.5e-8 of the largest are rounding noise.
-    The PRF stage factors one matrix.  Classic and the Hankel stages factor
-    one ``shape`` matrix per call and hand ``of_calls`` the list of their
-    ``gram_tsvd`` results (classic one stacked call, Hankel one per row).
+    samples, PRF on what it is handed.  Every spectrum comes from the
+    eigenvalues of a smaller Gram matrix, where values below about 1.5e-8 of
+    the largest are rounding noise: ``tsvd._gram`` for classic and PRF,
+    ``tsvd._hankel_row`` per row for the Hankel stages.  The PRF stage factors
+    one matrix; classic and the Hankel stages one ``shape`` matrix per call,
+    whose (S, ranks, model) triples they hand ``of_calls``.
     ``model.tail_misfit`` is the ``e15_tail_misfit`` of ``to_text``.
     ``seconds`` covers the factorization and rank selection of a PRF stage,
     every call of a multi-call stage; the chain's one domain bridge
@@ -43,10 +43,11 @@ class StageRecord:
     @classmethod
     def of_calls(cls, name, shape, calls, seconds):
         """The record of a stage that factors one ``shape`` matrix per call, from
-        ``calls``, (S, ranks, model) triples stacked on a leading call axis as
-        ``gram_tsvd`` returns them, concatenated in order: the mean spectrum, the
-        largest rank, the model, and in ``extras`` ``svd_calls``, ``ranks`` and
-        their min / max / mean.  No calls give zeros of width min(shape) and no model."""
+        ``calls``, (S, ranks, model) triples stacked on a leading call axis
+        (``gram_tsvd``'s or ``tsvd._hankel_row``'s), concatenated in order:
+        the mean spectrum, the largest rank, the model, and in ``extras``
+        ``svd_calls``, ``ranks`` and their min / max / mean.  No calls give
+        zeros of width min(shape) and no model."""
         if not calls:
             extras = {"svd_calls": 0, "ranks": [], "rank_min": 0, "rank_max": 0, "rank_mean": 0.0}
             return cls(name, shape, np.zeros(min(shape)), 0, None, seconds, extras)

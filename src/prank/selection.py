@@ -185,8 +185,11 @@ def _corr_grid_curves(m: int, n: int) -> np.ndarray:
 
 
 def _spectra(S, shape: tuple) -> np.ndarray:
-    """S as floats, each of its spectra checked to hold min(shape) values."""
+    """S as floats, each of its spectra checked to hold min(shape) values; a
+    0-d S raises DimensionMismatch."""
     S = np.asarray(S, dtype=float)
+    if S.ndim == 0:
+        raise DimensionMismatch("expected a singular-value vector or a stack of them, got ndim=0")
     if S.shape[-1] == 0:
         raise EmptyError("empty singular-value vector")
     if S.shape[-1] != min(shape):

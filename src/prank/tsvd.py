@@ -18,12 +18,16 @@ The Hankel row stage (``hankel_tsvd_series``) runs the same three steps on
 each row's Hankel matrix, read as a window view of the row, but splits the
 eigendecomposition around the selection (``_split_eig``): one tridiagonal
 reduction of the Gram matrix gives every singular value, and only the r
-kept vectors are computed from it, through the LAPACKE routines of numpy's
-OpenBLAS (``_lapack``; ``_eig`` where they are missing).  It averages the
-anti-diagonals straight from the rank-r factors with FFTs; ``hankelize``
-and ``dehankelize_ssa`` remain as the reference forms.  It spends the BLAS
+kept vectors are computed from it.  It averages the anti-diagonals
+straight from the rank-r factors with FFTs; ``hankelize`` and
+``dehankelize_ssa`` remain as the reference forms.  It spends the BLAS
 thread budget on rows rather than inside each row, one row per thread with
 OpenBLAS held at one thread (``_each_row``).
+
+Both bind the OpenBLAS that numpy.linalg links, with ctypes (``_openblas``):
+numpy's wheel runs the split kernel on threaded rows, a system or conda
+OpenBLAS (no LAPACKE symbols) ``_eig`` on threaded rows, anything else
+(MKL, a failed open) ``_eig`` on serial rows.
 """
 
 from __future__ import annotations
@@ -274,18 +278,20 @@ def _split_eig(A: np.ndarray, e: np.ndarray):
     """(S, vectors) of a stack of one matrix A (1, m, n): S as ``_eig`` gives
     it, and vectors(r), the first r Gram eigenvectors in S's order, (1, side, r).
 
-    With LAPACK at hand (``_lapack``), one tridiagonal reduction of the
-    ``_normal_gram`` G (?sytrd/?hetrd) yields every eigenvalue (dsterf), so
-    a selector sees the whole spectrum, while only the r kept vectors are
-    found, by inverse iteration on the tridiagonal (?stein, O(side * r)),
-    and carried back through the reduction's reflectors (?ormtr/?unmtr,
-    O(side^2 * r)): no full eigenvector matrix and no divide-and-conquer
-    workspace.  LAPACK reads the C-ordered G as its column-major transpose
-    conj(G), so complex vectors come back conjugated.  Without LAPACK,
-    ``_eig`` runs and vectors(r) hands back all of its Q.  A nonzero LAPACK
-    info raises ConvergenceError.
+    With the LAPACKE routines of numpy's wheel (``_openblas``), one
+    tridiagonal reduction of the ``_normal_gram`` G (?sytrd/?hetrd) yields
+    every eigenvalue (dsterf), so a selector sees the whole spectrum, while
+    only the r kept vectors are found, by inverse iteration on the
+    tridiagonal (?stein, O(side * r)), and carried back through the
+    reduction's reflectors (?ormtr/?unmtr, O(side^2 * r)): no full
+    eigenvector matrix and no divide-and-conquer workspace.  LAPACK reads
+    the C-ordered G as its column-major transpose conj(G), so complex
+    vectors come back conjugated.  Without those routines, ``_eig`` runs and
+    vectors(r) hands back all of its Q.  A nonzero LAPACK info raises
+    ConvergenceError.
     """
-    lapack = _lapack()
+    blas = _openblas()
+    lapack = None if blas is None else blas[2]
     if lapack is None:
         S, Q = _eig(A, e)
         return S, lambda r: Q
@@ -333,68 +339,54 @@ def _hankel_row(row: np.ndarray, L: int, selector: SelectionStrategy):
 
 
 _BLAS_LOCK = threading.Lock()  # held by every row stage that changes the BLAS thread count
-
-
-@lru_cache(maxsize=None)
-def _openblas_libraries():
-    """The OpenBLAS libraries this process has loaded, opened once with
-    ctypes from the paths in /proc/self/maps; empty where there is none."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
-            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return ()
-    libs = []
-    for path in paths:
-        try:
-            libs.append(ctypes.CDLL(path))
-        except OSError:
-            continue
-    return tuple(libs)
-
-
-@lru_cache(maxsize=None)
-def _openblas():
-    """The (get, set) thread-count functions of the loaded OpenBLAS: numpy's
-    wheel exports the scipy_openblas ...64_ pair, a system OpenBLAS the plain
-    one.  None where there is none."""
-    for lib in _openblas_libraries():
-        for get, set_ in (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-                          ("openblas_get_num_threads", "openblas_set_num_threads")):
-            if hasattr(lib, get) and hasattr(lib, set_):
-                getter, setter = getattr(lib, get), getattr(lib, set_)
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                return getter, setter
-    return None
-
-
 _COL_MAJOR = 102  # LAPACKE's LAPACK_COL_MAJOR
 
 
 @lru_cache(maxsize=None)
-def _lapack():
-    """``_split_eig``'s routines, {dtype: (?sytrd/?hetrd, dsterf, ?stein,
-    ?ormtr/?unmtr)} for float64 and complex128, from the ILP64 LAPACKE
-    symbols (scipy_LAPACKE_..64_) of numpy's OpenBLAS wheel.  None where no
-    loaded OpenBLAS exports them (a system OpenBLAS; MKL is never found)."""
+def _openblas():
+    """The OpenBLAS that numpy.linalg calls, bound once (``_bind``).  A ctypes
+    handle on numpy's ``_umath_linalg`` module also finds the symbols of the
+    libraries it links, so this is numpy's own BLAS, whatever else the
+    process has loaded.  None where the module cannot be imported or opened."""
+    try:
+        from numpy.linalg import _umath_linalg
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError):
+        return None
+    return _bind(lib)
+
+
+def _bind(lib):
+    """(get_threads, set_threads, routines) of a library handle: OpenBLAS's
+    thread-count pair (numpy's wheel exports scipy_openblas_..64_ names, a
+    system or conda build the plain ones) and ``_split_eig``'s {dtype:
+    (?sytrd/?hetrd, dsterf, ?stein, ?ormtr/?unmtr)} for float64 and
+    complex128, from the wheel's ILP64 LAPACKE symbols (scipy_LAPACKE_..64_),
+    or None without them.  None where neither thread pair is exported."""
+    for get, set_ in (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                      ("openblas_get_num_threads", "openblas_set_num_threads")):
+        if hasattr(lib, get) and hasattr(lib, set_):
+            break
+    else:
+        return None
+    getter, setter = getattr(lib, get), getattr(lib, set_)
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    setter.argtypes, setter.restype = [ctypes.c_int], None
     c_int, c_char, i64 = ctypes.c_int, ctypes.c_char, ctypes.c_int64
     real, ints = _buffer(np.float64), _buffer(np.int64)
-    for lib in _openblas_libraries():
-        table = {}
-        try:
-            for dtype, (reduce, stein, back) in ((np.float64, ("dsytrd", "dstein", "dormtr")),
-                                                 (np.complex128, ("zhetrd", "zstein", "zunmtr"))):
-                mat = _buffer(dtype)
-                table[np.dtype(dtype)] = (
-                    _routine(lib, reduce, [c_int, c_char, i64, mat, i64, real, real, mat]),
-                    _routine(lib, "dsterf", [i64, real, real]),
-                    _routine(lib, stein, [c_int, i64, real, real, i64, real, ints, ints, mat, i64, ints]),
-                    _routine(lib, back, [c_int, c_char, c_char, c_char, i64, i64, mat, i64, mat, mat, i64]))
-        except AttributeError:
-            continue
-        return table
-    return None
+    routines = {}
+    try:
+        for dtype, (reduce, stein, back) in ((np.float64, ("dsytrd", "dstein", "dormtr")),
+                                             (np.complex128, ("zhetrd", "zstein", "zunmtr"))):
+            mat = _buffer(dtype)
+            routines[np.dtype(dtype)] = (
+                _routine(lib, reduce, [c_int, c_char, i64, mat, i64, real, real, mat]),
+                _routine(lib, "dsterf", [i64, real, real]),
+                _routine(lib, stein, [c_int, i64, real, real, i64, real, ints, ints, mat, i64, ints]),
+                _routine(lib, back, [c_int, c_char, c_char, c_char, i64, i64, mat, i64, mat, mat, i64]))
+    except AttributeError:
+        routines = None
+    return getter, setter, routines
 
 
 def _buffer(dtype):
@@ -418,7 +410,7 @@ def _lapack_call(routine, *args):
 def _each_row(count: int, run):
     """Call run(j) for every j in range(count).
 
-    With OpenBLAS's thread controls at hand (``_openblas``), the rows run
+    With numpy's OpenBLAS at hand (``_openblas``), the rows run
     one per thread on min(BLAS threads, count) threads, the caller's among
     them, with OpenBLAS held at one thread; the count is restored
     afterwards, and a module lock serialises such stages.  A lone row is
@@ -433,7 +425,7 @@ def _each_row(count: int, run):
         for j in range(count):
             run(j)
         return
-    get_threads, set_threads = blas
+    get_threads, set_threads, _ = blas
     todo, errors = iter(range(count)), {}
 
     def work():
@@ -474,18 +466,20 @@ def hankel_tsvd_series(series: np.ndarray, window: Optional[int], selector: Sele
     nor rounded on output.  Each row's Hankel matrix is a window view of the
     row; one tridiagonal reduction of its Gram matrix gives the whole
     spectrum for the selector and then only the r kept vectors
-    (``_split_eig``; ``eigh`` where numpy's OpenBLAS exports no LAPACKE
-    symbols), and its SSA average comes from the rank-r factors
+    (``_split_eig``; ``eigh`` where numpy's BLAS is not the OpenBLAS of
+    numpy's wheel), and its SSA average comes from the rank-r factors
     (``_antidiagonal_means``): no L x K matrix is formed but the normalised
     copy that the Gram product reads.  The rows share the BLAS thread budget
     (``_each_row``): they run one per thread, with OpenBLAS held at one
     thread until the stage ends, so BLAS calls from other threads run
     single-threaded meanwhile, and a lone row runs at one BLAS thread too.
-    A process without OpenBLAS runs them serially on the full BLAS pool.
-    Either way a row's result does not depend on the other rows of its
-    stack.
+    Where numpy's BLAS is not OpenBLAS they run serially on the full BLAS
+    pool.  Either way a row's result does not depend on the other rows of its
+    stack.  A 0-d series raises DimensionMismatch.
     """
     series = np.asarray(series)
+    if series.ndim == 0:
+        raise DimensionMismatch("hankel_tsvd_series takes a series or a stack of them, got ndim=0")
     length = series.shape[-1]
     if length < 4:
         raise WindowError(f"series too short for Hankel filtering ({length} samples)")

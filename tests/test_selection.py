@@ -101,6 +101,16 @@ def test_spectrum_length_must_be_min_of_shape(call, length):
         call(np.ones(0), (4, 4))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: evaluate(np.float64(1.0), (1, 1), FixedRank(1)),
+    lambda: e15(3.0, (2, 2)),
+    lambda: mp_fit(3.0, (2, 2)),
+], ids=["evaluate", "e15", "mp_fit"])
+def test_zero_d_spectrum_is_dimension_mismatch(call):
+    with pytest.raises(DimensionMismatch, match="ndim=0"):
+        call()
+
+
 def test_strategy_validation():
     with pytest.raises(ValueError):
         RelativeThreshold(1.5)

@@ -1,6 +1,8 @@
+import ctypes
 import inspect
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -238,7 +240,9 @@ def test_hankelize_window_errors():
     lambda: dehankelize_ssa(np.ones((2, 3, 4))),
     lambda: gram_tsvd(np.ones(5), FixedRank(1)),
     lambda: svd(np.ones(5)),
-], ids=["hankelize-2d", "hankelize-0d", "dehankelize-1d", "dehankelize-3d", "gram_tsvd-1d", "svd-1d"])
+    lambda: hankel_tsvd_series(np.float64(3.0), None, FixedRank(1)),
+], ids=["hankelize-2d", "hankelize-0d", "dehankelize-1d", "dehankelize-3d", "gram_tsvd-1d", "svd-1d",
+        "hankel_tsvd_series-0d"])
 def test_kernels_reject_arrays_of_the_wrong_dimension(call):
     with pytest.raises(DimensionMismatch, match="ndim="):
         call()
@@ -345,45 +349,69 @@ def long_series(complex_data, seed):
     return out + 1j * damped_sinusoids(n=796, freqs=(0.21,), seed=seed + 100) if complex_data else out
 
 
+@pytest.fixture
+def blas_platform(monkeypatch):
+    """``blas_platform(*names)`` installs as ``tsvd._openblas``, in turn, each
+    named lookup that it can return, made from this process's own, and
+    yields its name: "wheel", numpy's wheel (the thread pair and the LAPACKE
+    routines: the split kernel on threaded rows); "threads", a system or
+    conda OpenBLAS (the pair alone: ``eigh`` on threaded rows); "none", MKL
+    or a failed open (``eigh`` on serial rows).  No names means all three.
+    A platform whose parts this process lacks is left out, and a test left
+    with none is skipped.  The platforms run in one test, not one each, so
+    the test ids stay those of a single platform."""
+    found = tsvd._openblas()
+    lookups = {"none": None}
+    if found is not None:
+        lookups["threads"] = found[:2] + (None,)
+        if found[2] is not None:
+            lookups["wheel"] = found
+
+    def each(*names):
+        names = [name for name in names or ("wheel", "threads", "none") if name in lookups]
+        if not names:
+            pytest.skip("this process's BLAS has none of the platform's parts")
+        for name in names:
+            monkeypatch.setattr(tsvd, "_openblas", lambda lookup=lookups[name]: lookup)
+            yield name
+
+    return each
+
+
 @pytest.mark.parametrize("complex_data", [False, True])
 @pytest.mark.parametrize("selector", [FixedRank(6), E15()])
-def test_hankel_tsvd_series_stack_equals_row_by_row(complex_data, selector):
+def test_hankel_tsvd_series_stack_equals_row_by_row(blas_platform, complex_data, selector):
     short = np.stack([noisy_series(complex_data, seed) for seed in range(3)])  # 150 x 250 Hankel matrices
     long = np.stack([long_series(complex_data, seed) for seed in range(3)])
-    for rows, window in ((short, 150), (long, None)):
-        out, record = hankel_tsvd_series(rows, window, selector)
-        alone = [hankel_tsvd_series(row, window, selector) for row in rows]
-        assert np.array_equal(out, np.stack([a for a, _ in alone]))
-        assert record.extras["ranks"] == [rec.rank for _, rec in alone]
-        assert record.extras["svd_calls"] == 3 and record.rank == max(record.extras["ranks"])
-        assert np.array_equal(record.singular_values, np.mean([rec.singular_values for _, rec in alone], axis=0))
-        if record.model is not None:
-            for name, value in vars(record.model).items():
-                assert np.array_equal(value, np.concatenate([getattr(rec.model, name) for _, rec in alone]),
-                                      equal_nan=True), name
-    # no rows, as HiP hands over at PRF rank 0: no calls and an empty result
-    empty, record = hankel_tsvd_series(short[:0], 150, selector)
-    assert empty.shape == (0, short.shape[1]) and empty.dtype == short.dtype
-    assert (record.extras["svd_calls"], record.extras["ranks"], record.rank) == (0, [], 0)
-    assert record.model is None and not record.singular_values.any()
-
-
-@pytest.mark.parametrize("complex_data", [False, True])
-@pytest.mark.parametrize("selector", [FixedRank(6), E15()])
-def test_hankel_tsvd_series_stack_equals_row_by_row_without_openblas(monkeypatch, complex_data, selector):
-    # where no OpenBLAS is found, every row runs serially on the calling thread
-    monkeypatch.setattr(tsvd, "_openblas", lambda: None)
-    test_hankel_tsvd_series_stack_equals_row_by_row(complex_data, selector)
+    for _ in blas_platform():
+        for rows, window in ((short, 150), (long, None)):
+            out, record = hankel_tsvd_series(rows, window, selector)
+            alone = [hankel_tsvd_series(row, window, selector) for row in rows]
+            assert np.array_equal(out, np.stack([a for a, _ in alone]))
+            assert record.extras["ranks"] == [rec.rank for _, rec in alone]
+            assert record.extras["svd_calls"] == 3 and record.rank == max(record.extras["ranks"])
+            assert np.array_equal(record.singular_values,
+                                  np.mean([rec.singular_values for _, rec in alone], axis=0))
+            if record.model is not None:
+                for name, value in vars(record.model).items():
+                    assert np.array_equal(value, np.concatenate([getattr(rec.model, name) for _, rec in alone]),
+                                          equal_nan=True), name
+        # no rows, as HiP hands over at PRF rank 0: no calls and an empty result
+        empty, record = hankel_tsvd_series(short[:0], 150, selector)
+        assert empty.shape == (0, short.shape[1]) and empty.dtype == short.dtype
+        assert (record.extras["svd_calls"], record.extras["ranks"], record.rank) == (0, [], 0)
+        assert record.model is None and not record.singular_values.any()
 
 
 class CountingBlas:
-    """A stand-in for OpenBLAS's thread-count pair that records every set."""
+    """A stand-in for the lookup of the platform in place, ``tsvd._openblas``,
+    whose thread-count pair records every set."""
 
     def __init__(self, threads):
-        self.threads, self.sets = threads, []
+        self.threads, self.sets, self.routines = threads, [], tsvd._openblas()[2]
 
-    def pair(self):
-        return self.get, self.set
+    def lookup(self):
+        return self.get, self.set, self.routines
 
     def get(self):
         return self.threads
@@ -429,31 +457,32 @@ def test_hankel_stage_restores_the_blas_thread_count(monkeypatch):
     assert worker_failed.is_set() and get_threads() == before
 
 
-def test_hankel_stage_holds_blas_at_one_thread(monkeypatch):
-    blas = CountingBlas(3)
-    monkeypatch.setattr(tsvd, "_openblas", blas.pair)
-    rows = np.stack([noisy_series(False, seed) for seed in range(4)])  # 150 x 250 Hankel matrices
-    hankel_tsvd_series(rows, 150, E15())
-    assert blas.sets == [1, 3]
-    rows[-1, 17] = np.nan  # the last row fails on a worker or the caller; the caller raises
-    with pytest.raises(NonFiniteError):
+def test_hankel_stage_holds_blas_at_one_thread(monkeypatch, blas_platform):
+    for _ in blas_platform("wheel", "threads"):
+        blas = CountingBlas(3)
+        monkeypatch.setattr(tsvd, "_openblas", blas.lookup)
+        rows = np.stack([noisy_series(False, seed) for seed in range(4)])  # 150 x 250 Hankel matrices
         hankel_tsvd_series(rows, 150, E15())
-    assert blas.sets == [1, 3] * 2
-    # a lone row runs at one BLAS thread too, so its bits match a stack's
-    hankel_tsvd_series(rows[0], 150, E15())
-    assert blas.sets == [1, 3] * 3
-    # so do rows of any size, alone or stacked
-    long = np.stack([long_series(False, seed) for seed in range(2)])  # 399 x 398
-    hankel_tsvd_series(long[0], None, E15())
-    assert blas.sets == [1, 3] * 4
-    hankel_tsvd_series(long, None, E15())
-    assert blas.sets == [1, 3] * 5 and blas.threads == 3
-    # an empty stack runs nothing and leaves the count alone
-    hankel_tsvd_series(long[:0], None, E15())
-    assert blas.sets == [1, 3] * 5
+        assert blas.sets == [1, 3]
+        rows[-1, 17] = np.nan  # the last row fails on a worker or the caller; the caller raises
+        with pytest.raises(NonFiniteError):
+            hankel_tsvd_series(rows, 150, E15())
+        assert blas.sets == [1, 3] * 2
+        # a lone row runs at one BLAS thread too, so its bits match a stack's
+        hankel_tsvd_series(rows[0], 150, E15())
+        assert blas.sets == [1, 3] * 3
+        # so do rows of any size, alone or stacked
+        long = np.stack([long_series(False, seed) for seed in range(2)])  # 399 x 398
+        hankel_tsvd_series(long[0], None, E15())
+        assert blas.sets == [1, 3] * 4
+        hankel_tsvd_series(long, None, E15())
+        assert blas.sets == [1, 3] * 5 and blas.threads == 3
+        # an empty stack runs nothing and leaves the count alone
+        hankel_tsvd_series(long[:0], None, E15())
+        assert blas.sets == [1, 3] * 5
 
 
-def test_worker_threads_call_no_public_function(monkeypatch):
+def test_worker_threads_call_no_public_function(monkeypatch, blas_platform):
     # a tracer that wraps the public functions of these namespaces keeps one
     # span stack, so every wrapped call must run on the calling thread
     calls = []
@@ -468,40 +497,41 @@ def test_worker_threads_call_no_public_function(monkeypatch):
         for name, obj in list(vars(module).items()):
             if not name.startswith("_") and inspect.isfunction(obj) and obj.__module__.startswith("prank."):
                 monkeypatch.setattr(module, name, wrap(obj))
-    blas = CountingBlas(4)
-    monkeypatch.setattr(tsvd, "_openblas", blas.pair)
     rows = np.stack([noisy_series(False, seed) for seed in range(16)])
-    tsvd.hankel_tsvd_series(rows, None, E15())
-    _, report = filters.apply_filter(ResponseDataset(rows.reshape(4, 4, -1), Domain.TIME),
-                                     PrankConfig(variant=Variant.PRANK_HIP))
-    assert report.stage("hankel_in_prf").extras["svd_calls"] > 1
-    assert blas.sets == [1, 4, 1, 4]  # both stages took the threaded path
-    assert {name for name, _ in calls} >= {"hankel_tsvd_series", "apply_filter", "evaluate"}
-    assert {ident for _, ident in calls} == {threading.get_ident()}
+    for _ in blas_platform("wheel", "threads"):
+        calls.clear()
+        blas = CountingBlas(4)
+        monkeypatch.setattr(tsvd, "_openblas", blas.lookup)
+        tsvd.hankel_tsvd_series(rows, None, E15())
+        _, report = filters.apply_filter(ResponseDataset(rows.reshape(4, 4, -1), Domain.TIME),
+                                         PrankConfig(variant=Variant.PRANK_HIP))
+        assert report.stage("hankel_in_prf").extras["svd_calls"] > 1
+        assert blas.sets == [1, 4, 1, 4]  # both stages took the threaded path
+        assert {name for name, _ in calls} >= {"hankel_tsvd_series", "apply_filter", "evaluate"}
+        assert {ident for _, ident in calls} == {threading.get_ident()}
 
 
-def test_hankel_stage_on_more_threads_than_cores_equals_row_by_row(monkeypatch):
+def test_hankel_stage_on_more_threads_than_cores_equals_row_by_row(monkeypatch, blas_platform):
     # eight threads over 48 short rows, switching as often as the interpreter
     # allows: a row taken twice or a result written to the wrong slot breaks the
     # bit-for-bit match with each row run alone
-    blas = tsvd._openblas()
-    if blas is None:
-        pytest.skip("no OpenBLAS in this process")
-    get_threads, set_threads = blas
-    before = get_threads()
-    monkeypatch.setattr(tsvd, "_openblas", lambda: (lambda: 8, lambda n: set_threads(before if n == 8 else n)))
     rng = np.random.default_rng(11)
     rows = rng.standard_normal((48, 40)) + np.sin(0.3 * np.arange(40))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        out, record = hankel_tsvd_series(rows, None, E15())
-    finally:
-        sys.setswitchinterval(interval)
-    alone = [hankel_tsvd_series(row, None, E15()) for row in rows]
-    assert np.array_equal(out, np.stack([a for a, _ in alone]))
-    assert record.extras["ranks"] == [rec.rank for _, rec in alone]
-    assert get_threads() == before
+    for _ in blas_platform("wheel", "threads"):
+        get_threads, set_threads, routines = tsvd._openblas()
+        before = get_threads()
+        monkeypatch.setattr(tsvd, "_openblas",
+                            lambda: (lambda: 8, lambda n: set_threads(before if n == 8 else n), routines))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out, record = hankel_tsvd_series(rows, None, E15())
+        finally:
+            sys.setswitchinterval(interval)
+        alone = [hankel_tsvd_series(row, None, E15()) for row in rows]
+        assert np.array_equal(out, np.stack([a for a, _ in alone]))
+        assert record.extras["ranks"] == [rec.rank for _, rec in alone]
+        assert get_threads() == before
 
 
 def test_hankel_tsvd_series_too_short():
@@ -599,9 +629,6 @@ def test_gram_kernel_maps_backend_failure(monkeypatch):
 
 # ------------------------------------------------------------- split kernel
 
-needs_lapack = pytest.mark.skipif(tsvd._lapack() is None, reason="the loaded BLAS exports no LAPACKE symbols")
-
-
 def kernel_rows(complex_data, side):
     """Three rows of 2 * side samples: (side + 1) x side Hankel matrices of
     two damped sinusoids in noise, whose smallest singular value stays above
@@ -615,55 +642,57 @@ def kernel_rows(complex_data, side):
     return rows
 
 
-def split_and_eigh(monkeypatch, rows, selector):
-    """hankel_tsvd_series on the split kernel and on the ``_eig`` path: each a
-    (filtered stack, ranks, spectrum of each row run alone)."""
+def split_and_eigh(blas_platform, rows, selector):
+    """hankel_tsvd_series under "wheel" (the split kernel) and "threads" (the
+    ``_eig`` path on threaded rows), and under "none" (``_eig`` on serial
+    rows) as the reference: ([one result per OpenBLAS platform], reference),
+    each a (filtered stack, ranks, spectrum of each row run alone)."""
     def run():
         out, record = hankel_tsvd_series(rows, None, selector)
         spectra = [hankel_tsvd_series(row, None, selector)[1].singular_values for row in rows]
         return out, record.extras["ranks"], np.array(spectra)
 
-    split = run()
-    with monkeypatch.context() as m:
-        m.setattr(tsvd, "_lapack", lambda: None)
-        return split, run()
+    results = {platform: run() for platform in blas_platform()}
+    reference = results.pop("none")
+    if not results:
+        pytest.skip("no OpenBLAS in this process")
+    return list(results.values()), reference
 
 
-@needs_lapack
 @pytest.mark.parametrize("complex_data", [False, True])
 @pytest.mark.parametrize("side", [2, 200, 300])
 @pytest.mark.parametrize("selector", [E15(), FixedRank(4), AbsoluteThreshold(5.0), RelativeThreshold(0.05),
                                       FixedRank(300), FixedRank(10 ** 6)])  # the last two keep r = side
-def test_split_kernel_matches_eigh_path(monkeypatch, complex_data, side, selector):
+def test_split_kernel_matches_eigh_path(blas_platform, complex_data, side, selector):
     rows = kernel_rows(complex_data, side)
-    (out, ranks, S), (ref, ref_ranks, ref_S) = split_and_eigh(monkeypatch, rows, selector)
-    assert ranks == ref_ranks
-    if isinstance(selector, FixedRank):
-        assert ranks == [min(selector.r, side)] * 3
-    # both solve the same tridiagonal to eps * sigma_1^2 in the Gram eigenvalues,
-    # so S differs by eps * sigma_1^2 / S, within 1e-13 sigma_1 at S >= 1e-2 sigma_1
-    assert S.shape == (3, side) and np.all(np.abs(S - ref_S) <= 1e-13 * ref_S[:, :1])
-    assert np.iscomplexobj(out) == complex_data
-    assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+    results, (ref, ref_ranks, ref_S) = split_and_eigh(blas_platform, rows, selector)
+    for out, ranks, S in results:
+        assert ranks == ref_ranks
+        if isinstance(selector, FixedRank):
+            assert ranks == [min(selector.r, side)] * 3
+        # both solve the same tridiagonal to eps * sigma_1^2 in the Gram eigenvalues,
+        # so S differs by eps * sigma_1^2 / S, within 1e-13 sigma_1 at S >= 1e-2 sigma_1
+        assert S.shape == (3, side) and np.all(np.abs(S - ref_S) <= 1e-13 * ref_S[:, :1])
+        assert np.iscomplexobj(out) == complex_data
+        assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-@needs_lapack
 @pytest.mark.parametrize("selector", [E15(), FixedRank(4), FixedRank(10 ** 6), AbsoluteThreshold(0.0),
                                       RelativeThreshold(1e-9)])
-def test_split_kernel_on_a_zero_row(monkeypatch, selector):
+def test_split_kernel_on_a_zero_row(blas_platform, selector):
     # rank 0, or unit vectors of the zero Gram matrix: zeros either way, never NaN
     rows = np.zeros((2, 400))
     rows[1] = kernel_rows(False, 200)[0]
-    (out, ranks, S), (ref, ref_ranks, _) = split_and_eigh(monkeypatch, rows, selector)
-    assert ranks[0] == ref_ranks[0] == (0 if not isinstance(selector, FixedRank) else min(selector.r, 200))
-    assert np.array_equal(out[0], np.zeros(400)) and np.array_equal(ref[0], np.zeros(400))
-    assert not S[0].any()
-    assert np.linalg.norm(out[1] - ref[1]) <= 1e-12 * np.linalg.norm(ref[1])
+    results, (ref, ref_ranks, _) = split_and_eigh(blas_platform, rows, selector)
+    for out, ranks, S in results:
+        assert ranks[0] == ref_ranks[0] == (0 if not isinstance(selector, FixedRank) else min(selector.r, 200))
+        assert np.array_equal(out[0], np.zeros(400)) and np.array_equal(ref[0], np.zeros(400))
+        assert not S[0].any()
+        assert np.linalg.norm(out[1] - ref[1]) <= 1e-12 * np.linalg.norm(ref[1])
 
 
-@needs_lapack
 @pytest.mark.parametrize("routine", [0, 1, 2, 3])
-def test_split_kernel_maps_lapack_failure(monkeypatch, routine):
+def test_split_kernel_maps_lapack_failure(monkeypatch, blas_platform, routine):
     def failing(fn):
         def call(*args):
             fn(*args)
@@ -671,12 +700,47 @@ def test_split_kernel_maps_lapack_failure(monkeypatch, routine):
         call.__name__ = fn.__name__
         return call
 
-    table = {dtype: tuple(failing(fn) if k == routine else fn for k, fn in enumerate(fns))
-             for dtype, fns in tsvd._lapack().items()}
-    monkeypatch.setattr(tsvd, "_lapack", lambda: table)
-    for complex_data in (False, True):
-        with pytest.raises(ConvergenceError, match="info 3"):
-            hankel_tsvd_series(kernel_rows(complex_data, 20), None, FixedRank(4))
+    for _ in blas_platform("wheel"):
+        get_threads, set_threads, routines = tsvd._openblas()
+        table = {dtype: tuple(failing(fn) if k == routine else fn for k, fn in enumerate(fns))
+                 for dtype, fns in routines.items()}
+        monkeypatch.setattr(tsvd, "_openblas", lambda: (get_threads, set_threads, table))
+        for complex_data in (False, True):
+            with pytest.raises(ConvergenceError, match="info 3"):
+                hankel_tsvd_series(kernel_rows(complex_data, 20), None, FixedRank(4))
+
+
+# ------------------------------------------------------------- BLAS lookup
+
+def test_lookup_of_a_library_without_openblas_is_none():
+    # the process's own symbols hold neither thread pair: MKL's case
+    assert tsvd._bind(ctypes.CDLL(None)) is None
+
+
+def test_lookup_of_a_plain_openblas_has_no_routines():
+    # a system or conda OpenBLAS: the plain thread pair, no scipy_LAPACKE_*64_ symbols
+    def get():
+        return 3
+
+    def set_(threads):
+        pass
+
+    lib = types.SimpleNamespace(openblas_get_num_threads=get, openblas_set_num_threads=set_)
+    assert tsvd._bind(lib) == (get, set_, None)
+    assert (get.argtypes, get.restype, set_.argtypes, set_.restype) == ([], ctypes.c_int, [ctypes.c_int], None)
+
+
+@pytest.mark.parametrize("failure", ["import", "open"])
+def test_lookup_without_numpy_linalg_module_is_none(monkeypatch, failure):
+    if failure == "import":
+        monkeypatch.delattr(np.linalg, "_umath_linalg")
+        monkeypatch.setitem(sys.modules, "numpy.linalg._umath_linalg", None)
+    else:
+        def cannot_open(path):
+            raise OSError(f"{path}: cannot open shared object file")
+
+        monkeypatch.setattr(ctypes, "CDLL", cannot_open)
+    assert tsvd._openblas.__wrapped__() is None
 
 
 def test_hankel_tsvd_series_takes_integer_rows_as_float():
