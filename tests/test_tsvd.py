@@ -378,12 +378,10 @@ def blas_platform(monkeypatch):
     return each
 
 
-@pytest.mark.parametrize("complex_data", [False, True])
-@pytest.mark.parametrize("selector", [FixedRank(6), E15()])
-def test_hankel_tsvd_series_stack_equals_row_by_row(blas_platform, complex_data, selector):
+def check_stack_equals_row_by_row(platforms, complex_data, selector):
     short = np.stack([noisy_series(complex_data, seed) for seed in range(3)])  # 150 x 250 Hankel matrices
     long = np.stack([long_series(complex_data, seed) for seed in range(3)])
-    for _ in blas_platform():
+    for _ in platforms:
         for rows, window in ((short, 150), (long, None)):
             out, record = hankel_tsvd_series(rows, window, selector)
             alone = [hankel_tsvd_series(row, window, selector) for row in rows]
@@ -401,6 +399,19 @@ def test_hankel_tsvd_series_stack_equals_row_by_row(blas_platform, complex_data,
         assert empty.shape == (0, short.shape[1]) and empty.dtype == short.dtype
         assert (record.extras["svd_calls"], record.extras["ranks"], record.rank) == (0, [], 0)
         assert record.model is None and not record.singular_values.any()
+
+
+@pytest.mark.parametrize("complex_data", [False, True])
+@pytest.mark.parametrize("selector", [FixedRank(6), E15()])
+def test_hankel_tsvd_series_stack_equals_row_by_row(blas_platform, complex_data, selector):
+    check_stack_equals_row_by_row(blas_platform("wheel", "threads"), complex_data, selector)
+
+
+@pytest.mark.parametrize("complex_data", [False, True])
+@pytest.mark.parametrize("selector", [FixedRank(6), E15()])
+def test_hankel_tsvd_series_stack_equals_row_by_row_without_openblas(blas_platform, complex_data, selector):
+    # where no OpenBLAS is bound, every row runs serially on the calling thread
+    check_stack_equals_row_by_row(blas_platform("none"), complex_data, selector)
 
 
 class CountingBlas:
