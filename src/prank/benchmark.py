@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import warnings
+import logging
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -12,6 +12,9 @@ import numpy as np
 from .dataset import Domain, ResponseDataset
 from .errors import AxisError, DomainError
 from .tsvd import _pivot_phase
+
+logger = logging.getLogger(__name__)
+logger.addHandler(logging.NullHandler())
 
 
 class Boundary(Enum):
@@ -175,8 +178,9 @@ def synthesize_direct(sys: ChainSystem, axis: np.ndarray,
     """Receptance by direct inversion of the dynamic stiffness A per bin.
 
     Bins that fail ``matrix_rank``'s test, s_min <= s_max * n * eps (a free-free
-    chain at omega = 0), take one batched pseudoinverse and a RuntimeWarning with
-    their count and first index; the rest one batched solve, each A factored alone.
+    chain at omega = 0), take one batched pseudoinverse, logged as a warning on
+    ``logger`` (``prank.benchmark``) with their count and first index; the rest
+    one batched solve, each A factored alone.
     """
     axis, start, step = _axis_checked(axis)
     M, D, K = sys.matrices()
@@ -194,8 +198,8 @@ def synthesize_direct(sys: ChainSystem, axis: np.ndarray,
     X[singular] = np.linalg.pinv(A[singular]) @ rhs
     if singular.any():
         bad = np.flatnonzero(singular)
-        warnings.warn(f"singular dynamic stiffness at {len(bad)} bin(s) "
-                      f"(first at index {bad[0]}); pseudoinverse used", RuntimeWarning)
+        logger.warning("singular dynamic stiffness at %d bin(s) (first at index %d); pseudoinverse used",
+                       len(bad), bad[0])
     data = X[:, out_idx, :].transpose(1, 2, 0)
     return ResponseDataset(data, Domain.FREQUENCY, start, step, "rad/s")
 

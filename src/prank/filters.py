@@ -24,6 +24,10 @@ result back once.  All but classic use two stages:
   averaged back to a series from its rank-r factors.  Where numpy's BLAS
   is OpenBLAS, rows run one per thread with it held at one thread, so a
   Hankel stage also holds BLAS calls from other threads at one thread.
+  OpenBLAS's idle pool spin-waits after a threaded call, so a stage whose
+  caller is the process's only Python thread first stops the pool, and
+  OpenBLAS re-creates it when the stage restores the count; with other
+  Python threads alive the pool is left running.
 
 PH and HP run the two in turn.  PRANK_HiP calls the PRF stage, runs the
 Hankel row stage on the unit columns of lhs and rebuilds from the filtered

@@ -22,7 +22,11 @@ kept vectors are computed from it.  It averages the anti-diagonals
 straight from the rank-r factors with FFTs; ``hankelize`` and
 ``dehankelize_ssa`` remain as the reference forms.  It spends the BLAS
 thread budget on rows rather than inside each row, one row per thread with
-OpenBLAS held at one thread (``_each_row``).
+OpenBLAS held at one thread (``_each_row``).  OpenBLAS's idle pool threads
+spin-wait for a while after each threaded call, and holding the count at
+one does not stop them, so a stage whose caller is the process's only
+Python thread first shuts the pool down; restoring the count makes
+OpenBLAS re-create it.  Only Linux with numpy's wheel was run.
 
 Both bind the OpenBLAS that numpy.linalg links, with ctypes (``_openblas``):
 numpy's wheel runs the split kernel on threaded rows, a system or conda
@@ -38,7 +42,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -291,7 +295,7 @@ def _split_eig(A: np.ndarray, e: np.ndarray):
     ConvergenceError.
     """
     blas = _openblas()
-    lapack = None if blas is None else blas[2]
+    lapack = None if blas is None else blas.routines
     if lapack is None:
         S, Q = _eig(A, e)
         return S, lambda r: Q
@@ -342,6 +346,17 @@ _BLAS_LOCK = threading.Lock()  # held by every row stage that changes the BLAS t
 _COL_MAJOR = 102  # LAPACKE's LAPACK_COL_MAJOR
 
 
+class _OpenBLAS(NamedTuple):
+    """What ``_bind`` finds in a library: OpenBLAS's thread-count pair, its
+    pool shutdown (None where not exported) and ``_split_eig``'s routines
+    (None without the wheel's LAPACKE symbols)."""
+
+    get_threads: Callable[[], int]
+    set_threads: Callable[[int], None]
+    shutdown: Optional[Callable[[], object]]
+    routines: Optional[dict]
+
+
 @lru_cache(maxsize=None)
 def _openblas():
     """The OpenBLAS that numpy.linalg calls, bound once (``_bind``).  A ctypes
@@ -357,9 +372,10 @@ def _openblas():
 
 
 def _bind(lib):
-    """(get_threads, set_threads, routines) of a library handle: OpenBLAS's
-    thread-count pair (numpy's wheel exports scipy_openblas_..64_ names, a
-    system or conda build the plain ones) and ``_split_eig``'s {dtype:
+    """The ``_OpenBLAS`` of a library handle: OpenBLAS's thread-count pair
+    (numpy's wheel exports scipy_openblas_..64_ names, a system or conda
+    build the plain ones), its pool shutdown ``blas_thread_shutdown_``
+    (unprefixed in both; None where missing) and ``_split_eig``'s {dtype:
     (?sytrd/?hetrd, dsterf, ?stein, ?ormtr/?unmtr)} for float64 and
     complex128, from the wheel's ILP64 LAPACKE symbols (scipy_LAPACKE_..64_),
     or None without them.  None where neither thread pair is exported."""
@@ -372,6 +388,9 @@ def _bind(lib):
     getter, setter = getattr(lib, get), getattr(lib, set_)
     getter.argtypes, getter.restype = [], ctypes.c_int
     setter.argtypes, setter.restype = [ctypes.c_int], None
+    shutdown = getattr(lib, "blas_thread_shutdown_", None)
+    if shutdown is not None:
+        shutdown.argtypes, shutdown.restype = [], ctypes.c_int
     c_int, c_char, i64 = ctypes.c_int, ctypes.c_char, ctypes.c_int64
     real, ints = _buffer(np.float64), _buffer(np.int64)
     routines = {}
@@ -386,7 +405,7 @@ def _bind(lib):
                 _routine(lib, back, [c_int, c_char, c_char, c_char, i64, i64, mat, i64, mat, mat, i64]))
     except AttributeError:
         routines = None
-    return getter, setter, routines
+    return _OpenBLAS(getter, setter, shutdown, routines)
 
 
 def _buffer(dtype):
@@ -413,7 +432,15 @@ def _each_row(count: int, run):
     With numpy's OpenBLAS at hand (``_openblas``), the rows run
     one per thread on min(BLAS threads, count) threads, the caller's among
     them, with OpenBLAS held at one thread; the count is restored
-    afterwards, and a module lock serialises such stages.  A lone row is
+    afterwards, and a module lock serialises such stages.  OpenBLAS's idle
+    pool threads spin-wait for about 0.1 s after each threaded call, even
+    at one thread, and would take a core from the rows; so where the
+    caller is the process's only Python thread, the pool is shut down
+    before any row runs, and restoring the count re-creates it (OpenBLAS's
+    lazy re-init, as after a fork).  The shutdown joins the pool threads,
+    which a threaded BLAS call in flight on another thread could keep
+    waiting, so with any other Python thread alive the pool is left
+    running.  A lone row is
     held at one thread too: OpenBLAS results can differ in the last bits
     between thread counts, and a row's result must not depend on how many
     rows share its stage.  A process without OpenBLAS runs the rows
@@ -425,7 +452,6 @@ def _each_row(count: int, run):
         for j in range(count):
             run(j)
         return
-    get_threads, set_threads, _ = blas
     todo, errors = iter(range(count)), {}
 
     def work():
@@ -439,9 +465,11 @@ def _each_row(count: int, run):
                 return
 
     with _BLAS_LOCK:
-        threads = get_threads()
-        set_threads(1)
+        threads = blas.get_threads()
+        blas.set_threads(1)
         try:
+            if blas.shutdown is not None and threading.active_count() == 1:
+                blas.shutdown()
             pool = [threading.Thread(target=work) for _ in range(min(threads, count) - 1)]
             for thread in pool:
                 thread.start()
@@ -449,7 +477,7 @@ def _each_row(count: int, run):
             for thread in pool:
                 thread.join()
         finally:
-            set_threads(threads)
+            blas.set_threads(threads)
     if errors:
         raise errors[min(errors)]
 
@@ -473,6 +501,10 @@ def hankel_tsvd_series(series: np.ndarray, window: Optional[int], selector: Sele
     (``_each_row``): they run one per thread, with OpenBLAS held at one
     thread until the stage ends, so BLAS calls from other threads run
     single-threaded meanwhile, and a lone row runs at one BLAS thread too.
+    OpenBLAS's idle pool spin-waits after a threaded call, so when the
+    caller is the process's only Python thread the stage first stops the
+    pool, which OpenBLAS re-creates when the count is restored; otherwise
+    the pool is left running.
     Where numpy's BLAS is not OpenBLAS they run serially on the full BLAS
     pool.  Either way a row's result does not depend on the other rows of its
     stack.  A 0-d series raises DimensionMismatch.

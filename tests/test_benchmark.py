@@ -1,4 +1,5 @@
-import warnings
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -138,10 +139,17 @@ def test_direct_peaks_near_natural_frequencies():
         assert abs(peak - target) <= 1
 
 
-def test_direct_free_free_singular_bin_uses_pseudoinverse():
+def pinv_messages(caplog):
+    """The messages ``prank.benchmark`` logged as warnings."""
+    return [r.getMessage() for r in caplog.records
+            if r.name == "prank.benchmark" and r.levelno == logging.WARNING]
+
+
+def test_direct_free_free_singular_bin_uses_pseudoinverse(caplog):
     sys_ = ChainSystem.uniform(3, boundary=Boundary.FREE_FREE)
-    with pytest.warns(RuntimeWarning, match="pseudoinverse"):
+    with caplog.at_level(logging.WARNING, logger="prank.benchmark"):
         ds = synthesize_direct(sys_, np.array([0.0, 0.5, 1.0]))
+    assert len(pinv_messages(caplog)) == 1 and "pseudoinverse" in pinv_messages(caplog)[0]
     assert np.all(np.isfinite(ds.data))
 
 
@@ -165,13 +173,14 @@ def random_chain(boundary, seed=3, n=6):
                        rng.uniform(0.5, 2.0, links), boundary)
 
 
-def test_direct_non_uniform_free_free_zero_bin_is_pseudoinverse():
+def test_direct_non_uniform_free_free_zero_bin_is_pseudoinverse(caplog):
     # LU meets no exactly zero pivot here, so a solve would return ~1e15
     sys_ = ChainSystem(np.array([1.0, 2.0, 1.5, 1.0]), np.full(3, 0.002),
                        np.array([1.3, 0.7, 2.1]), Boundary.FREE_FREE)
-    with pytest.warns(RuntimeWarning, match=r"1 bin\(s\) \(first at index 0\)") as caught:
+    with caplog.at_level(logging.WARNING, logger="prank.benchmark"):
         ds = synthesize_direct(sys_, np.linspace(0.0, 4.0, 201))
-    assert len(caught) == 1
+    assert len(pinv_messages(caplog)) == 1
+    assert re.search(r"1 bin\(s\) \(first at index 0\)", pinv_messages(caplog)[0])
     K = sys_.matrices()[2]
     # bin 0's dynamic stiffness is K, held as complex like every bin
     assert np.array_equal(ds.data[..., 0], np.linalg.pinv(K.astype(complex)) @ np.eye(4))
@@ -184,19 +193,17 @@ def test_direct_non_uniform_free_free_zero_bin_is_pseudoinverse():
 ], ids=["uniform", "random"])
 @pytest.mark.parametrize("boundary", list(Boundary))
 @pytest.mark.parametrize("outputs,inputs", [(None, None), ([0, 3, 5], [2]), ([4], [1, 0])])
-def test_direct_equals_per_bin_solve(make, boundary, outputs, inputs):
+def test_direct_equals_per_bin_solve(caplog, make, boundary, outputs, inputs):
     # every regular bin as its own solve, bit for bit; a free-free chain is
     # singular at omega = 0 only, and that bin is its own pseudoinverse
     sys_ = make(boundary)
     axis = np.linspace(0.0, 3.0, 151)
     free = boundary is Boundary.FREE_FREE
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with caplog.at_level(logging.WARNING, logger="prank.benchmark"):
         ds = synthesize_direct(sys_, axis, outputs, inputs)
-    assert len(caught) == free
+    assert len(pinv_messages(caplog)) == free
     if free:
-        assert caught[0].category is RuntimeWarning
-        assert "1 bin(s) (first at index 0)" in str(caught[0].message)
+        assert "1 bin(s) (first at index 0)" in pinv_messages(caplog)[0]
     dofs = np.arange(6)
     out_idx = dofs if outputs is None else outputs
     in_idx = dofs if inputs is None else inputs

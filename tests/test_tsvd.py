@@ -1,5 +1,6 @@
 import ctypes
 import inspect
+import os
 import sys
 import threading
 import types
@@ -353,18 +354,19 @@ def long_series(complex_data, seed):
 def blas_platform(monkeypatch):
     """``blas_platform(*names)`` installs as ``tsvd._openblas``, in turn, each
     named lookup that it can return, made from this process's own, and
-    yields its name: "wheel", numpy's wheel (the thread pair and the LAPACKE
-    routines: the split kernel on threaded rows); "threads", a system or
-    conda OpenBLAS (the pair alone: ``eigh`` on threaded rows); "none", MKL
-    or a failed open (``eigh`` on serial rows).  No names means all three.
+    yields its name: "wheel", numpy's wheel (the thread pair, the pool
+    shutdown and the LAPACKE routines: the split kernel on threaded rows);
+    "threads", a system or conda OpenBLAS (the pair and the shutdown, no
+    routines: ``eigh`` on threaded rows); "none", MKL or a failed open
+    (``eigh`` on serial rows).  No names means all three.
     A platform whose parts this process lacks is left out, and a test left
     with none is skipped.  The platforms run in one test, not one each, so
     the test ids stay those of a single platform."""
     found = tsvd._openblas()
     lookups = {"none": None}
     if found is not None:
-        lookups["threads"] = found[:2] + (None,)
-        if found[2] is not None:
+        lookups["threads"] = found._replace(routines=None)
+        if found.routines is not None:
             lookups["wheel"] = found
 
     def each(*names):
@@ -416,20 +418,28 @@ def test_hankel_tsvd_series_stack_equals_row_by_row_without_openblas(blas_platfo
 
 class CountingBlas:
     """A stand-in for the lookup of the platform in place, ``tsvd._openblas``,
-    whose thread-count pair records every set."""
+    whose thread-count pair and pool shutdown record every call in ``log``:
+    a set as its count, a shutdown as "shutdown"."""
 
     def __init__(self, threads):
-        self.threads, self.sets, self.routines = threads, [], tsvd._openblas()[2]
+        self.threads, self.log, self.routines = threads, [], tsvd._openblas().routines
 
     def lookup(self):
-        return self.get, self.set, self.routines
+        return tsvd._OpenBLAS(self.get, self.set, self.shutdown, self.routines)
 
     def get(self):
         return self.threads
 
     def set(self, threads):
-        self.sets.append(threads)
+        self.log.append(threads)
         self.threads = threads
+
+    def shutdown(self):
+        self.log.append("shutdown")
+
+    @property
+    def sets(self):
+        return [entry for entry in self.log if entry != "shutdown"]
 
 
 def test_hankel_stage_restores_the_blas_thread_count(monkeypatch):
@@ -493,6 +503,110 @@ def test_hankel_stage_holds_blas_at_one_thread(monkeypatch, blas_platform):
         assert blas.sets == [1, 3] * 5
 
 
+def logging_rows(monkeypatch, log):
+    """Make every Hankel row append "row" to ``log`` before it runs."""
+    row = tsvd._hankel_row
+
+    def hankel_row(*args):
+        log.append("row")
+        return row(*args)
+
+    monkeypatch.setattr(tsvd, "_hankel_row", hankel_row)
+
+
+def test_hankel_stage_shuts_the_idle_blas_pool_down_first(monkeypatch, blas_platform):
+    # the pool's idle threads spin beside the rows unless stopped: once per
+    # stage, after the count is held at one and before any row
+    rows = np.stack([noisy_series(False, seed) for seed in range(4)])  # 150 x 250 Hankel matrices
+    for _ in blas_platform("wheel", "threads"):
+        blas = CountingBlas(3)
+        monkeypatch.setattr(tsvd, "_openblas", blas.lookup)
+        logging_rows(monkeypatch, blas.log)
+        hankel_tsvd_series(rows, 150, E15())
+        assert blas.log == [1, "shutdown"] + ["row"] * 4 + [3]
+        blas.log.clear()
+        hankel_tsvd_series(rows[0], 150, E15())  # a lone row
+        assert blas.log == [1, "shutdown", "row", 3]
+        blas.log.clear()
+        hankel_tsvd_series(rows[:0], 150, E15())  # an empty stack touches nothing
+        assert blas.log == []
+        monkeypatch.undo()  # unwraps the rows before the next platform wraps them
+
+
+def test_hankel_stage_leaves_the_pool_running_beside_another_python_thread(monkeypatch, blas_platform):
+    # a threaded BLAS call in flight on another thread could keep the
+    # shutdown's join waiting, so with any other Python thread alive the
+    # stage only holds the count at one
+    rows = np.stack([noisy_series(False, seed) for seed in range(4)])
+    idle = threading.Event()
+    other = threading.Thread(target=idle.wait)
+    other.start()
+    try:
+        for _ in blas_platform("wheel", "threads"):
+            blas = CountingBlas(3)
+            monkeypatch.setattr(tsvd, "_openblas", blas.lookup)
+            logging_rows(monkeypatch, blas.log)
+            hankel_tsvd_series(rows, 150, E15())
+            assert blas.log == [1] + ["row"] * 4 + [3]
+            monkeypatch.undo()  # unwraps the rows before the next platform wraps them
+    finally:
+        idle.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
+
+
+def test_hankel_stage_without_openblas_leaves_blas_untouched(monkeypatch, blas_platform):
+    # where no OpenBLAS is bound, the process's own pool keeps its count and,
+    # where the kernel lists a process's threads, every thread of it
+    real = tsvd._openblas()
+    tasks = "/proc/self/task"
+
+    def state():
+        return (None if real is None else real.get_threads(),
+                len(os.listdir(tasks)) if os.path.isdir(tasks) else None)
+
+    seen, row = [], tsvd._hankel_row
+
+    def hankel_row(*args):
+        seen.append(state())
+        return row(*args)
+
+    rows = np.stack([noisy_series(False, seed) for seed in range(3)])
+    for _ in blas_platform("none"):
+        hankel_tsvd_series(rows, 150, E15())  # gives the row threads of an earlier stage time to exit
+        monkeypatch.setattr(tsvd, "_hankel_row", hankel_row)
+        before = state()
+        hankel_tsvd_series(rows, 150, E15())
+    assert seen == [before] * 3
+
+
+def test_hankel_stage_restarts_the_real_blas_pool(monkeypatch):
+    # wake the pool with a threaded GEMM, then run a stage on the real lookup:
+    # its rows match each row run alone, the count is back, and the pool that
+    # OpenBLAS re-creates computes the same GEMM bit for bit
+    blas = tsvd._openblas()
+    if blas is None:
+        pytest.skip("no OpenBLAS in this process")
+    shutdowns = []
+    if blas.shutdown is not None:
+        def shutdown():
+            shutdowns.append(threading.active_count())
+            return blas.shutdown()
+
+        monkeypatch.setattr(tsvd, "_openblas", lambda: blas._replace(shutdown=shutdown))
+    rng = np.random.default_rng(7)
+    a, b = rng.standard_normal((2, 600, 600))
+    before = blas.get_threads()
+    rows = np.stack([noisy_series(False, seed) for seed in range(4)])
+    alone = np.stack([hankel_tsvd_series(row, 150, E15())[0] for row in rows])
+    product = a @ b
+    out, _ = hankel_tsvd_series(rows, 150, E15())
+    assert np.array_equal(out, alone)
+    assert blas.get_threads() == before
+    assert np.array_equal(a @ b, product)
+    assert shutdowns == ([] if blas.shutdown is None else [1] * 5)
+
+
 def test_worker_threads_call_no_public_function(monkeypatch, blas_platform):
     # a tracer that wraps the public functions of these namespaces keeps one
     # span stack, so every wrapped call must run on the calling thread
@@ -517,7 +631,7 @@ def test_worker_threads_call_no_public_function(monkeypatch, blas_platform):
         _, report = filters.apply_filter(ResponseDataset(rows.reshape(4, 4, -1), Domain.TIME),
                                          PrankConfig(variant=Variant.PRANK_HIP))
         assert report.stage("hankel_in_prf").extras["svd_calls"] > 1
-        assert blas.sets == [1, 4, 1, 4]  # both stages took the threaded path
+        assert blas.log == [1, "shutdown", 4] * 2  # both stages took the threaded path
         assert {name for name, _ in calls} >= {"hankel_tsvd_series", "apply_filter", "evaluate"}
         assert {ident for _, ident in calls} == {threading.get_ident()}
 
@@ -529,10 +643,11 @@ def test_hankel_stage_on_more_threads_than_cores_equals_row_by_row(monkeypatch, 
     rng = np.random.default_rng(11)
     rows = rng.standard_normal((48, 40)) + np.sin(0.3 * np.arange(40))
     for _ in blas_platform("wheel", "threads"):
-        get_threads, set_threads, routines = tsvd._openblas()
-        before = get_threads()
-        monkeypatch.setattr(tsvd, "_openblas",
-                            lambda: (lambda: 8, lambda n: set_threads(before if n == 8 else n), routines))
+        blas = tsvd._openblas()
+        before = blas.get_threads()
+        eight = blas._replace(get_threads=lambda: 8,
+                              set_threads=lambda n: blas.set_threads(before if n == 8 else n))
+        monkeypatch.setattr(tsvd, "_openblas", lambda: eight)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -542,7 +657,7 @@ def test_hankel_stage_on_more_threads_than_cores_equals_row_by_row(monkeypatch, 
         alone = [hankel_tsvd_series(row, None, E15()) for row in rows]
         assert np.array_equal(out, np.stack([a for a, _ in alone]))
         assert record.extras["ranks"] == [rec.rank for _, rec in alone]
-        assert get_threads() == before
+        assert blas.get_threads() == before
 
 
 def test_hankel_tsvd_series_too_short():
@@ -712,10 +827,10 @@ def test_split_kernel_maps_lapack_failure(monkeypatch, blas_platform, routine):
         return call
 
     for _ in blas_platform("wheel"):
-        get_threads, set_threads, routines = tsvd._openblas()
+        blas = tsvd._openblas()
         table = {dtype: tuple(failing(fn) if k == routine else fn for k, fn in enumerate(fns))
-                 for dtype, fns in routines.items()}
-        monkeypatch.setattr(tsvd, "_openblas", lambda: (get_threads, set_threads, table))
+                 for dtype, fns in blas.routines.items()}
+        monkeypatch.setattr(tsvd, "_openblas", lambda: blas._replace(routines=table))
         for complex_data in (False, True):
             with pytest.raises(ConvergenceError, match="info 3"):
                 hankel_tsvd_series(kernel_rows(complex_data, 20), None, FixedRank(4))
@@ -728,17 +843,44 @@ def test_lookup_of_a_library_without_openblas_is_none():
     assert tsvd._bind(ctypes.CDLL(None)) is None
 
 
-def test_lookup_of_a_plain_openblas_has_no_routines():
-    # a system or conda OpenBLAS: the plain thread pair, no scipy_LAPACKE_*64_ symbols
+def plain_openblas(log, **symbols):
+    """A system or conda OpenBLAS: the plain thread pair, no
+    scipy_LAPACKE_*64_ symbols.  Its sets go to this process's OpenBLAS
+    where there is one, and are recorded in ``log``."""
+    real = tsvd._openblas()
+
     def get():
-        return 3
+        return 3 if real is None else real.get_threads()
 
     def set_(threads):
-        pass
+        log.append(threads)
+        if real is not None:
+            real.set_threads(threads)
 
-    lib = types.SimpleNamespace(openblas_get_num_threads=get, openblas_set_num_threads=set_)
-    assert tsvd._bind(lib) == (get, set_, None)
+    return types.SimpleNamespace(openblas_get_num_threads=get, openblas_set_num_threads=set_, **symbols)
+
+
+def test_lookup_of_a_plain_openblas_has_no_routines(monkeypatch):
+    log = []
+    lib = plain_openblas(log)
+    get, set_ = lib.openblas_get_num_threads, lib.openblas_set_num_threads
+    assert tsvd._bind(lib) == (get, set_, None, None)  # no pool shutdown either
     assert (get.argtypes, get.restype, set_.argtypes, set_.restype) == ([], ctypes.c_int, [ctypes.c_int], None)
+    # without a shutdown the stage still runs its rows threaded, at one BLAS thread
+    monkeypatch.setattr(tsvd, "_openblas", lambda: tsvd._bind(lib))
+    rows = np.stack([noisy_series(False, seed) for seed in range(3)])
+    out, record = hankel_tsvd_series(rows, 150, E15())
+    assert log == [1, get()] and record.extras["svd_calls"] == 3
+    assert np.array_equal(out, np.stack([hankel_tsvd_series(row, 150, E15())[0] for row in rows]))
+
+
+def test_lookup_binds_the_pool_shutdown():
+    def shutdown():
+        return 0
+
+    lib = plain_openblas([], blas_thread_shutdown_=shutdown)
+    assert tsvd._bind(lib).shutdown is shutdown
+    assert (shutdown.argtypes, shutdown.restype) == ([], ctypes.c_int)
 
 
 @pytest.mark.parametrize("failure", ["import", "open"])
