@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -11,10 +10,6 @@ import numpy as np
 
 from .dataset import Domain, ResponseDataset
 from .errors import AxisError, DomainError
-from .tsvd import _pivot_phase
-
-logger = logging.getLogger(__name__)
-logger.addHandler(logging.NullHandler())
 
 
 class Boundary(Enum):
@@ -172,6 +167,17 @@ def _select(indices: Optional[Sequence], n: int) -> np.ndarray:
     return idx
 
 
+def _logger():
+    """This module's logger, with a NullHandler so an unconfigured program
+    prints nothing; ``logging`` is imported here, on the one path that logs."""
+    import logging
+
+    log = logging.getLogger(__name__)
+    if not log.handlers:
+        log.addHandler(logging.NullHandler())
+    return log
+
+
 def synthesize_direct(sys: ChainSystem, axis: np.ndarray,
                       outputs: Optional[Sequence] = None,
                       inputs: Optional[Sequence] = None) -> ResponseDataset:
@@ -179,7 +185,7 @@ def synthesize_direct(sys: ChainSystem, axis: np.ndarray,
 
     Bins that fail ``matrix_rank``'s test, s_min <= s_max * n * eps (a free-free
     chain at omega = 0), take one batched pseudoinverse, logged as a warning on
-    ``logger`` (``prank.benchmark``) with their count and first index; the rest
+    the ``prank.benchmark`` logger with their count and first index; the rest
     one batched solve, each A factored alone.
     """
     axis, start, step = _axis_checked(axis)
@@ -198,8 +204,8 @@ def synthesize_direct(sys: ChainSystem, axis: np.ndarray,
     X[singular] = np.linalg.pinv(A[singular]) @ rhs
     if singular.any():
         bad = np.flatnonzero(singular)
-        logger.warning("singular dynamic stiffness at %d bin(s) (first at index %d); pseudoinverse used",
-                       len(bad), bad[0])
+        _logger().warning("singular dynamic stiffness at %d bin(s) (first at index %d); pseudoinverse used",
+                          len(bad), bad[0])
     data = X[:, out_idx, :].transpose(1, 2, 0)
     return ResponseDataset(data, Domain.FREQUENCY, start, step, "rad/s")
 
@@ -213,6 +219,8 @@ def eigen(sys: ChainSystem) -> ModalModel:
     M is diagonal, so with W = M^-1/2 the generalized problem K v = lam M v
     is the symmetric one (W K W) y = lam y, and v = W y.
     """
+    from .tsvd import _pivot_phase  # the only user: synth and corrupt skip the filter stack
+
     _, D, K = sys.matrices()
     w = 1.0 / np.sqrt(sys.masses)
     vals, y = np.linalg.eigh(w[:, None] * K * w)

@@ -16,6 +16,7 @@ spectrum is the one-row case of the same code; ``mp_fit``, ``e15`` and
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -184,6 +185,11 @@ def _corr_grid_curves(m: int, n: int) -> np.ndarray:
     return curves
 
 
+# The rows of a Hankel stage run on several threads, and in a fresh process they
+# all ask for one new shape at once: the lock makes the cache solve it once.
+_CURVES_LOCK = threading.Lock()
+
+
 def _spectra(S, shape: tuple) -> np.ndarray:
     """S as floats, each of its spectra checked to hold min(shape) values; a
     0-d S raises DimensionMismatch."""
@@ -207,7 +213,8 @@ def _fit(S: np.ndarray, shape: tuple, tail_fraction: float) -> tuple:
     """
     p = S.shape[-1]
     start = min(int(p * (1.0 - tail_fraction)), p - 1)
-    units = _corr_grid_curves(*shape)
+    with _CURVES_LOCK:
+        units = _corr_grid_curves(*shape)
     keep = S[:, start:] > 0.0
     tail = np.where(keep, S[:, start:], 0.0)[:, None, :]
     c = np.where(keep[:, None, :], units[:, start:], 0.0)

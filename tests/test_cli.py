@@ -642,3 +642,158 @@ def test_cli_commands_do_not_load_numpy_ma(tmp_path):
             "    assert 'numpy.ma' not in sys.modules, args[0] + ' ' + args[-1]\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
+
+
+# ------------------------------------------------------------ import surface
+
+def run_child(code):
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def loads_none_of(commands, modules):
+    """Child code running ``main`` on each command, then asserting that none of
+    ``modules`` has been imported so far."""
+    return ("import contextlib, io, sys\n"
+            "from prank.cli import main\n"
+            f"for args in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(args) == 0, args\n"
+            f"    loaded = sorted(set({modules!r}) & set(sys.modules))\n"
+            "    assert not loaded, (args[0], args[-1], loaded)\n")
+
+
+def test_import_prank_loads_no_submodule():
+    run_child("import sys, prank\n"
+              "loaded = [m for m in sys.modules if m.startswith('prank.')]\n"
+              "assert not loaded, loaded\n")
+
+
+def test_filter_loads_no_benchmark_metrics_or_logging(tmp_path):
+    noisy = tmp_path / "noisy.prnk"
+    run(["corrupt", str(synth_small(tmp_path, fmax=4.0)), "--noise", "0.003,0.06,0.003,0.05",
+         "-o", str(noisy)])
+    commands = [["filter", str(noisy), "--variant", v.value, "-o", str(tmp_path / f"{v.value}.prnk")]
+                for v in prank.Variant]
+    run_child(loads_none_of(commands, ["prank.benchmark", "prank.metrics", "logging"]))
+
+
+def test_synth_and_corrupt_load_no_filter_stack(tmp_path):
+    clean, noisy = tmp_path / "clean.prnk", tmp_path / "noisy.prnk"
+    commands = [
+        ["synth", "--dofs", "4", "--fmax", "4.0", "--df", "0.02", "-o", str(clean)],
+        ["corrupt", str(clean), "--noise", "0.003,0.06,0.003,0.05", "--seed", "0", "--offset", "2:0.2",
+         "-o", str(noisy)],
+    ]
+    run_child(loads_none_of(commands, ["prank.filters", "prank.tsvd", "prank.selection",
+                                       "prank.report", "prank.metrics"]))
+
+
+# the package's public names, by defining module
+PUBLIC = {
+    "benchmark": ["Boundary", "ChainSystem", "ModalModel", "NoiseModel", "OffsetSpec", "Quantity",
+                  "add_noise", "add_offsets", "eigen", "modal_frf", "synthesize_direct"],
+    "dataset": ["Domain", "ResponseDataset", "export_all_csv", "export_csv", "flatten",
+                "read_dataset", "to_frequency", "to_time", "unflatten", "write_dataset"],
+    "errors": ["AxisError", "ConvergenceError", "DimensionMismatch", "DomainError", "EmptyError",
+               "FormatError", "LengthError", "NonFiniteError", "PrankError", "ShapeError",
+               "ShapeMismatch", "WindowError"],
+    "filters": ["PrankConfig", "Variant", "apply_filter", "prf_tsvd"],
+    "metrics": ["CoherenceReport", "cmif", "coh", "consist", "zero_locations"],
+    "report": ["FilterReport", "StageRecord", "write_report"],
+    "selection": ["E15", "AbsoluteThreshold", "E15Model", "FixedRank", "RelativeThreshold",
+                  "SelectionStrategy", "ThresholdMode", "e15", "mp_fit", "mp_quantile_curve"],
+    "tsvd": ["SVDFactorization", "auto_window", "dehankelize_ssa", "gram_tsvd",
+             "hankel_tsvd_series", "hankelize", "svd"],
+}
+
+
+def test_public_names_are_their_modules_objects():
+    run_child("import importlib, prank\n"
+              f"public = {PUBLIC!r}\n"
+              "names = [n for ns in public.values() for n in ns]\n"
+              "assert len(names) == 62 and sorted(prank.__all__) == sorted(names), prank.__all__\n"
+              "for module, ns in public.items():\n"
+              "    mod = importlib.import_module('prank.' + module)\n"
+              "    for n in ns:\n"
+              "        assert getattr(prank, n) is getattr(mod, n), n\n")
+
+
+def test_dir_lists_the_public_names_and_unknown_names_raise():
+    run_child("import prank\n"
+              "assert set(prank.__all__) <= set(dir(prank))\n"
+              f"assert set({list(PUBLIC)!r}) <= set(dir(prank))\n"
+              "assert prank.tsvd.svd is prank.svd\n"
+              "try:\n"
+              "    prank.no_such_name\n"
+              "except AttributeError as exc:\n"
+              "    assert 'no_such_name' in str(exc)\n"
+              "else:\n"
+              "    raise AssertionError('no AttributeError')\n")
+
+
+def test_variant_choices_are_the_filter_variants():
+    from prank import cli, filters
+
+    assert cli._VARIANTS == tuple(v.value for v in filters.Variant)
+
+
+# ------------------------------------------------------------ process entry
+
+def test_free_free_synth_writes_nothing_to_stderr(tmp_path):
+    # singular at 0 rad/s: the pseudoinverse notice goes to a logger nobody configured
+    proc = subprocess.run(
+        [sys.executable, "-m", "prank.cli", "synth", "--boundary", "free-free", "--fmax", "1.0",
+         "--df", "0.05", "-o", str(tmp_path / "ff.prnk")],
+        capture_output=True, text=True, env=child_env())
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def untimed(text):
+    return [line for line in text.splitlines() if "seconds" not in line]
+
+
+def test_module_run_matches_main_in_process(tmp_path, capsys):
+    noisy = tmp_path / "noisy.prnk"
+    run(["corrupt", str(synth_small(tmp_path)), "--noise", "0.003,0.06,0.003,0.05", "-o", str(noisy)])
+    capsys.readouterr()
+    for args, expected in [  # the filter report is the stdout that counts
+        (["filter", str(noisy), "--variant", "ph", "-o", str(tmp_path / "f.prnk")], 0),
+        (["metrics", "--ref", str(noisy), "--test", str(noisy)], 0),
+        (["filter", str(tmp_path / "missing.prnk"), "-o", str(tmp_path / "g.prnk")], 1),
+        (["synth", "--fmax", "-1", "--df", "0.1", "-o", str(tmp_path / "s.prnk")], 2),
+        (["filter", "--bogus-flag"], 2),
+    ]:
+        try:
+            code = main(args)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+        out, err = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "prank.cli", *args],
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == code == expected, args
+        assert untimed(proc.stdout) == untimed(out) and proc.stderr == err, args
+
+
+def test_module_run_freezes_the_collector_before_exit(tmp_path):
+    out = tmp_path / "ds.prnk"
+    proc = run_child(
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+        f"sys.argv = ['prank', 'synth', '--fmax', '1.0', '--df', '0.05', '-o', {str(out)!r}]\n"
+        "runpy.run_module('prank.cli', run_name='__main__')\n")
+    assert proc.stdout == "frozen True\n"
+    assert read_dataset(out).n_bins == 21
+
+
+def test_console_script_is_the_module_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    if not pyproject.is_file():
+        pytest.skip("run from an install without the project's pyproject.toml")
+    target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["prank"]
+    module, _, name = target.partition(":")
+    from prank import cli
+
+    assert module == "prank.cli" and getattr(cli, name) is cli.entry

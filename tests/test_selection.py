@@ -1,3 +1,6 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from prank import (
     mp_fit,
     mp_quantile_curve,
 )
+from prank import selection
 from prank.selection import evaluate
 
 SHAPE = (200, 200)
@@ -338,3 +342,31 @@ def test_report_stage_lookup_unknown_name():
     assert report.stage("prf").rank == 4
     with pytest.raises(KeyError):
         report.stage("nope")
+
+
+def test_threads_needing_one_new_shape_solve_it_once(monkeypatch):
+    # the rows of a Hankel stage run on several threads and, in a fresh
+    # process, all ask for the same uncached shape at once
+    solves, real = [], selection._unit_curves
+
+    def counting(*args):
+        solves.append(args[0])
+        time.sleep(0.05)  # long enough for the other thread to reach the cache
+        return real(*args)
+
+    monkeypatch.setattr(selection, "_unit_curves", counting)
+    selection._corr_grid_curves.cache_clear()
+    S, start, fits = np.linspace(1.0, 0.1, 30), threading.Barrier(2), []
+
+    def work():
+        start.wait(timeout=10)
+        fits.append(mp_fit(S, (30, 40)))
+
+    threads = [threading.Thread(target=work) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    assert len(solves) == 1
+    assert fits == [fits[0]] * 2
