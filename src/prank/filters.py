@@ -21,13 +21,8 @@ result back once.  All but classic use two stages:
   row, i.e. per (o, i) series or per retained PRF left singular vector:
   one tridiagonal reduction of the row's Gram matrix gives every singular
   value for the selection and then only the kept vectors, and the row is
-  averaged back to a series from its rank-r factors.  Where numpy's BLAS
-  is OpenBLAS, rows run one per thread with it held at one thread, so a
-  Hankel stage also holds BLAS calls from other threads at one thread.
-  OpenBLAS's idle pool spin-waits after a threaded call, so a stage whose
-  caller is the process's only Python thread first stops the pool, and
-  OpenBLAS re-creates it when the stage restores the count; with other
-  Python threads alive the pool is left running.
+  averaged back to a series from its rank-r factors.  How its rows share
+  BLAS is the ``tsvd`` module docstring's platform rule.
 
 PH and HP run the two in turn.  PRANK_HiP calls the PRF stage, runs the
 Hankel row stage on the unit columns of lhs and rebuilds from the filtered

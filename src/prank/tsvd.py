@@ -20,18 +20,25 @@ eigendecomposition around the selection (``_split_eig``): one tridiagonal
 reduction of the Gram matrix gives every singular value, and only the r
 kept vectors are computed from it.  It averages the anti-diagonals
 straight from the rank-r factors with FFTs; ``hankelize`` and
-``dehankelize_ssa`` remain as the reference forms.  It spends the BLAS
-thread budget on rows rather than inside each row, one row per thread with
-OpenBLAS held at one thread (``_each_row``).  OpenBLAS's idle pool threads
+``dehankelize_ssa`` remain as the reference forms.
+
+The row stage has two BLAS platforms.  ``_openblas`` binds, with ctypes,
+the library that numpy.linalg links, whole or not at all (``_bind``): the
+ten symbols of numpy's wheel OpenBLAS, its thread-count pair
+scipy_openblas_{get,set}_num_threads64_, its pool shutdown
+blas_thread_shutdown_ and the seven ILP64 LAPACKE routines of the split
+kernel (scipy_LAPACKE_..64_).  With all ten, each row runs the split
+kernel, and the rows spend the BLAS thread budget, one row per thread with
+OpenBLAS held at one thread (``_each_row``); the hold is process-wide,
+so BLAS calls from other threads run at one thread until the stage ends,
+and a lone row is held too.  OpenBLAS's idle pool threads
 spin-wait for a while after each threaded call, and holding the count at
 one does not stop them, so a stage whose caller is the process's only
 Python thread first shuts the pool down; restoring the count makes
-OpenBLAS re-create it.  Only Linux with numpy's wheel was run.
-
-Both bind the OpenBLAS that numpy.linalg links, with ctypes (``_openblas``):
-numpy's wheel runs the split kernel on threaded rows, a system or conda
-OpenBLAS (no LAPACKE symbols) ``_eig`` on threaded rows, anything else
-(MKL, a failed open) ``_eig`` on serial rows.
+OpenBLAS re-create it.  Without any one of them (MKL, a system or conda
+OpenBLAS, a failed open), each row takes one full ``eigh`` (``_eig``), the
+rows run serially and BLAS is left alone.  Only Linux with numpy's wheel
+was run.
 """
 
 from __future__ import annotations
@@ -282,25 +289,23 @@ def _split_eig(A: np.ndarray, e: np.ndarray):
     """(S, vectors) of a stack of one matrix A (1, m, n): S as ``_eig`` gives
     it, and vectors(r), the first r Gram eigenvectors in S's order, (1, side, r).
 
-    With the LAPACKE routines of numpy's wheel (``_openblas``), one
-    tridiagonal reduction of the ``_normal_gram`` G (?sytrd/?hetrd) yields
-    every eigenvalue (dsterf), so a selector sees the whole spectrum, while
-    only the r kept vectors are found, by inverse iteration on the
+    One tridiagonal reduction of the ``_normal_gram`` G (?sytrd/?hetrd)
+    yields every eigenvalue (dsterf), so a selector sees the whole spectrum,
+    while only the r kept vectors are found, by inverse iteration on the
     tridiagonal (?stein, O(side * r)), and carried back through the
     reduction's reflectors (?ormtr/?unmtr, O(side^2 * r)): no full
     eigenvector matrix and no divide-and-conquer workspace.  LAPACK reads
     the C-ordered G as its column-major transpose conj(G), so complex
-    vectors come back conjugated.  Without those routines, ``_eig`` runs and
-    vectors(r) hands back all of its Q.  A nonzero LAPACK info raises
-    ConvergenceError.
+    vectors come back conjugated.  Off numpy's wheel (the module docstring's
+    platforms), ``_eig`` runs and vectors(r) hands back all of its Q.  A
+    nonzero LAPACK info raises ConvergenceError.
     """
     blas = _openblas()
-    lapack = None if blas is None else blas.routines
-    if lapack is None:
+    if blas is None:
         S, Q = _eig(A, e)
         return S, lambda r: Q
     G = _normal_gram(A, e)[0]
-    reduce, values, inverse_iteration, back_transform = lapack[G.dtype]
+    reduce, values, inverse_iteration, back_transform = blas.routines[G.dtype]
     n = len(G)
     # the off-diagonal and tau need n - 1 entries; LAPACKE's NaN check of
     # ?stein reads n entries of the shifts, so every buffer has n
@@ -347,14 +352,12 @@ _COL_MAJOR = 102  # LAPACKE's LAPACK_COL_MAJOR
 
 
 class _OpenBLAS(NamedTuple):
-    """What ``_bind`` finds in a library: OpenBLAS's thread-count pair, its
-    pool shutdown (None where not exported) and ``_split_eig``'s routines
-    (None without the wheel's LAPACKE symbols)."""
+    """The ten symbols of numpy's wheel OpenBLAS, as ``_bind`` binds them (the module docstring's platforms)."""
 
     get_threads: Callable[[], int]
     set_threads: Callable[[int], None]
-    shutdown: Optional[Callable[[], object]]
-    routines: Optional[dict]
+    shutdown: Callable[[], int]
+    routines: dict  # {dtype: (?sytrd/?hetrd, dsterf, ?stein, ?ormtr/?unmtr)}, float64 and complex128
 
 
 @lru_cache(maxsize=None)
@@ -372,40 +375,26 @@ def _openblas():
 
 
 def _bind(lib):
-    """The ``_OpenBLAS`` of a library handle: OpenBLAS's thread-count pair
-    (numpy's wheel exports scipy_openblas_..64_ names, a system or conda
-    build the plain ones), its pool shutdown ``blas_thread_shutdown_``
-    (unprefixed in both; None where missing) and ``_split_eig``'s {dtype:
-    (?sytrd/?hetrd, dsterf, ?stein, ?ormtr/?unmtr)} for float64 and
-    complex128, from the wheel's ILP64 LAPACKE symbols (scipy_LAPACKE_..64_),
-    or None without them.  None where neither thread pair is exported."""
-    for get, set_ in (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-                      ("openblas_get_num_threads", "openblas_set_num_threads")):
-        if hasattr(lib, get) and hasattr(lib, set_):
-            break
-    else:
-        return None
-    getter, setter = getattr(lib, get), getattr(lib, set_)
-    getter.argtypes, getter.restype = [], ctypes.c_int
-    setter.argtypes, setter.restype = [ctypes.c_int], None
-    shutdown = getattr(lib, "blas_thread_shutdown_", None)
-    if shutdown is not None:
-        shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+    """The ``_OpenBLAS`` of a library handle, or None unless it exports all ten of the wheel's symbols (module docstring)."""
     c_int, c_char, i64 = ctypes.c_int, ctypes.c_char, ctypes.c_int64
     real, ints = _buffer(np.float64), _buffer(np.int64)
-    routines = {}
     try:
+        threads = (_symbol(lib, "scipy_openblas_get_num_threads64_", c_int, []),
+                   _symbol(lib, "scipy_openblas_set_num_threads64_", None, [c_int]),
+                   _symbol(lib, "blas_thread_shutdown_", c_int, []))
+        routines = {}
         for dtype, (reduce, stein, back) in ((np.float64, ("dsytrd", "dstein", "dormtr")),
                                              (np.complex128, ("zhetrd", "zstein", "zunmtr"))):
             mat = _buffer(dtype)
-            routines[np.dtype(dtype)] = (
-                _routine(lib, reduce, [c_int, c_char, i64, mat, i64, real, real, mat]),
-                _routine(lib, "dsterf", [i64, real, real]),
-                _routine(lib, stein, [c_int, i64, real, real, i64, real, ints, ints, mat, i64, ints]),
-                _routine(lib, back, [c_int, c_char, c_char, c_char, i64, i64, mat, i64, mat, mat, i64]))
+            routines[np.dtype(dtype)] = tuple(
+                _symbol(lib, f"scipy_LAPACKE_{name}64_", i64, argtypes) for name, argtypes in (
+                    (reduce, [c_int, c_char, i64, mat, i64, real, real, mat]),
+                    ("dsterf", [i64, real, real]),
+                    (stein, [c_int, i64, real, real, i64, real, ints, ints, mat, i64, ints]),
+                    (back, [c_int, c_char, c_char, c_char, i64, i64, mat, i64, mat, mat, i64])))
     except AttributeError:
-        routines = None
-    return _OpenBLAS(getter, setter, shutdown, routines)
+        return None
+    return _OpenBLAS(*threads, routines)
 
 
 def _buffer(dtype):
@@ -413,9 +402,10 @@ def _buffer(dtype):
     return np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
 
 
-def _routine(lib, name: str, argtypes):
-    fn = getattr(lib, f"scipy_LAPACKE_{name}64_")
-    fn.argtypes, fn.restype = argtypes, ctypes.c_int64
+def _symbol(lib, name: str, restype, argtypes):
+    """``lib``'s function ``name`` with its ctypes signature set; AttributeError where it is not exported."""
+    fn = getattr(lib, name)
+    fn.argtypes, fn.restype = argtypes, restype
     return fn
 
 
@@ -427,24 +417,19 @@ def _lapack_call(routine, *args):
 
 
 def _each_row(count: int, run):
-    """Call run(j) for every j in range(count).
+    """Call run(j) for every j in range(count), on the module docstring's platforms.
 
-    With numpy's OpenBLAS at hand (``_openblas``), the rows run
-    one per thread on min(BLAS threads, count) threads, the caller's among
-    them, with OpenBLAS held at one thread; the count is restored
-    afterwards, and a module lock serialises such stages.  OpenBLAS's idle
-    pool threads spin-wait for about 0.1 s after each threaded call, even
-    at one thread, and would take a core from the rows; so where the
-    caller is the process's only Python thread, the pool is shut down
-    before any row runs, and restoring the count re-creates it (OpenBLAS's
-    lazy re-init, as after a fork).  The shutdown joins the pool threads,
-    which a threaded BLAS call in flight on another thread could keep
-    waiting, so with any other Python thread alive the pool is left
-    running.  A lone row is
-    held at one thread too: OpenBLAS results can differ in the last bits
-    between thread counts, and a row's result must not depend on how many
-    rows share its stage.  A process without OpenBLAS runs the rows
-    serially and leaves BLAS alone.  After every thread has joined, the
+    On numpy's wheel the rows run one per thread on min(BLAS threads,
+    count) threads, the caller's among them, with OpenBLAS held at one
+    thread; the count is restored afterwards, and a module lock serialises
+    such stages.  Where the caller is the process's only Python thread, the
+    idle pool is shut down before any row runs; the shutdown joins the pool
+    threads, which a threaded BLAS call in flight on another thread could
+    keep waiting, so with any other Python thread alive the pool is left
+    running.  A lone row is held at one thread too: OpenBLAS results can
+    differ in the last bits between thread counts, and a row's result must
+    not depend on how many rows share its stage.  Off the wheel the rows run
+    serially and BLAS is left alone.  After every thread has joined, the
     first error in row order is raised on the caller.
     """
     blas = _openblas() if count else None
@@ -468,7 +453,7 @@ def _each_row(count: int, run):
         threads = blas.get_threads()
         blas.set_threads(1)
         try:
-            if blas.shutdown is not None and threading.active_count() == 1:
+            if threading.active_count() == 1:
                 blas.shutdown()
             pool = [threading.Thread(target=work) for _ in range(min(threads, count) - 1)]
             for thread in pool:
@@ -494,20 +479,13 @@ def hankel_tsvd_series(series: np.ndarray, window: Optional[int], selector: Sele
     nor rounded on output.  Each row's Hankel matrix is a window view of the
     row; one tridiagonal reduction of its Gram matrix gives the whole
     spectrum for the selector and then only the r kept vectors
-    (``_split_eig``; ``eigh`` where numpy's BLAS is not the OpenBLAS of
-    numpy's wheel), and its SSA average comes from the rank-r factors
+    (``_split_eig``), and its SSA average comes from the rank-r factors
     (``_antidiagonal_means``): no L x K matrix is formed but the normalised
-    copy that the Gram product reads.  The rows share the BLAS thread budget
-    (``_each_row``): they run one per thread, with OpenBLAS held at one
-    thread until the stage ends, so BLAS calls from other threads run
-    single-threaded meanwhile, and a lone row runs at one BLAS thread too.
-    OpenBLAS's idle pool spin-waits after a threaded call, so when the
-    caller is the process's only Python thread the stage first stops the
-    pool, which OpenBLAS re-creates when the count is restored; otherwise
-    the pool is left running.
-    Where numpy's BLAS is not OpenBLAS they run serially on the full BLAS
-    pool.  Either way a row's result does not depend on the other rows of its
-    stack.  A 0-d series raises DimensionMismatch.
+    copy that the Gram product reads.  How the rows share BLAS, and the
+    process-wide one-thread hold while they run, is the module docstring's
+    platform rule (``_each_row``).  Either way a row's result does not
+    depend on the other rows of its stack.  A 0-d series raises
+    DimensionMismatch.
     """
     series = np.asarray(series)
     if series.ndim == 0:

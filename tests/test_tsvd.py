@@ -354,23 +354,16 @@ def long_series(complex_data, seed):
 def blas_platform(monkeypatch):
     """``blas_platform(*names)`` installs as ``tsvd._openblas``, in turn, each
     named lookup that it can return, made from this process's own, and
-    yields its name: "wheel", numpy's wheel (the thread pair, the pool
-    shutdown and the LAPACKE routines: the split kernel on threaded rows);
-    "threads", a system or conda OpenBLAS (the pair and the shutdown, no
-    routines: ``eigh`` on threaded rows); "none", MKL or a failed open
-    (``eigh`` on serial rows).  No names means all three.
-    A platform whose parts this process lacks is left out, and a test left
-    with none is skipped.  The platforms run in one test, not one each, so
-    the test ids stay those of a single platform."""
+    yields its name: "wheel", numpy's wheel (all ten symbols: the split
+    kernel on threaded rows); "none", anything else (``eigh`` on serial
+    rows).  No names means both.  A platform this process lacks is left
+    out, and a test left with none is skipped.  The platforms run in one
+    test, not one each, so the test ids stay those of a single platform."""
     found = tsvd._openblas()
-    lookups = {"none": None}
-    if found is not None:
-        lookups["threads"] = found._replace(routines=None)
-        if found.routines is not None:
-            lookups["wheel"] = found
+    lookups = {"none": None} if found is None else {"wheel": found, "none": None}
 
     def each(*names):
-        names = [name for name in names or ("wheel", "threads", "none") if name in lookups]
+        names = [name for name in names or ("wheel", "none") if name in lookups]
         if not names:
             pytest.skip("this process's BLAS has none of the platform's parts")
         for name in names:
@@ -406,7 +399,7 @@ def check_stack_equals_row_by_row(platforms, complex_data, selector):
 @pytest.mark.parametrize("complex_data", [False, True])
 @pytest.mark.parametrize("selector", [FixedRank(6), E15()])
 def test_hankel_tsvd_series_stack_equals_row_by_row(blas_platform, complex_data, selector):
-    check_stack_equals_row_by_row(blas_platform("wheel", "threads"), complex_data, selector)
+    check_stack_equals_row_by_row(blas_platform("wheel"), complex_data, selector)
 
 
 @pytest.mark.parametrize("complex_data", [False, True])
@@ -479,7 +472,7 @@ def test_hankel_stage_restores_the_blas_thread_count(monkeypatch):
 
 
 def test_hankel_stage_holds_blas_at_one_thread(monkeypatch, blas_platform):
-    for _ in blas_platform("wheel", "threads"):
+    for _ in blas_platform("wheel"):
         blas = CountingBlas(3)
         monkeypatch.setattr(tsvd, "_openblas", blas.lookup)
         rows = np.stack([noisy_series(False, seed) for seed in range(4)])  # 150 x 250 Hankel matrices
@@ -518,7 +511,7 @@ def test_hankel_stage_shuts_the_idle_blas_pool_down_first(monkeypatch, blas_plat
     # the pool's idle threads spin beside the rows unless stopped: once per
     # stage, after the count is held at one and before any row
     rows = np.stack([noisy_series(False, seed) for seed in range(4)])  # 150 x 250 Hankel matrices
-    for _ in blas_platform("wheel", "threads"):
+    for _ in blas_platform("wheel"):
         blas = CountingBlas(3)
         monkeypatch.setattr(tsvd, "_openblas", blas.lookup)
         logging_rows(monkeypatch, blas.log)
@@ -542,7 +535,7 @@ def test_hankel_stage_leaves_the_pool_running_beside_another_python_thread(monke
     other = threading.Thread(target=idle.wait)
     other.start()
     try:
-        for _ in blas_platform("wheel", "threads"):
+        for _ in blas_platform("wheel"):
             blas = CountingBlas(3)
             monkeypatch.setattr(tsvd, "_openblas", blas.lookup)
             logging_rows(monkeypatch, blas.log)
@@ -588,12 +581,12 @@ def test_hankel_stage_restarts_the_real_blas_pool(monkeypatch):
     if blas is None:
         pytest.skip("no OpenBLAS in this process")
     shutdowns = []
-    if blas.shutdown is not None:
-        def shutdown():
-            shutdowns.append(threading.active_count())
-            return blas.shutdown()
 
-        monkeypatch.setattr(tsvd, "_openblas", lambda: blas._replace(shutdown=shutdown))
+    def shutdown():
+        shutdowns.append(threading.active_count())
+        return blas.shutdown()
+
+    monkeypatch.setattr(tsvd, "_openblas", lambda: blas._replace(shutdown=shutdown))
     rng = np.random.default_rng(7)
     a, b = rng.standard_normal((2, 600, 600))
     before = blas.get_threads()
@@ -604,7 +597,7 @@ def test_hankel_stage_restarts_the_real_blas_pool(monkeypatch):
     assert np.array_equal(out, alone)
     assert blas.get_threads() == before
     assert np.array_equal(a @ b, product)
-    assert shutdowns == ([] if blas.shutdown is None else [1] * 5)
+    assert shutdowns == [1] * 5
 
 
 def test_worker_threads_call_no_public_function(monkeypatch, blas_platform):
@@ -623,7 +616,7 @@ def test_worker_threads_call_no_public_function(monkeypatch, blas_platform):
             if not name.startswith("_") and inspect.isfunction(obj) and obj.__module__.startswith("prank."):
                 monkeypatch.setattr(module, name, wrap(obj))
     rows = np.stack([noisy_series(False, seed) for seed in range(16)])
-    for _ in blas_platform("wheel", "threads"):
+    for _ in blas_platform("wheel"):
         calls.clear()
         blas = CountingBlas(4)
         monkeypatch.setattr(tsvd, "_openblas", blas.lookup)
@@ -642,7 +635,7 @@ def test_hankel_stage_on_more_threads_than_cores_equals_row_by_row(monkeypatch, 
     # bit-for-bit match with each row run alone
     rng = np.random.default_rng(11)
     rows = rng.standard_normal((48, 40)) + np.sin(0.3 * np.arange(40))
-    for _ in blas_platform("wheel", "threads"):
+    for _ in blas_platform("wheel"):
         blas = tsvd._openblas()
         before = blas.get_threads()
         eight = blas._replace(get_threads=lambda: 8,
@@ -769,10 +762,10 @@ def kernel_rows(complex_data, side):
 
 
 def split_and_eigh(blas_platform, rows, selector):
-    """hankel_tsvd_series under "wheel" (the split kernel) and "threads" (the
-    ``_eig`` path on threaded rows), and under "none" (``_eig`` on serial
-    rows) as the reference: ([one result per OpenBLAS platform], reference),
-    each a (filtered stack, ranks, spectrum of each row run alone)."""
+    """hankel_tsvd_series under "wheel" (the split kernel on threaded rows)
+    and under "none" (``_eig`` on serial rows) as the reference: ([the
+    wheel's result], reference), each a (filtered stack, ranks, spectrum of
+    each row run alone)."""
     def run():
         out, record = hankel_tsvd_series(rows, None, selector)
         spectra = [hankel_tsvd_series(row, None, selector)[1].singular_values for row in rows]
@@ -838,49 +831,61 @@ def test_split_kernel_maps_lapack_failure(monkeypatch, blas_platform, routine):
 
 # ------------------------------------------------------------- BLAS lookup
 
+WHEEL_SYMBOLS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_",
+                 "blas_thread_shutdown_") + tuple(
+    f"scipy_LAPACKE_{name}64_" for name in ("dsytrd", "zhetrd", "dsterf", "dstein", "zstein", "dormtr", "zunmtr"))
+
+
+def wheel_library(*missing):
+    """The ten wheel symbols of numpy's own library, bound afresh, as a
+    namespace, less the ``missing`` names.  Skips the test off numpy's wheel."""
+    if tsvd._openblas() is None:
+        pytest.skip("numpy's BLAS is not the OpenBLAS of numpy's wheel")
+    from numpy.linalg import _umath_linalg
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    return types.SimpleNamespace(**{name: getattr(lib, name) for name in WHEEL_SYMBOLS if name not in missing})
+
+
 def test_lookup_of_a_library_without_openblas_is_none():
-    # the process's own symbols hold neither thread pair: MKL's case
+    # the process's own symbols hold none of the wheel's: MKL's case
     assert tsvd._bind(ctypes.CDLL(None)) is None
 
 
-def plain_openblas(log, **symbols):
-    """A system or conda OpenBLAS: the plain thread pair, no
-    scipy_LAPACKE_*64_ symbols.  Its sets go to this process's OpenBLAS
-    where there is one, and are recorded in ``log``."""
-    real = tsvd._openblas()
-
-    def get():
-        return 3 if real is None else real.get_threads()
-
-    def set_(threads):
-        log.append(threads)
-        if real is not None:
-            real.set_threads(threads)
-
-    return types.SimpleNamespace(openblas_get_num_threads=get, openblas_set_num_threads=set_, **symbols)
+def test_lookup_binds_the_whole_wheel_set():
+    lib = wheel_library()
+    blas = tsvd._bind(lib)
+    c_int = ctypes.c_int
+    assert (blas.get_threads, blas.set_threads, blas.shutdown) == (
+        lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_, lib.blas_thread_shutdown_)
+    assert [(fn.argtypes, fn.restype) for fn in blas[:3]] == [([], c_int), ([c_int], None), ([], c_int)]
+    assert blas.routines == {
+        np.dtype(dtype): tuple(getattr(lib, f"scipy_LAPACKE_{name}64_") for name in names)
+        for dtype, names in ((np.float64, ("dsytrd", "dsterf", "dstein", "dormtr")),
+                             (np.complex128, ("zhetrd", "dsterf", "zstein", "zunmtr")))}
+    assert all(fn.restype is ctypes.c_int64 for fns in blas.routines.values() for fn in fns)
+    assert blas.get_threads() == tsvd._openblas().get_threads()
 
 
-def test_lookup_of_a_plain_openblas_has_no_routines(monkeypatch):
-    log = []
-    lib = plain_openblas(log)
-    get, set_ = lib.openblas_get_num_threads, lib.openblas_set_num_threads
-    assert tsvd._bind(lib) == (get, set_, None, None)  # no pool shutdown either
-    assert (get.argtypes, get.restype, set_.argtypes, set_.restype) == ([], ctypes.c_int, [ctypes.c_int], None)
-    # without a shutdown the stage still runs its rows threaded, at one BLAS thread
-    monkeypatch.setattr(tsvd, "_openblas", lambda: tsvd._bind(lib))
-    rows = np.stack([noisy_series(False, seed) for seed in range(3)])
-    out, record = hankel_tsvd_series(rows, 150, E15())
-    assert log == [1, get()] and record.extras["svd_calls"] == 3
-    assert np.array_equal(out, np.stack([hankel_tsvd_series(row, 150, E15())[0] for row in rows]))
+@pytest.mark.parametrize("missing", WHEEL_SYMBOLS)
+def test_lookup_without_a_wheel_symbol_is_none(missing):
+    assert tsvd._bind(wheel_library(missing)) is None
 
 
-def test_lookup_binds_the_pool_shutdown():
-    def shutdown():
-        return 0
+def test_lookup_of_a_plain_openblas_is_none():
+    # a system or conda OpenBLAS exports the plain thread pair: no platform of its own
+    lib = wheel_library()
+    lib.openblas_get_num_threads = vars(lib).pop("scipy_openblas_get_num_threads64_")
+    lib.openblas_set_num_threads = vars(lib).pop("scipy_openblas_set_num_threads64_")
+    assert tsvd._bind(lib) is None
 
-    lib = plain_openblas([], blas_thread_shutdown_=shutdown)
-    assert tsvd._bind(lib).shutdown is shutdown
-    assert (shutdown.argtypes, shutdown.restype) == ([], ctypes.c_int)
+
+def test_numpy_wheel_openblas_is_bound():
+    # a numpy whose BLAS is the wheel's scipy-openblas must bind all ten symbols:
+    # one renamed symbol would put every Hankel row on serial eigh (77 against 39 ms)
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    if blas.get("name") != "scipy-openblas":
+        pytest.skip(f"numpy's BLAS is {blas.get('name')!r}, not the wheel's scipy-openblas")
+    assert tsvd._openblas() is not None
 
 
 @pytest.mark.parametrize("failure", ["import", "open"])
