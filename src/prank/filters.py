@@ -14,20 +14,16 @@ is low rank; an FRF's is not), and the PRF stage on whatever it is handed.
 chain's domain once, folds the stages over its array, and bridges the
 result back once.  All but classic use two stages:
 
-- the PRF stage (``_unfolded``): unfolding, one eigendecomposition of the
-  smaller Gram matrix (``tsvd._gram``, shared with ``gram_tsvd``), rank
-  selection, and the factors of the rank-r rebuild (lhs * scale) @ rhs;
+- the PRF stage (``_unfolded``): one Gram TSVD (``tsvd._gram``) of the
+  unfolded array, as the factors of its rank-r rebuild (lhs * scale) @ rhs;
 - the Hankel row stage (``tsvd.hankel_tsvd_series``): one Hankel TSVD per
-  row, i.e. per (o, i) series or per retained PRF left singular vector:
-  one tridiagonal reduction of the row's Gram matrix gives every singular
-  value for the selection and then only the kept vectors, and the row is
-  averaged back to a series from its rank-r factors.  How its rows share
-  BLAS is the ``tsvd`` module docstring's platform rule.
+  row, i.e. per (o, i) series or per retained PRF left singular vector.
 
 PH and HP run the two in turn.  PRANK_HiP calls the PRF stage, runs the
 Hankel row stage on the unit columns of lhs and rebuilds from the filtered
 columns, cutting the number of Hankel factorizations (``svd_calls`` in the
-reports) from n_o*n_i to the PRF rank.
+reports) from n_o*n_i to the PRF rank.  The ``tsvd`` module docstring owns
+both stages' kernels and how the row stage uses BLAS.
 """
 
 from __future__ import annotations

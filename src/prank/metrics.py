@@ -8,8 +8,7 @@ import numpy as np
 
 from .dataset import Domain, ResponseDataset, _write_csv
 from .errors import ConvergenceError, DomainError, NonFiniteError, ShapeMismatch
-from .selection import _unit_exponent
-from .tsvd import _finite
+from .selection import _finite, _unit_exponent
 
 
 @dataclass(frozen=True)

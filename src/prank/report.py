@@ -16,20 +16,15 @@ from .selection import E15Model
 class StageRecord:
     """One filtering stage: shape seen by the factorization, its spectrum, chosen rank.
 
-    Each stage runs in one domain: classic on spectral lines, Hankel on time
-    samples, PRF on what it is handed.  Every spectrum comes from the
-    eigenvalues of a smaller Gram matrix, where values below about 1.5e-8 of
-    the largest are rounding noise: ``tsvd._gram`` for classic and PRF,
-    ``tsvd._hankel_row`` per row for the Hankel stages.  The PRF stage factors
-    one matrix; classic and the Hankel stages one ``shape`` matrix per call,
-    whose (S, ranks, model) triples they hand ``of_calls``.
-    ``model.tail_misfit`` is the ``e15_tail_misfit`` of ``to_text``.
-    ``seconds`` covers the factorization and rank selection of a PRF stage,
-    every call of a multi-call stage; the chain's one domain bridge
-    (``filters.apply_filter``) and the PRF rebuild count only toward
-    ``FilterReport.total_seconds``.  Each chain stage maps an array to an
-    array and hands back its records (HiP's "prf" and "hankel_in_prf"); only
-    ``filters.apply_filter`` and ``filters.prf_tsvd`` build datasets and reports.
+    Every spectrum comes from a Gram eigendecomposition (the ``tsvd`` module
+    docstring), so values below about 1.5e-8 of the largest are rounding
+    noise.  The PRF stage factors one matrix; classic and the Hankel stages
+    one ``shape`` matrix per call, whose (S, ranks, model) triples they hand
+    ``of_calls``.  ``model.tail_misfit`` is the ``e15_tail_misfit`` of
+    ``to_text``.  ``seconds`` covers the factorization and rank selection of
+    a PRF stage, every call of a multi-call stage; the chain's one domain
+    bridge (``filters.apply_filter``) and the PRF rebuild count only toward
+    ``FilterReport.total_seconds``.
     """
 
     name: str

@@ -251,15 +251,23 @@ def mp_fit(S: np.ndarray, shape: tuple, tail_fraction: float = 0.5) -> tuple:
     return model.sigma_n, model.corr
 
 
+def _finite(A) -> np.ndarray:
+    """``A`` as an array; NaN or infinite entries raise NonFiniteError."""
+    A = np.asarray(A)
+    if not np.all(np.isfinite(A)):
+        raise NonFiniteError("matrix entries must be finite")
+    return A
+
+
 def _unit_exponent(A: np.ndarray, axis) -> np.ndarray:
     """Exponents e, one per slice of A over ``axis``, such that 2^e times the
     slice has its largest |entry| in [1, 2): an exact scaling under which
     squaring neither overflows nor underflows.  e is capped at 1023 so 2^e
     stays finite; a subnormal peak lands at 2^-51 or above.  NaN or infinite
-    entries raise NonFiniteError."""
+    entries, which make their slice's peak NaN or infinite, raise
+    NonFiniteError."""
     peak = np.max(np.abs(A), axis=axis, initial=0.0)
-    if not np.all(np.isfinite(peak)):
-        raise NonFiniteError("matrix entries must be finite")
+    _finite(peak)
     return np.minimum(1 - np.frexp(peak)[1], 1023)
 
 

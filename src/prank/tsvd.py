@@ -54,9 +54,9 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConvergenceError, DimensionMismatch, NonFiniteError, ShapeError, WindowError
+from .errors import ConvergenceError, DimensionMismatch, ShapeError, WindowError
 from .report import StageRecord
-from .selection import E15, SelectionStrategy, _select, _unit_exponent, evaluate
+from .selection import E15, SelectionStrategy, _finite, _select, _unit_exponent, evaluate
 
 
 @dataclass(frozen=True)
@@ -103,13 +103,6 @@ def _matrices(A) -> np.ndarray:
     A = np.asarray(A)
     if A.ndim < 2:
         raise DimensionMismatch(f"expected a matrix or a stack of matrices, got ndim={A.ndim}")
-    return A
-
-
-def _finite(A) -> np.ndarray:
-    A = np.asarray(A)
-    if not np.all(np.isfinite(A)):
-        raise NonFiniteError("matrix entries must be finite")
     return A
 
 
@@ -476,16 +469,10 @@ def hankel_tsvd_series(series: np.ndarray, window: Optional[int], selector: Sele
 
     Rows are taken as float64 or complex128 (``np.result_type(series,
     float)``), so integer or single-precision input is neither truncated
-    nor rounded on output.  Each row's Hankel matrix is a window view of the
-    row; one tridiagonal reduction of its Gram matrix gives the whole
-    spectrum for the selector and then only the r kept vectors
-    (``_split_eig``), and its SSA average comes from the rank-r factors
-    (``_antidiagonal_means``): no L x K matrix is formed but the normalised
-    copy that the Gram product reads.  How the rows share BLAS, and the
-    process-wide one-thread hold while they run, is the module docstring's
-    platform rule (``_each_row``).  Either way a row's result does not
-    depend on the other rows of its stack.  A 0-d series raises
-    DimensionMismatch.
+    nor rounded on output.  The row kernel (``_hankel_row``) and how the
+    rows share BLAS, under a process-wide one-thread hold (``_each_row``),
+    are the module docstring's; a row's result does not depend on the other
+    rows of its stack.  A 0-d series raises DimensionMismatch.
     """
     series = np.asarray(series)
     if series.ndim == 0:

@@ -690,6 +690,21 @@ def test_synth_and_corrupt_load_no_filter_stack(tmp_path):
                                        "prank.report", "prank.metrics"]))
 
 
+def test_metrics_loads_no_filter_stack_or_benchmark(tmp_path):
+    clean = synth_small(tmp_path, fmax=4.0)
+    commands = [["metrics", "--ref", str(clean), "--test", str(clean), "--cmif", "--zeros", "2:1",
+                 "-o", str(tmp_path / "report")]]
+    run_child(loads_none_of(commands, ["prank.tsvd", "prank.report", "prank.filters", "prank.benchmark"]))
+
+
+def test_convert_loads_only_dataset(tmp_path):
+    clean, time_path = synth_small(tmp_path, fmax=4.0), tmp_path / "time.prnk"
+    commands = [["convert", str(clean), "--to-time", "-o", str(time_path)],
+                ["convert", str(time_path), "--to-freq", "--csv-dir", str(tmp_path / "curves")]]
+    run_child(loads_none_of(commands, ["prank.filters", "prank.tsvd", "prank.selection", "prank.report",
+                                       "prank.metrics", "prank.benchmark"]))
+
+
 # the package's public names, by defining module
 PUBLIC = {
     "benchmark": ["Boundary", "ChainSystem", "ModalModel", "NoiseModel", "OffsetSpec", "Quantity",
