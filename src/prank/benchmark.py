@@ -36,6 +36,8 @@ class ChainSystem:
     boundary: Boundary = Boundary.FIXED_FREE
 
     def __post_init__(self):
+        if not isinstance(self.boundary, Boundary):
+            raise ValueError(f"boundary must be a Boundary, got {self.boundary!r}")
         m = np.asarray(self.masses, dtype=float)
         d = np.asarray(self.dampers, dtype=float)
         k = np.asarray(self.springs, dtype=float)
@@ -80,7 +82,8 @@ class ModalModel:
     """Eigenfrequencies (rad/s, nondecreasing), mass-normalized shapes (one
     column per mode) and per-mode viscous damping ratios.  Built only from
     finite values, nonnegative frequencies and damping, one of each per
-    mode; anything else raises ValueError."""
+    mode, and a ``Quantity``; anything else raises ValueError.  The arrays
+    are stored as read-only copies: frequencies and damping as float64."""
 
     frequencies: np.ndarray
     shapes: np.ndarray
@@ -88,8 +91,10 @@ class ModalModel:
     quantity: Quantity = Quantity.RECEPTANCE
 
     def __post_init__(self):
-        w = np.asarray(self.frequencies, dtype=float)
-        shapes, damping = np.asarray(self.shapes), np.asarray(self.damping, dtype=float)
+        if not isinstance(self.quantity, Quantity):
+            raise ValueError(f"quantity must be a Quantity, got {self.quantity!r}")
+        w = np.array(self.frequencies, dtype=float)
+        shapes, damping = np.array(self.shapes), np.array(self.damping, dtype=float)
         if w.ndim != 1 or not np.all(np.isfinite(w)):
             raise ValueError("frequencies must be a finite 1-D array")
         if np.any(np.diff(w) < 0) or np.any(w < 0):
@@ -99,6 +104,9 @@ class ModalModel:
         if damping.shape != w.shape or not np.all(np.isfinite(damping)) or np.any(damping < 0):
             raise ValueError(f"damping must be finite and nonnegative, one value per mode: {len(w)} modes, "
                              f"shape {damping.shape}")
+        for name, arr in (("frequencies", w), ("shapes", shapes), ("damping", damping)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_modes(self) -> int:
@@ -197,8 +205,7 @@ def synthesize_direct(sys: ChainSystem, axis: np.ndarray,
     A = (-axis[:, None, None] ** 2 * M
          + 1j * axis[:, None, None] * D
          + K)
-    s = np.linalg.svd(A, compute_uv=False)
-    singular = s[:, -1] <= s[:, 0] * n * np.finfo(float).eps
+    singular = np.linalg.matrix_rank(A) < n
     X = np.empty((len(axis), n, len(in_idx)), dtype=complex)
     X[~singular] = np.linalg.solve(A[~singular], np.broadcast_to(rhs, (np.sum(~singular),) + rhs.shape))
     X[singular] = np.linalg.pinv(A[singular]) @ rhs

@@ -53,6 +53,8 @@ class ResponseDataset:
     unit_label: str = "Hz"
 
     def __post_init__(self):
+        if not isinstance(self.domain, Domain):
+            raise DomainError(f"domain must be a Domain, got {self.domain!r}")
         data = np.asarray(self.data)
         if data.ndim != 3:
             raise DimensionMismatch(f"expected 3-D data, got ndim={data.ndim}")
@@ -113,20 +115,17 @@ def to_time(ds: ResponseDataset) -> ResponseDataset:
     """Inverse-transform a one-sided spectrum into a real time record.
 
     The n_k bins are read as the one-sided spectrum of a real signal of
-    length N = 2*(n_k - 1); imaginary parts of the DC and Nyquist bins are
-    forced to zero before the Hermitian extension.  The inverse DFT carries
-    the 1/N factor.
+    length N = 2*(n_k - 1); ``np.fft.irfft`` discards the imaginary parts of
+    the DC and Nyquist bins, as the Hermitian extension has none.  The
+    inverse DFT carries the 1/N factor.
     """
     if ds.domain is Domain.TIME:
         raise DomainError("dataset is already in the time domain")
     if ds.axis_start != 0.0:
         raise AxisError(f"time bridge requires axis_start = 0, got {ds.axis_start}")
     n_samples = 2 * (ds.n_bins - 1)
-    spectrum = np.array(ds.data)
-    spectrum[..., 0] = spectrum[..., 0].real
-    spectrum[..., -1] = spectrum[..., -1].real
     dt = _cycle(ds.unit_label) / (ds.axis_step * n_samples)
-    return ResponseDataset(np.fft.irfft(spectrum, n=n_samples, axis=-1), Domain.TIME, 0.0, dt, "s")
+    return ResponseDataset(np.fft.irfft(ds.data, n=n_samples, axis=-1), Domain.TIME, 0.0, dt, "s")
 
 
 def to_frequency(ds: ResponseDataset, unit_label: str = "Hz") -> ResponseDataset:

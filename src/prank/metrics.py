@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Domain, ResponseDataset, _write_csv
-from .errors import ConvergenceError, DomainError, NonFiniteError, ShapeMismatch
+from .errors import ConvergenceError, DomainError, ShapeMismatch
 from .selection import _finite, _unit_exponent
 
 
@@ -82,9 +82,7 @@ def zero_locations(ds: ResponseDataset, o: int, i: int, prominence: float = 0.9)
         raise ValueError(f"prominence must lie in [0, 1], got {prominence}")
     if not (0 <= o < ds.n_outputs and 0 <= i < ds.n_inputs):
         raise IndexError(f"entry ({o}, {i}) outside {ds.n_outputs}x{ds.n_inputs} dataset")
-    mag = np.abs(ds.data[o, i])
-    if not np.all(np.isfinite(mag)):
-        raise NonFiniteError("anti-resonance search needs finite data")
+    mag = _finite(np.abs(ds.data[o, i]))
     before = np.maximum.accumulate(mag)  # before[t] = max(mag[:t + 1])
     after = np.maximum.accumulate(mag[::-1])[::-1]  # after[t] = max(mag[t:])
     t = 1 + np.flatnonzero((mag[1:-1] < mag[:-2]) & (mag[1:-1] < mag[2:]))

@@ -101,7 +101,8 @@ def _model_lines(model: E15Model) -> list:
         if values.size == 0:
             continue
         if stacked:
-            # np.median would import numpy.ma, about 40 ms of every CLI run
+            # np.median would import numpy.ma into every CLI run: 9-12 ms cumulative on numpy 2.4.6
+            # (2 cores), read by python -X importtime -c "import numpy as np; np.median(np.arange(5.))"
             v = np.sort(values)
             stats = (v[0], (v[(len(v) - 1) // 2] + v[len(v) // 2]) / 2, v[-1])
             text = " / ".join(fmt.format(x) for x in stats) + " (min / median / max over calls)"

@@ -15,12 +15,11 @@ runs.  Each matrix is normalised by a power of two before it is squared,
 so finite data of any magnitude is taken.
 
 The Hankel row stage (``hankel_tsvd_series``) runs the same three steps on
-each row's Hankel matrix, read as a window view of the row, but splits the
-eigendecomposition around the selection (``_split_eig``): one tridiagonal
-reduction of the Gram matrix gives every singular value, and only the r
-kept vectors are computed from it.  It averages the anti-diagonals
-straight from the rank-r factors with FFTs; ``hankelize`` and
-``dehankelize_ssa`` remain as the reference forms.
+each row's Hankel matrix, read as a window view of the row, with the
+selection inside the eigendecomposition (``_split_eig``): the whole
+spectrum, the selection, then only the r kept vectors.  It averages the
+anti-diagonals straight from the rank-r factors with FFTs; ``hankelize``
+and ``dehankelize_ssa`` remain as the reference forms.
 
 The row stage has two BLAS platforms.  ``_openblas`` binds, with ctypes,
 the library that numpy.linalg links, whole or not at all (``_bind``): the
@@ -47,7 +46,7 @@ import ctypes
 import threading
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from numbers import Integral
 from typing import Callable, NamedTuple, Optional
 
@@ -278,25 +277,25 @@ def _antidiagonal_means(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return ifft(spectrum, size)[..., :n] / np.minimum(np.minimum(t + 1, n - t), min(L, K))
 
 
-def _split_eig(A: np.ndarray, e: np.ndarray):
-    """(S, vectors) of a stack of one matrix A (1, m, n): S as ``_eig`` gives
-    it, and vectors(r), the first r Gram eigenvectors in S's order, (1, side, r).
+def _split_eig(A: np.ndarray, e: np.ndarray, select):
+    """(S, rank, model, Q) of a stack of one matrix A (1, m, n): S as ``_eig``
+    gives it, (rank, model) = select(S), called once on the whole spectrum,
+    and Q the first r = max(rank) Gram eigenvectors in S's order, (1, side, r).
 
     One tridiagonal reduction of the ``_normal_gram`` G (?sytrd/?hetrd)
-    yields every eigenvalue (dsterf), so a selector sees the whole spectrum,
-    while only the r kept vectors are found, by inverse iteration on the
-    tridiagonal (?stein, O(side * r)), and carried back through the
-    reduction's reflectors (?ormtr/?unmtr, O(side^2 * r)): no full
-    eigenvector matrix and no divide-and-conquer workspace.  LAPACK reads
-    the C-ordered G as its column-major transpose conj(G), so complex
-    vectors come back conjugated.  Off numpy's wheel (the module docstring's
-    platforms), ``_eig`` runs and vectors(r) hands back all of its Q.  A
-    nonzero LAPACK info raises ConvergenceError.
+    yields every eigenvalue (dsterf); only the r kept vectors are found, by
+    inverse iteration on the tridiagonal (?stein, O(side * r)), and carried
+    back through the reduction's reflectors (?ormtr/?unmtr, O(side^2 * r)):
+    no full eigenvector matrix and no divide-and-conquer workspace, and G and
+    the reduction are freed on return.  LAPACK reads the C-ordered G as its
+    column-major transpose conj(G), so complex vectors come back conjugated.
+    Off numpy's wheel (the module docstring's platforms), ``_eig`` runs and
+    Q holds all of its vectors.  A nonzero LAPACK info raises ConvergenceError.
     """
     blas = _openblas()
     if blas is None:
         S, Q = _eig(A, e)
-        return S, lambda r: Q
+        return (S, *select(S), Q)
     G = _normal_gram(A, e)[0]
     reduce, values, inverse_iteration, back_transform = blas.routines[G.dtype]
     n = len(G)
@@ -306,38 +305,33 @@ def _split_eig(A: np.ndarray, e: np.ndarray):
     _lapack_call(reduce, _COL_MAJOR, b"L", n, G, n, d, off, tau)
     w, work = d.copy(), off.copy()  # dsterf overwrites both; ?stein needs the tridiagonal
     _lapack_call(values, n, w, work)
+    S = _singular_values(w, e)
+    rank, model = select(S)
+    r = int(np.max(rank, initial=0))
+    Z = np.eye(r, n, dtype=G.dtype)  # column-major side x r: row k is vector k
+    if r and w[-1] > 0:  # a zero G (an all-zero row) has unit vectors; ?stein would give NaN
+        shifts = np.zeros(n)
+        shifts[:r] = w[n - r:]  # ascending, as ?stein expects
+        block, split, fail = np.ones(n, np.int64), np.full(n, n, np.int64), np.empty(n, np.int64)
+        _lapack_call(inverse_iteration, _COL_MAJOR, n, d, off, r, shifts, block, split, Z, n, fail)
+        Z = np.ascontiguousarray(Z[::-1])  # S's order
+        _lapack_call(back_transform, _COL_MAJOR, b"L", b"L", b"N", n, r, G, n, tau, Z, n)
+        np.conjugate(Z, out=Z)  # vectors of conj(G), as LAPACK read it, back to G's
+    return S, rank, model, Z.T[None]
 
-    def vectors(r):
-        Z = np.eye(r, n, dtype=G.dtype)  # column-major side x r: row k is vector k
-        if r and w[-1] > 0:  # a zero G (an all-zero row) has unit vectors; ?stein would give NaN
-            shifts = np.zeros(n)
-            shifts[:r] = w[n - r:]  # ascending, as ?stein expects
-            block, split, fail = np.ones(n, np.int64), np.full(n, n, np.int64), np.empty(n, np.int64)
-            _lapack_call(inverse_iteration, _COL_MAJOR, n, d, off, r, shifts, block, split, Z, n, fail)
-            Z = np.ascontiguousarray(Z[::-1])  # S's order
-            _lapack_call(back_transform, _COL_MAJOR, b"L", b"L", b"N", n, r, G, n, tau, Z, n)
-            np.conjugate(Z, out=Z)  # vectors of conj(G), as LAPACK read it, back to G's
-        return Z.T[None]
 
-    return _singular_values(w, e), vectors
-
-
-def _hankel_row(row: np.ndarray, L: int, selector: SelectionStrategy):
+def _hankel_row(row: np.ndarray, L: int, select):
     """One row of ``hankel_tsvd_series``: (the filtered row, its (S, ranks,
     model) as a stack of one call).  The L x K Hankel matrix is a window view
     of the row, normalised by the row's own power of two; ``_split_eig``
-    gives its whole spectrum for the selector and then only the kept
-    vectors, and the truncation stays in its rank-r factors, which
-    ``_antidiagonal_means`` averages.  Calls no public function, so it may
-    run on any thread."""
+    selects on its whole spectrum and returns only the kept vectors, and
+    ``_antidiagonal_means`` averages the rank-r factors of ``_rebuild``.
+    Calls no public function (``select`` is the stage's ``_select``), so it
+    may run on any thread."""
     A = sliding_window_view(row, len(row) - L + 1)[None]
-    _check_e15_shape(A.shape[-2:], selector)
-    S, vectors = _split_eig(A, _unit_exponent(row[None], -1))
-    rank, model = _select(S, A.shape[-2:], selector)
-    lhs, rhs, scale = _rebuild(A, S, vectors(int(np.max(rank, initial=0))), rank, model)
-    lhs, rhs = lhs * scale, np.array(rhs)  # own copies, so the Gram matrix and Q are freed before the FFTs
-    del vectors
-    return _antidiagonal_means(lhs, rhs)[0], (S, rank, model)
+    S, rank, model, Q = _split_eig(A, _unit_exponent(row[None], -1), select)
+    lhs, rhs, scale = _rebuild(A, S, Q, rank, model)
+    return _antidiagonal_means(lhs * scale, rhs)[0], (S, rank, model)
 
 
 _BLAS_LOCK = threading.Lock()  # held by every row stage that changes the BLAS thread count
@@ -472,7 +466,9 @@ def hankel_tsvd_series(series: np.ndarray, window: Optional[int], selector: Sele
     nor rounded on output.  The row kernel (``_hankel_row``) and how the
     rows share BLAS, under a process-wide one-thread hold (``_each_row``),
     are the module docstring's; a row's result does not depend on the other
-    rows of its stack.  A 0-d series raises DimensionMismatch.
+    rows of its stack.  A 0-d series raises DimensionMismatch; under e15, a
+    window of 1 or of the series length raises ShapeError before any row
+    runs, even for an empty stack.
     """
     series = np.asarray(series)
     if series.ndim == 0:
@@ -483,11 +479,13 @@ def hankel_tsvd_series(series: np.ndarray, window: Optional[int], selector: Sele
     t0 = time.perf_counter()
     L = _window(length, window)
     shape = (L, length - L + 1)
+    _check_e15_shape(shape, selector)
+    select = partial(_select, shape=shape, strategy=selector)
     rows = series.reshape(-1, length).astype(np.result_type(series, float), copy=False)
     out, calls = np.empty_like(rows), [None] * len(rows)
 
     def run(j):
-        out[j], calls[j] = _hankel_row(rows[j], L, selector)
+        out[j], calls[j] = _hankel_row(rows[j], L, select)
 
     _each_row(len(rows), run)
     record = StageRecord.of_calls("hankel", shape, calls, time.perf_counter() - t0)

@@ -59,6 +59,15 @@ def test_chain_validation():
         ChainSystem(np.zeros(0), np.zeros(0), np.zeros(0), Boundary.FIXED_FREE)
 
 
+@pytest.mark.parametrize("boundary", ["fixed-free", "free-free", None])
+def test_chain_rejects_a_boundary_that_is_not_a_member(boundary):
+    # an unchecked "fixed-free" took the free-free branch: 3 masses, 2 links
+    with pytest.raises(ValueError, match="must be a Boundary"):
+        ChainSystem.uniform(3, boundary=boundary)
+    with pytest.raises(ValueError, match="must be a Boundary"):
+        ChainSystem(np.ones(3), np.ones(3), np.ones(3), boundary)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("name", ["masses", "dampers", "springs"])
 def test_chain_rejects_nonfinite_parameters(name, bad):
@@ -255,6 +264,36 @@ def test_modal_model_rejects_decreasing_frequencies():
 def test_modal_model_rejects_invalid_fields(frequencies, shapes, damping, message):
     with pytest.raises(ValueError, match=message):
         ModalModel(np.array(frequencies), np.array(shapes), np.array(damping))
+
+
+@pytest.mark.parametrize("quantity", ["accelerance", "receptance", None])
+def test_modal_model_rejects_a_quantity_that_is_not_a_member(quantity):
+    # an unchecked "accelerance" took the receptance branch of modal_frf
+    model = eigen(table_system())
+    with pytest.raises(ValueError, match="must be a Quantity"):
+        model.with_quantity(quantity)
+    with pytest.raises(ValueError, match="must be a Quantity"):
+        ModalModel(model.frequencies, model.shapes, model.damping, quantity)
+
+
+def test_modal_model_takes_lists():
+    from_lists = ModalModel([1.0, 2.0], [[1.0, 0.5], [0.5, -1.0]], [0.01, 0.02])
+    from_arrays = ModalModel(np.array([1.0, 2.0]), np.array([[1.0, 0.5], [0.5, -1.0]]), np.array([0.01, 0.02]))
+    axis = np.linspace(0.0, 3.0, 7)
+    assert np.array_equal(modal_frf(from_lists, axis).data, modal_frf(from_arrays, axis).data)
+    assert from_lists.frequencies.dtype == from_lists.damping.dtype == np.float64
+
+
+def test_modal_model_keeps_read_only_copies():
+    frequencies, shapes, damping = np.array([1.0, 2.0]), np.eye(2), np.array([0.01, 0.02])
+    model = ModalModel(frequencies, shapes, damping)
+    frequencies[0], shapes[0, 0], damping[0] = 5.0, 7.0, 0.5
+    assert np.array_equal(model.frequencies, [1.0, 2.0])
+    assert np.array_equal(model.shapes, np.eye(2))
+    assert np.array_equal(model.damping, [0.01, 0.02])
+    for arr in (model.frequencies, model.shapes, model.damping):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_eigen_rigid_mode_damping_is_never_negative():

@@ -48,6 +48,13 @@ def test_construction_rejects_nonfinite_axis(axis):
         make_ds(np.ones((1, 1, 4)), **axis)
 
 
+@pytest.mark.parametrize("domain", ["time", 0, None])
+def test_construction_rejects_a_domain_that_is_not_a_member(domain):
+    # an unchecked "time" took the frequency branch and stored complex128
+    with pytest.raises(DomainError, match="must be a Domain"):
+        ResponseDataset(np.ones((1, 1, 4)), domain)
+
+
 def test_time_domain_must_be_exactly_real():
     with pytest.raises(DomainError):
         make_ds(np.ones((1, 1, 4)) * (1 + 1e-300j), Domain.TIME)
@@ -175,6 +182,15 @@ def test_to_time_output_is_exactly_real():
     spec = rng.standard_normal((2, 2, 17)) + 1j * rng.standard_normal((2, 2, 17))
     ds = to_time(make_ds(spec))
     assert np.all(ds.data.imag == 0.0)
+
+
+@pytest.mark.parametrize("n_k", [2, 3, 201])
+def test_to_time_ignores_the_imaginary_parts_of_the_dc_and_nyquist_bins(n_k):
+    rng = np.random.default_rng(n_k)
+    spec = rng.standard_normal((2, 1, n_k)) + 1j * rng.standard_normal((2, 1, n_k))
+    real_edges = spec.copy()
+    real_edges[..., [0, -1]] = real_edges[..., [0, -1]].real
+    assert np.array_equal(to_time(make_ds(spec)).data, to_time(make_ds(real_edges)).data)
 
 
 def test_round_trip_freq_time_freq():

@@ -497,6 +497,14 @@ def test_hip_zero_prf_rank_gives_zero_dataset(clean_bench):
     assert "\nflags: prf_rank_zero\n" in report.to_text()
 
 
+def test_hip_zero_prf_rank_still_checks_the_e15_window(clean_bench):
+    # e15's shape rule is checked once per Hankel stage, before any row runs,
+    # so a window of 1 raises even where the PRF stage kept no row to filter
+    cfg = PrankConfig(prf_selector=FixedRank(0), hankel_selector=E15(), hankel_window=1)
+    with pytest.raises(ShapeError, match="e15"):
+        apply_filter(clean_bench, cfg)
+
+
 @pytest.mark.parametrize("variant", list(Variant))
 def test_full_rank_idempotence_every_variant(clean_bench, variant):
     cfg = PrankConfig(variant=variant, prf_selector=FULL, hankel_selector=FULL)

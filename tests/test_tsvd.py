@@ -829,6 +829,43 @@ def test_split_kernel_maps_lapack_failure(monkeypatch, blas_platform, routine):
                 hankel_tsvd_series(kernel_rows(complex_data, 20), None, FixedRank(4))
 
 
+def test_split_eig_selects_once_on_the_whole_spectrum(blas_platform):
+    # one select call sees all min(m, n) values; the wheel computes only the
+    # max(rank) kept vectors, the eigh fallback hands back all of _eig's
+    for platform in blas_platform():
+        for complex_data in (False, True):
+            row = kernel_rows(complex_data, 40)[0]
+            A = hankelize(row, 30)[None]  # 30 x 51
+            e = selection._unit_exponent(row[None], -1)
+            seen = []
+
+            def select(S):
+                seen.append(S.copy())
+                return np.array([3]), None
+
+            S, rank, model, Q = tsvd._split_eig(A, e, select)
+            assert len(seen) == 1 and seen[0].shape == (1, 30) and np.array_equal(seen[0], S)
+            assert rank.tolist() == [3] and model is None
+            assert Q.shape == ((1, 30, 3) if platform == "wheel" else (1, 30, 30))
+            # the kept vectors span _eig's first three, whatever their signs or phases
+            ref = tsvd._eig(A, e)[1][0, :, :3]
+            assert np.allclose(Q[0, :, :3] @ Q[0, :, :3].conj().T, ref @ ref.conj().T, atol=1e-10)
+
+
+def test_e15_window_of_one_row_or_column_raises_before_any_row(monkeypatch):
+    # the shape rule is checked once per stage: no row runs, on any thread,
+    # and an empty stack (HiP after PRF rank 0) raises too
+    def each_row(count, run):
+        raise AssertionError("a row stage started")
+
+    monkeypatch.setattr(tsvd, "_each_row", each_row)
+    x = noisy_series(False, 0)
+    for rows in (x, np.stack([x, x]), np.empty((0, len(x)))):
+        for window in (1, len(x)):
+            with pytest.raises(ShapeError, match="e15"):
+                hankel_tsvd_series(rows, window, E15())
+
+
 # ------------------------------------------------------------- BLAS lookup
 
 WHEEL_SYMBOLS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_",
