@@ -293,8 +293,8 @@ def entry() -> None:
 
     ``gc.freeze()`` first moves every live object, numpy's import included, to
     the permanent generation, so the interpreter's exit-time collections skip
-    them (about 15 ms of a process).  ``main`` itself leaves the collector
-    alone: it also runs in-process.
+    them.  ``main`` itself leaves the collector alone: it also runs
+    in-process.
     """
     code = main()
     gc.freeze()

@@ -17,7 +17,8 @@ result back once.  All but classic use two stages:
 - the PRF stage (``_unfolded``): one Gram TSVD (``tsvd._gram``) of the
   unfolded array, as the factors of its rank-r rebuild (lhs * scale) @ rhs;
 - the Hankel row stage (``tsvd.hankel_tsvd_series``): one Hankel TSVD per
-  row, i.e. per (o, i) series or per retained PRF left singular vector.
+  row, i.e. per (o, i) series or per retained PRF left singular vector.  It
+  owns the Hankel variants' one input rule, a record of at least 4 samples.
 
 PH and HP run the two in turn.  PRANK_HiP calls the PRF stage, runs the
 Hankel row stage on the unit columns of lhs and rebuilds from the filtered
@@ -138,12 +139,6 @@ def prf_tsvd(ds: ResponseDataset, selector: SelectionStrategy):
     return result, report, _unit_columns(lhs * _pivot_phase(lhs))[0] * record.singular_values[:lhs.shape[1]]
 
 
-def _check_hankel_input(data: np.ndarray):
-    """The one input check of both Hankel stages: at least 4 samples."""
-    if data.shape[-1] < 4:
-        raise ShapeError("Hankel filtering needs at least 4 samples")
-
-
 def _prf(data: np.ndarray, cfg: PrankConfig):
     lhs, rhs, scale, record = _unfolded(data, cfg.prf_selector)
     return unflatten((lhs * scale) @ rhs, *data.shape[:2]), [record]
@@ -152,7 +147,6 @@ def _prf(data: np.ndarray, cfg: PrankConfig):
 def _hankel(data: np.ndarray, cfg: PrankConfig):
     """Hankel-TSVD every (o, i) time series independently; blind to the rest
     (the series are split over threads by ``hankel_tsvd_series``)."""
-    _check_hankel_input(data)
     out, record = hankel_tsvd_series(data, cfg.hankel_window, cfg.hankel_selector)
     return out, [record]
 
@@ -166,7 +160,6 @@ def _hip(data: np.ndarray, cfg: PrankConfig):
     so the PRF singular values (e15-cleaned when applicable) and right
     vectors are reused.
     """
-    _check_hankel_input(data)
     lhs, rhs, scale, prf = _unfolded(data, cfg.prf_selector)
     unit, norm = _unit_columns(lhs)
     rows, record = hankel_tsvd_series(unit.T, cfg.hankel_window, cfg.hankel_selector)

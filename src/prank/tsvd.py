@@ -30,14 +30,14 @@ kernel (scipy_LAPACKE_..64_).  With all ten, each row runs the split
 kernel, and the rows spend the BLAS thread budget, one row per thread with
 OpenBLAS held at one thread (``_each_row``); the hold is process-wide,
 so BLAS calls from other threads run at one thread until the stage ends,
-and a lone row is held too.  OpenBLAS's idle pool threads
-spin-wait for a while after each threaded call, and holding the count at
-one does not stop them, so a stage whose caller is the process's only
-Python thread first shuts the pool down; restoring the count makes
-OpenBLAS re-create it.  Without any one of them (MKL, a system or conda
-OpenBLAS, a failed open), each row takes one full ``eigh`` (``_eig``), the
-rows run serially and BLAS is left alone.  Only Linux with numpy's wheel
-was run.
+and a lone row is held too.  OpenBLAS's idle pool threads spin-wait for a
+while after each threaded call, and holding the count at one does not stop
+them, so a stage whose caller is the process's only Python thread shuts the
+pool down before its rows and again after it restores the count, which
+re-creates the pool; the next threaded BLAS call starts it anew.  Without
+any one of them (MKL, a system or conda OpenBLAS, a failed open), each row
+takes one full ``eigh`` (``_eig``), the rows run serially and BLAS is left
+alone.  Only Linux with numpy's wheel was run.
 """
 
 from __future__ import annotations
@@ -410,14 +410,15 @@ def _each_row(count: int, run):
     count) threads, the caller's among them, with OpenBLAS held at one
     thread; the count is restored afterwards, and a module lock serialises
     such stages.  Where the caller is the process's only Python thread, the
-    idle pool is shut down before any row runs; the shutdown joins the pool
-    threads, which a threaded BLAS call in flight on another thread could
-    keep waiting, so with any other Python thread alive the pool is left
-    running.  A lone row is held at one thread too: OpenBLAS results can
-    differ in the last bits between thread counts, and a row's result must
-    not depend on how many rows share its stage.  Off the wheel the rows run
-    serially and BLAS is left alone.  After every thread has joined, the
-    first error in row order is raised on the caller.
+    idle pool is shut down before any row runs and again after the restore,
+    which re-creates it; the shutdown joins the pool threads, which a
+    threaded BLAS call in flight on another thread could keep waiting, so
+    with any other Python thread alive the pool is left running.  A lone
+    row is held at one thread too: OpenBLAS results can differ in the last
+    bits between thread counts, and a row's result must not depend on how
+    many rows share its stage.  Off the wheel the rows run serially and BLAS
+    is left alone.  After every thread has joined, the first error in row
+    order is raised on the caller.
     """
     blas = _openblas() if count else None
     if blas is None:
@@ -450,6 +451,8 @@ def _each_row(count: int, run):
                 thread.join()
         finally:
             blas.set_threads(threads)
+            if threading.active_count() == 1:
+                blas.shutdown()
     if errors:
         raise errors[min(errors)]
 
@@ -466,16 +469,17 @@ def hankel_tsvd_series(series: np.ndarray, window: Optional[int], selector: Sele
     nor rounded on output.  The row kernel (``_hankel_row``) and how the
     rows share BLAS, under a process-wide one-thread hold (``_each_row``),
     are the module docstring's; a row's result does not depend on the other
-    rows of its stack.  A 0-d series raises DimensionMismatch; under e15, a
-    window of 1 or of the series length raises ShapeError before any row
-    runs, even for an empty stack.
+    rows of its stack.  A 0-d series raises DimensionMismatch.  A series of
+    fewer than 4 samples raises ShapeError, the one input rule of every
+    Hankel variant, and so does, under e15, a window of 1 or of the series
+    length; both raise before any row runs, even for an empty stack.
     """
     series = np.asarray(series)
     if series.ndim == 0:
         raise DimensionMismatch("hankel_tsvd_series takes a series or a stack of them, got ndim=0")
     length = series.shape[-1]
     if length < 4:
-        raise WindowError(f"series too short for Hankel filtering ({length} samples)")
+        raise ShapeError(f"Hankel filtering needs at least 4 samples ({length} samples)")
     t0 = time.perf_counter()
     L = _window(length, window)
     shape = (L, length - L + 1)

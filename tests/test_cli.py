@@ -227,6 +227,24 @@ def test_filter_cut_spectrum_on_time_variant_is_usage_error(tmp_path, capsys, va
     assert run(["filter", str(cut), "--variant", "classic", "-o", str(out)]) == 0
 
 
+@pytest.mark.parametrize("variant", ["classic", "prf", "hankel", "ph", "hp", "hip"])
+def test_filter_two_bin_spectrum_is_usage_error_for_every_hankel_variant(tmp_path, capsys, variant):
+    # 2 bins bridge to a 2-sample time record, under the 4 samples that every
+    # Hankel variant needs; classic and prf run no Hankel stage
+    ds = read_dataset(synth_small(tmp_path))
+    short = tmp_path / "short.prnk"
+    write_dataset(prank.ResponseDataset(ds.data[..., :2], Domain.FREQUENCY, 0.0, ds.axis_step,
+                                        ds.unit_label), short)
+    out = tmp_path / "x.prnk"
+    code = run(["filter", str(short), "--variant", variant, "-o", str(out)])
+    if variant in ("classic", "prf"):
+        assert code == 0 and out.exists()
+    else:
+        assert code == 2
+        assert "at least 4 samples" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_filter_hip_report_call_count_equals_prf_rank(tmp_path):
     src = synth_small(tmp_path)
     noisy = tmp_path / "noisy.prnk"

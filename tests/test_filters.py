@@ -419,7 +419,8 @@ def test_hankel_only_keeps_offset_zero_error(clean_bench, noisy_bench, zero_band
 
 @pytest.mark.parametrize("variant", [Variant.HANKEL, Variant.PRANK_PH, Variant.PRANK_HP, Variant.PRANK_HIP])
 def test_short_time_record_is_shape_error_for_every_hankel_variant(variant):
-    # one dataset check for both Hankel stages, ahead of any Hankel call
+    # the Hankel row stage's own length check, the one rule of every Hankel
+    # variant, fires before any row runs (HiP's PRF stage runs first)
     ds = ResponseDataset(np.random.default_rng(0).standard_normal((2, 2, 3)), Domain.TIME)
     with pytest.raises(ShapeError, match="at least 4 samples"):
         apply_filter(ds, PrankConfig(variant=variant))

@@ -3,6 +3,7 @@ import inspect
 import os
 import sys
 import threading
+import time
 import types
 
 import numpy as np
@@ -508,18 +509,19 @@ def logging_rows(monkeypatch, log):
 
 
 def test_hankel_stage_shuts_the_idle_blas_pool_down_first(monkeypatch, blas_platform):
-    # the pool's idle threads spin beside the rows unless stopped: once per
-    # stage, after the count is held at one and before any row
+    # the pool's idle threads spin beside the rows unless stopped: after the
+    # count is held at one and before any row, and again after the restore,
+    # which re-creates the pool
     rows = np.stack([noisy_series(False, seed) for seed in range(4)])  # 150 x 250 Hankel matrices
     for _ in blas_platform("wheel"):
         blas = CountingBlas(3)
         monkeypatch.setattr(tsvd, "_openblas", blas.lookup)
         logging_rows(monkeypatch, blas.log)
         hankel_tsvd_series(rows, 150, E15())
-        assert blas.log == [1, "shutdown"] + ["row"] * 4 + [3]
+        assert blas.log == [1, "shutdown"] + ["row"] * 4 + [3, "shutdown"]
         blas.log.clear()
         hankel_tsvd_series(rows[0], 150, E15())  # a lone row
-        assert blas.log == [1, "shutdown", "row", 3]
+        assert blas.log == [1, "shutdown", "row", 3, "shutdown"]
         blas.log.clear()
         hankel_tsvd_series(rows[:0], 150, E15())  # an empty stack touches nothing
         assert blas.log == []
@@ -597,7 +599,59 @@ def test_hankel_stage_restarts_the_real_blas_pool(monkeypatch):
     assert np.array_equal(out, alone)
     assert blas.get_threads() == before
     assert np.array_equal(a @ b, product)
-    assert shutdowns == [1] * 5
+    assert shutdowns == [1] * 10
+
+
+def test_no_blas_worker_spins_after_a_hankel_stage():
+    # the restore re-creates OpenBLAS's pool, whose new workers would
+    # spin-wait beside whatever runs next; the stage shuts it down again, so
+    # a sleep right after the stage costs the process no CPU time
+    if tsvd._openblas() is None:
+        pytest.skip("no OpenBLAS in this process")
+    assert threading.active_count() == 1  # the stage shuts the pool down only then
+    rows = np.stack([noisy_series(False, seed) for seed in range(4)])
+    hankel_tsvd_series(rows, 150, E15())
+    t0 = time.process_time()
+    time.sleep(0.05)
+    assert time.process_time() - t0 < 0.01
+
+
+def test_concurrent_hankel_stages_take_turns_on_blas(monkeypatch):
+    # two Python threads start a stage each at once on the real lookup, five
+    # times: the module lock makes them hold and restore the count in turn,
+    # so each matches its stage run alone and the count comes back, and with
+    # another Python thread alive neither stage shuts the pool down
+    blas = tsvd._openblas()
+    if blas is None:
+        pytest.skip("no OpenBLAS in this process")
+    stacks = [np.stack([noisy_series(False, seed) for seed in range(k, 8, 2)]) for k in range(2)]
+    alone = [hankel_tsvd_series(rows, 150, E15()) for rows in stacks]
+    before = blas.get_threads()
+    both_alive = []
+
+    def shutdown():
+        both_alive.append(all(stage.is_alive() for stage in stages))
+        return blas.shutdown()
+
+    monkeypatch.setattr(tsvd, "_openblas", lambda: blas._replace(shutdown=shutdown))
+    start, results = threading.Barrier(2), [None, None]
+
+    def run(k):
+        start.wait(timeout=60)
+        results[k] = hankel_tsvd_series(stacks[k], 150, E15())
+
+    for _ in range(5):
+        stages = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+        for stage in stages:
+            stage.start()
+        for stage in stages:
+            stage.join(timeout=120)
+        assert not any(stage.is_alive() for stage in stages)
+        for (out, record), (ref, ref_record) in zip(results, alone):
+            assert np.array_equal(out, ref)
+            assert record.extras["ranks"] == ref_record.extras["ranks"]
+        assert blas.get_threads() == before
+    assert not any(both_alive)
 
 
 def test_worker_threads_call_no_public_function(monkeypatch, blas_platform):
@@ -624,7 +678,7 @@ def test_worker_threads_call_no_public_function(monkeypatch, blas_platform):
         _, report = filters.apply_filter(ResponseDataset(rows.reshape(4, 4, -1), Domain.TIME),
                                          PrankConfig(variant=Variant.PRANK_HIP))
         assert report.stage("hankel_in_prf").extras["svd_calls"] > 1
-        assert blas.log == [1, "shutdown", 4] * 2  # both stages took the threaded path
+        assert blas.log == [1, "shutdown", 4, "shutdown"] * 2  # both stages took the threaded path
         assert {name for name, _ in calls} >= {"hankel_tsvd_series", "apply_filter", "evaluate"}
         assert {ident for _, ident in calls} == {threading.get_ident()}
 
@@ -654,7 +708,8 @@ def test_hankel_stage_on_more_threads_than_cores_equals_row_by_row(monkeypatch, 
 
 
 def test_hankel_tsvd_series_too_short():
-    with pytest.raises(WindowError):
+    # the one input rule of every Hankel variant, with the filters' ShapeError
+    with pytest.raises(ShapeError, match=r"at least 4 samples \(3 samples\)"):
         hankel_tsvd_series(np.ones(3), None, FixedRank(1))
 
 
